@@ -8,7 +8,6 @@ failure (the failing claim is still reported), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -17,7 +16,7 @@ from fractions import Fraction
 from .hitting import is_minimal_transversal, tau
 from .incidence import check_commutation, verify_kantor
 from .relational import check_profile_inequalities, profile_sequence, structure_from_json
-from .setfuncs import SetFunction, product, singleton_ones
+from .setfuncs import SetFunction, dumps_canonical, product, singleton_ones
 from .subsets import SetFamily, Subset
 from .witnesses import (
     gadget_lower,
@@ -310,17 +309,12 @@ def run(argv: list[str]) -> tuple[int, dict]:
     return code, report
 
 
-def dumps_report(report: dict) -> str:
-    """Canonical serialization; parsing and re-dumping is byte-identical."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     want_json = "--json" in argv
     code, report = run(argv)
     if want_json:
-        print(dumps_report(report))
+        print(dumps_canonical(report))
         return code
     print(f"{report['command']}  (seed {report['seed']}, {report['elapsed_ms']} ms)")
     for r in report["results"]:

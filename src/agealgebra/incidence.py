@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .linalg import RationalMatrix, matmul, nullspace_basis, rank
-from .setfuncs import SetFunction, mult_matrix, singleton_ones
+from .linalg import RationalMatrix, nullspace_basis, rank
+from .setfuncs import SetFunction, mult_matrix, product, singleton_ones
 from .subsets import Subset, ksubsets
 
 
@@ -23,13 +23,11 @@ def inclusion_matrix(ground_size: int, n: int, m: int) -> RationalMatrix:
         raise ValueError("sizes must be nonnegative")
     if n + m > ground_size:
         raise ValueError("column subsets exceed the ground set")
-    rows = ksubsets(ground_size, n)
     cols = ksubsets(ground_size, n + m)
-    entries = [
+    return RationalMatrix([
         [1 if b.mask & ~q.mask == 0 else 0 for q in cols]
-        for b in rows
-    ]
-    return RationalMatrix(entries, row_labels=rows, col_labels=cols)
+        for b in ksubsets(ground_size, n)
+    ])
 
 
 def verify_kantor(ground_size: int, n: int, m: int) -> bool:
@@ -37,30 +35,26 @@ def verify_kantor(ground_size: int, n: int, m: int) -> bool:
     return rank(inclusion_matrix(ground_size, n, m)) == comb(ground_size, n)
 
 
+def _set_weight(f: SetFunction, mask: int) -> Fraction:
+    """Product of the point weights f({x}) over the members x of mask."""
+    w = Fraction(1)
+    for x in range(f.n):
+        if mask >> x & 1:
+            w *= f.value(Subset(f.n, 1 << x))
+    return w
+
+
 def derivation_matrix(f: SetFunction, n: int) -> RationalMatrix:
     """Weighted one-step contraction from degree n+1 down to degree n.
 
-    Entry at (B, Q) is f(Q minus B) when B is inside Q; the removed part is
-    a single element, so only the degree-1 values of f matter.
+    Entry at (B, Q) is f(Q minus B) when B is inside Q: the transpose of
+    multiplication by f from degree n.
     """
     if f.degree != 1:
         raise ValueError("derivation needs a degree-1 weight function")
     if n < 0 or n + 1 > f.n:
         raise ValueError("degree out of range for the ground set")
-    rows = ksubsets(f.n, n)
-    cols = ksubsets(f.n, n + 1)
-    zero = Fraction(0)
-    entries = []
-    for b in rows:
-        bm = b.mask
-        row = []
-        for q in cols:
-            if bm & ~q.mask:
-                row.append(zero)
-            else:
-                row.append(f.coeffs.get(Subset(f.n, q.mask ^ bm), zero))
-        entries.append(row)
-    return RationalMatrix(entries, row_labels=rows, col_labels=cols)
+    return mult_matrix(f, n).matrix.transpose()
 
 
 def scaling_matrix(f: SetFunction, n: int) -> RationalMatrix:
@@ -69,26 +63,31 @@ def scaling_matrix(f: SetFunction, n: int) -> RationalMatrix:
         raise ValueError("scaling needs a degree-1 weight function")
     if n < 0 or n > f.n:
         raise ValueError("degree out of range for the ground set")
-    labels = ksubsets(f.n, n)
-    size = len(labels)
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for i, b in enumerate(labels):
-        w = Fraction(1)
-        for x in b.elements():
-            w *= f.coeffs.get(Subset(f.n, 1 << x), Fraction(0))
-        entries[i][i] = w
-    return RationalMatrix(entries, row_labels=labels, col_labels=labels)
+    diag = [_set_weight(f, b.mask) for b in ksubsets(f.n, n)]
+    return RationalMatrix(
+        [[w if i == j else 0 for j in range(len(diag))] for i, w in enumerate(diag)]
+    )
 
 
 def check_commutation(f: SetFunction, n: int) -> bool:
-    """Exact matrix identity: unweighted contraction after rescaling equals
-    rescaling after weighted contraction, from degree n+1 to degree n."""
+    """Unweighted contraction after rescaling equals rescaling after
+    weighted contraction, from degree n+1 to degree n.
+
+    Both composites vanish off the containment pairs B inside Q, so the
+    identity is checked entry by entry on those pairs:
+    w(Q) = w(B) * f(Q minus B), where w multiplies the point weights.
+    """
     if f.degree != 1:
         raise ValueError("commutation check needs a degree-1 weight function")
-    ones = singleton_ones(f.n)
-    lhs = matmul(derivation_matrix(ones, n), scaling_matrix(f, n + 1))
-    rhs = matmul(scaling_matrix(f, n), derivation_matrix(f, n))
-    return lhs == rhs
+    if n < 0 or n + 1 > f.n:
+        raise ValueError("degree out of range for the ground set")
+    for q in ksubsets(f.n, n + 1):
+        wq = _set_weight(f, q.mask)
+        for x in q.elements():
+            b = q.mask ^ (1 << x)  # B is Q minus x, so f(Q minus B) = f({x})
+            if wq != _set_weight(f, b) * f.value(Subset(f.n, 1 << x)):
+                return False
+    return True
 
 
 def weighted_kantor_check(f: SetFunction, n: int) -> bool:
@@ -113,8 +112,7 @@ def e_regular_on_invariants(structure, n: int) -> bool:
     ground = structure.base_size
     if n + 1 > ground:
         raise ValueError("image degree exceeds the base")
-    op = mult_matrix(singleton_ones(ground), n)
-    images = [op.apply_to(h) for h in basis]
-    rows = ksubsets(ground, n + 1)
-    entries = [[img.value(q) for img in images] for q in rows]
+    ones = singleton_ones(ground)
+    images = [product(ones, h) for h in basis]
+    entries = [[img.value(q) for img in images] for q in ksubsets(ground, n + 1)]
     return nullspace_basis(RationalMatrix(entries)) == []

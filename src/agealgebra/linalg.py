@@ -1,10 +1,12 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on integer rows.
 
-Rank and echelon forms use fraction-free (Bareiss) elimination on a
-denominator-cleared integer copy, so intermediate entries stay minors of
+A matrix stores each row once, as integers scaled by the lcm of that row's
+denominators.  Scaling a row changes neither the rank nor the right kernel,
+so rank and kernel eliminate the stored integer rows directly with
+fraction-free (Bareiss) elimination: intermediate entries stay minors of
 the scaled matrix instead of blowing up as unreduced fractions.  Nullspace
-vectors are recovered from the integer echelon form by exact back
-substitution and re-checked against the original matrix.
+vectors are back-substituted in integers and re-checked against the
+stored rows, skipping their zero entries.
 """
 
 from __future__ import annotations
@@ -15,84 +17,69 @@ from typing import Sequence
 
 
 class RationalMatrix:
-    """Immutable-by-convention dense matrix of Fractions with optional labels.
+    """Immutable-by-convention matrix over Q stored as scaled integer rows.
 
-    Equality compares shape and entries; labels are bookkeeping only.
+    Row i is `nums[i]` divided by `dens[i]`, where `dens[i]` is the lcm of
+    the denominators in that row, so the stored form is unique and equality
+    compares it directly.  Integral entries never become Fractions.
     """
 
-    __slots__ = ("rows", "cols", "entries", "row_labels", "col_labels")
+    __slots__ = ("rows", "cols", "nums", "dens")
 
-    def __init__(self, entries: Sequence[Sequence], row_labels=None, col_labels=None):
-        ents = [[Fraction(x) for x in row] for row in entries]
-        rows = len(ents)
-        cols = len(ents[0]) if rows else 0
-        for row in ents:
-            if len(row) != cols:
+    def __init__(self, entries: Sequence[Sequence]):
+        nums: list[list[int]] = []
+        dens: list[int] = []
+        cols = None
+        for row in entries:
+            row = [x if type(x) is int else Fraction(x) for x in row]
+            if cols is None:
+                cols = len(row)
+            elif len(row) != cols:
                 raise ValueError("ragged rows in matrix")
-        if row_labels is not None and len(row_labels) != rows:
-            raise ValueError("row label count does not match row count")
-        if col_labels is not None and len(col_labels) != cols:
-            raise ValueError("column label count does not match column count")
-        self.entries = ents
-        self.rows = rows
-        self.cols = cols
-        self.row_labels = tuple(row_labels) if row_labels is not None else None
-        self.col_labels = tuple(col_labels) if col_labels is not None else None
+            den = lcm(*(x.denominator for x in row))
+            nums.append([x.numerator * (den // x.denominator) for x in row])
+            dens.append(den)
+        self.nums = nums
+        self.dens = dens
+        self.rows = len(nums)
+        self.cols = cols or 0
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        out = cls([[0] * cols for _ in range(rows)])
-        out.cols = cols  # a rowless matrix still remembers its width
-        return out
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self.entries]
+    @property
+    def entries(self) -> list[list[Fraction]]:
+        return [[Fraction(x, d) for x in row] for row, d in zip(self.nums, self.dens)]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
+        return RationalMatrix(list(zip(*self.entries)))
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         v = [Fraction(x) for x in vec]
-        return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.entries]
+        return [
+            sum((x * v[j] for j, x in enumerate(row) if x), Fraction(0)) / d
+            for row, d in zip(self.nums, self.dens)
+        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+        return (self.rows, self.cols, self.nums, self.dens) == (
+            other.rows, other.cols, other.nums, other.dens
+        )
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """Dense product, kept as the reference the tests compare against."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    bt = [[b.entries[i][j] for i in range(b.rows)] for j in range(b.cols)]
-    out = [
+    bt = list(zip(*b.entries))
+    return RationalMatrix([
         [sum((x * y for x, y in zip(arow, bcol)), Fraction(0)) for bcol in bt]
         for arow in a.entries
-    ]
-    return RationalMatrix(out, row_labels=a.row_labels, col_labels=b.col_labels)
-
-
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators; rank and kernel survive."""
-    out = []
-    for row in m.entries:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
+    ])
 
 
 def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
@@ -141,50 +128,47 @@ def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals via fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a = _integer_rows(m)
-    return len(_bareiss_echelon(a, m.rows, m.cols))
+    return len(_bareiss_echelon([row[:] for row in m.nums], m.rows, m.cols))
 
 
 def nullspace_basis(m: RationalMatrix) -> list[list[Fraction]]:
     """Exact basis of the right kernel, one vector per free column.
 
     Each vector is normalized so its first nonzero coordinate is 1, and is
-    verified against the original matrix before being returned.
+    re-checked against the stored integer rows before being returned.
     """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        basis = []
-        for j in range(m.cols):
-            v = [Fraction(0)] * m.cols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    a = _integer_rows(m)
+    a = [row[:] for row in m.nums]
     piv_cols = _bareiss_echelon(a, m.rows, m.cols)
     piv_set = set(piv_cols)
-    free_cols = [j for j in range(m.cols) if j not in piv_set]
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in m.nums]
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
+    for fc in range(m.cols):
+        if fc in piv_set:
+            continue
+        # w is the kernel vector scaled to integers; rescale it whenever a
+        # pivot does not divide the sum it has to cancel.
+        w = [0] * m.cols
+        w[fc] = 1
         for i in range(len(piv_cols) - 1, -1, -1):
             pc = piv_cols[i]
             if pc > fc:
                 continue
             row = a[i]
-            s = Fraction(0)
+            s = 0
             for j in range(pc + 1, fc + 1):
-                if row[j] and v[j]:
-                    s += row[j] * v[j]
-            v[pc] = -s / row[pc]
-        lead = next(x for x in v if x)
-        if lead != 1:
-            v = [x / lead for x in v]
-        check = m.apply(v)
-        if any(check):
-            raise AssertionError("kernel vector failed exact re-check")
-        basis.append(v)
+                if row[j] and w[j]:
+                    s += row[j] * w[j]
+            p = row[pc]
+            g = gcd(s, p)
+            k = abs(p) // g
+            if k != 1:
+                for j in range(pc + 1, fc + 1):
+                    if w[j]:
+                        w[j] *= k
+            w[pc] = -(s // g) if p > 0 else s // g
+        for row in sparse:
+            if sum(x * w[j] for j, x in row):
+                raise AssertionError("kernel vector failed exact re-check")
+        lead = next(x for x in w if x)
+        basis.append([Fraction(x, lead) for x in w])
     return basis

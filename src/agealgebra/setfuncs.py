@@ -181,11 +181,13 @@ def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
 
 
 class MultOperator:
-    """Matrix of multiplication by f from degree n to degree n + deg(f).
+    """Matrix of multiplication by f from degree d to degree d + deg(f).
 
-    Rows are labeled by (deg f + n)-subsets and columns by n-subsets, both
-    in colex order; the entry at (Q, B) is f(Q minus B) when B is contained
-    in Q and zero otherwise.
+    Rows are the (deg f + d)-subsets and columns the d-subsets of the
+    ground set, both in colex order as `ksubsets` lists them; the entry at
+    (Q, B) is f(Q minus B) when B is contained in Q and zero otherwise.
+    A coefficient vector over the columns maps to the product's
+    coefficients over the rows.
     """
 
     __slots__ = ("f", "source_degree", "matrix")
@@ -195,37 +197,19 @@ class MultOperator:
         self.source_degree = source_degree
         self.matrix = matrix
 
-    def apply_to(self, g: SetFunction) -> SetFunction:
-        if g.n != self.f.n or g.degree != self.source_degree:
-            raise ValueError("operand does not match operator domain")
-        vec = [g.value(b) for b in self.matrix.col_labels]
-        image = self.matrix.apply(vec)
-        return SetFunction(
-            self.f.n,
-            self.f.degree + self.source_degree,
-            dict(zip(self.matrix.row_labels, image)),
-        )
-
 
 def mult_matrix(f: SetFunction, source_degree: int) -> MultOperator:
     if source_degree < 0:
         raise ValueError("source degree must be nonnegative")
     if f.degree + source_degree > f.n:
         raise ValueError("target degree exceeds ground set")
-    rows = ksubsets(f.n, f.degree + source_degree)
-    cols = ksubsets(f.n, source_degree)
-    zero = Fraction(0)
-    entries = []
-    for q in rows:
-        qm = q.mask
-        row = []
-        for b in cols:
-            if b.mask & ~qm:
-                row.append(zero)
-            else:
-                row.append(f.coeffs.get(Subset(f.n, qm ^ b.mask), zero))
-        entries.append(row)
-    return MultOperator(f, source_degree, RationalMatrix(entries, row_labels=rows, col_labels=cols))
+    by_mask = {s.mask: v for s, v in f.coeffs.items()}
+    cols = [b.mask for b in ksubsets(f.n, source_degree)]
+    entries = [
+        [0 if b & ~q.mask else by_mask.get(q.mask ^ b, 0) for b in cols]
+        for q in ksubsets(f.n, f.degree + source_degree)
+    ]
+    return MultOperator(f, source_degree, RationalMatrix(entries))
 
 
 def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
@@ -236,12 +220,10 @@ def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
     """
     if f.is_zero:
         raise ValueError("zero function has every cofactor")
-    op = mult_matrix(f, degree)
-    basis = nullspace_basis(op.matrix)
+    basis = nullspace_basis(mult_matrix(f, degree).matrix)
     if not basis:
         return None
-    vec = basis[0]
-    g = SetFunction(f.n, degree, dict(zip(op.matrix.col_labels, vec)))
+    g = SetFunction(f.n, degree, dict(zip(ksubsets(f.n, degree), basis[0])))
     if not product(f, g).is_zero:
         raise AssertionError("kernel vector is not a cofactor")
     return g

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .hitting import TransversalResult, is_transversal, tau
 from .linalg import nullspace_basis
@@ -110,8 +110,7 @@ def gadget_full_support(n: int) -> SetFunction:
     if n < 1:
         raise ValueError("need at least one column")
     ground = 2 * n
-    op = mult_matrix(singleton_ones(ground), n)
-    basis = nullspace_basis(op.matrix)
+    basis = nullspace_basis(mult_matrix(singleton_ones(ground), n).matrix)
     if not basis:
         raise AssertionError("kernel unexpectedly trivial")
     ncols = len(basis[0])
@@ -124,7 +123,7 @@ def gadget_full_support(n: int) -> SetFunction:
                     vec[i] += scale * x
             scale *= t
         if all(vec):
-            g = SetFunction(ground, n, dict(zip(op.matrix.col_labels, vec)))
+            g = SetFunction(ground, n, dict(zip(ksubsets(ground, n), vec)))
             if not product(singleton_ones(ground), g).is_zero:
                 raise AssertionError("combination left the kernel")
             return g
@@ -269,9 +268,7 @@ class LinearBound:
         coeffs = [abs(c) for c in self.terms.values()]
         if self.constant:
             coeffs.append(abs(self.constant))
-        g = 0
-        for c in coeffs:
-            g = c if g == 0 else _gcd(g, c)
+        g = gcd(*coeffs)
         parts_count = len(self.terms) + (1 if self.constant else 0)
         if g > 1 and parts_count > 1:
             inner = LinearBound(self.constant // g, {s: c // g for s, c in self.terms.items()})
@@ -283,12 +280,6 @@ class LinearBound:
         if self.constant:
             chunks.append(f"+ {self.constant}")
         return " ".join(chunks)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

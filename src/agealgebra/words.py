@@ -230,7 +230,7 @@ class LayeredGround:
 
 
 def code(q: Subset, layered: LayeredGround) -> CodedSet:
-    """F-part и column-trace word of a flat subset, empty columns skipped."""
+    """F-part and column-trace word of a flat subset, empty columns skipped."""
     if q.n != layered.flat_size:
         raise ValueError("subset is not over this layered ground")
     f_mask = q.mask & ((1 << layered.f_size) - 1)

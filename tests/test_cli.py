@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from agealgebra.cli import build_parser, dumps_report, main, run
+from agealgebra.cli import build_parser, main, run
 from agealgebra.relational import RelStructure, structure_to_dict
+from agealgebra.setfuncs import dumps_canonical
 
 
 def claims(report):
@@ -111,7 +112,7 @@ def test_unknown_flags_exit_two():
 
 def test_json_round_trip_byte_identical():
     _, rep = run(["gadget", "--m", "1", "--n", "2"])
-    blob = dumps_report(rep)
+    blob = dumps_canonical(rep)
     assert json.dumps(json.loads(blob), sort_keys=True, separators=(",", ":")) == blob
 
 

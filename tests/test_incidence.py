@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from math import comb
 
+from hypothesis import given, settings, strategies as st
+
 from agealgebra.incidence import (
     check_commutation,
     derivation_matrix,
@@ -97,3 +99,19 @@ def test_commutation_identity_written_out():
     lhs = matmul(derivation_matrix(e, n), scaling_matrix(f, n + 1))
     rhs = matmul(scaling_matrix(f, n), derivation_matrix(f, n))
     assert lhs == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_entrywise_commutation_agrees_with_dense_products(data):
+    l = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(0, l - 1))
+    values = data.draw(st.lists(
+        st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=4)),
+        min_size=l, max_size=l,
+    ))
+    f = weight(l, dict(enumerate(values)))
+    e = singleton_ones(l)
+    lhs = matmul(derivation_matrix(e, n), scaling_matrix(f, n + 1))
+    rhs = matmul(scaling_matrix(f, n), derivation_matrix(f, n))
+    assert check_commutation(f, n) == (lhs == rhs)

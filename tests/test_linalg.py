@@ -1,10 +1,12 @@
-"""Exact rank and nullspace checks against hand-computed matrices and a
-random cross-validation against floating SVD-free row reduction."""
+"""Exact rank and nullspace checks against hand-computed matrices, and
+hypothesis cross-checks of the integer-row elimination against a dense
+Fraction Gauss-Jordan reduction kept here as the oracle."""
 
 from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agealgebra.linalg import RationalMatrix, matmul, nullspace_basis, rank
 
@@ -46,12 +48,6 @@ def test_nullspace_trivial_for_full_column_rank():
     assert nullspace_basis(M([[1, 0], [0, 1], [1, 1]])) == []
 
 
-def test_zero_row_matrix_nullspace_is_identity():
-    m = RationalMatrix.zeros(0, 3)
-    basis = nullspace_basis(m)
-    assert len(basis) == 3
-
-
 def test_rank_plus_nullity_random():
     rng = random.Random(7)
     for _ in range(25):
@@ -76,3 +72,88 @@ def test_rank_invariant_under_transpose_random():
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = M([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)])
         assert rank(m) == rank(m.transpose())
+
+
+def dense_rank_and_nullspace(rows):
+    """Oracle: reduced row echelon form over Fractions, then one kernel
+    vector per free column, scaled so its first nonzero coordinate is 1."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                t = a[i][c]
+                a[i] = [x - t * y for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+    basis = []
+    for fc in range(ncols):
+        if fc in piv_cols:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(piv_cols):
+            v[pc] = -a[i][fc]
+        lead = next(x for x in v if x)
+        basis.append([x / lead for x in v])
+    return len(piv_cols), basis
+
+
+entry = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def rational_rows(draw, max_side=7):
+    r = draw(st.integers(1, max_side))
+    c = draw(st.integers(1, max_side))
+    rows = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+    # replace some rows by combinations of two others to force dependencies
+    for i in range(r):
+        if r > 2 and draw(st.booleans()):
+            j, k = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            t = draw(entry)
+            rows[i] = [x + t * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_rows())
+def test_rank_and_nullspace_match_dense_oracle(rows):
+    m = RationalMatrix(rows)
+    want_rank, want_basis = dense_rank_and_nullspace(rows)
+    assert rank(m) == want_rank
+    assert nullspace_basis(m) == want_basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_rows(), st.data())
+def test_entries_equality_and_apply_round_trip(rows, data):
+    dense = [[Fraction(x) for x in row] for row in rows]
+    m = RationalMatrix(rows)
+    assert m.entries == dense
+    assert (m.rows, m.cols) == (len(rows), len(rows[0]))
+    assert m == RationalMatrix(dense) == RationalMatrix(m.entries)
+    bumped = [row[:] for row in dense]
+    bumped[0][0] += Fraction(1, 2)
+    assert m != RationalMatrix(bumped)
+    vec = data.draw(st.lists(entry, min_size=m.cols, max_size=m.cols))
+    want = [sum((x * Fraction(y) for x, y in zip(row, vec)), Fraction(0)) for row in dense]
+    assert m.apply(vec) == want
+    assert all(type(x) is Fraction for x in m.apply(vec))
+
+
+def test_ragged_rows_rejected():
+    with pytest.raises(ValueError):
+        RationalMatrix([[1, Fraction(1, 2)], [3]])
+    with pytest.raises(ValueError):
+        RationalMatrix([[Fraction(1, 3)], [1, 2]])

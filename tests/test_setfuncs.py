@@ -107,7 +107,8 @@ def test_mult_matrix_agrees_with_product():
     f = sf(4, 1, {(0,): 2, (3,): -1})
     g = sf(4, 1, {(1,): 1, (2,): 5})
     op = mult_matrix(f, 1)
-    assert op.apply_to(g) == product(f, g)
+    image = op.matrix.apply([g.value(b) for b in ksubsets(4, 1)])
+    assert SetFunction(4, 2, dict(zip(ksubsets(4, 2), image))) == product(f, g)
 
 
 def test_mult_matrix_of_unit_is_identity():
