@@ -1,10 +1,14 @@
 """Finite relational structures, isomorphism types, and profiles.
 
-Canonicalization is the brute-force permutation minimum, valid for bases
-of at most 8 points; results are memoized on the raw encoding, which makes
-profile sweeps over thousands of restrictions cheap.  The profile of a
-structure counts isomorphism types of its n-point restrictions; indicator
-functions of those types span the invariant functions of each degree.
+Canonicalization refines an isomorphism-invariant colouring of the points
+(the refinement step of McKay and Piperno's individualization-refinement)
+and then minimizes the relabelled encoding over the orders that keep each
+colour cell in its own block of positions.  It is exact for bases of at
+most 8 points; a single cell still costs l! orders.  Results sit in a
+bounded LRU cache keyed by the structure, which makes profile sweeps over
+thousands of restrictions cheap.  The profile of a structure counts
+isomorphism types of its n-point restrictions; indicator functions of those
+types span the invariant functions of each degree.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 from typing import Iterable, Sequence
 
@@ -21,17 +26,7 @@ from .setfuncs import SetFunction
 from .subsets import Subset, ksubsets
 
 MAX_CANON_BASE = 8
-
-_PERMS: dict[int, list[tuple[int, ...]]] = {}
-_CANON_CACHE: dict[tuple, "IsoType"] = {}
-
-
-def _perms(n: int) -> list[tuple[int, ...]]:
-    cached = _PERMS.get(n)
-    if cached is None:
-        cached = list(permutations(range(n)))
-        _PERMS[n] = cached
-    return cached
+CANON_CACHE_SIZE = 1 << 14
 
 
 class RelStructure:
@@ -128,31 +123,71 @@ class RelStructure:
 
 @dataclass(frozen=True)
 class IsoType:
-    """Permutation-minimal encoding; equal types mean isomorphic structures."""
+    """Canonical encoding of a structure; equal types mean isomorphic structures.
+
+    The encoding is the least relabelled encoding (each relation's tuples,
+    sorted) over the orders that send the i-th refined colour cell onto the
+    i-th block of consecutive positions.  Isomorphic structures have the
+    same cells and hence the same candidate encodings.
+    """
 
     base_size: int
     signature: tuple[int, ...]
     encoding: tuple
 
 
+def _colour_cells(r: RelStructure) -> list[list[int]]:
+    """Points grouped by colour refinement, cells in colour order.
+
+    Starting from one colour, each round gives a point x the pair of its
+    colour and the sorted multiset of (relation index, position of x,
+    colours of the tuple) over every occurrence of x in a tuple.  New
+    colours are ranked by sorting these keys, never by point labels, so
+    the cells and their order are isomorphism invariant.  Rounds stop
+    when none splits a cell.
+    """
+    l = r.base_size
+    colour = [0] * l
+    count = min(l, 1)
+    while True:
+        occurrences: list[list[tuple]] = [[] for _ in range(l)]
+        for ri, rel in enumerate(r.relations):
+            for t in rel:
+                colours = tuple(colour[x] for x in t)
+                for pos, x in enumerate(t):
+                    occurrences[x].append((ri, pos, colours))
+        keys = [(colour[x], tuple(sorted(occurrences[x]))) for x in range(l)]
+        ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colour = [ranks[key] for key in keys]
+        if len(ranks) == count:
+            break
+        count = len(ranks)
+    cells: list[list[int]] = [[] for _ in range(count)]
+    for x in range(l):
+        cells[colour[x]].append(x)
+    return cells
+
+
+@lru_cache(maxsize=CANON_CACHE_SIZE)
 def canonical_form(r: RelStructure) -> IsoType:
+    """Isomorphism type of r; cached, see `canonical_form.cache_info()`."""
     if r.base_size > MAX_CANON_BASE:
         raise ValueError("base too large for exhaustive canonicalization")
-    key = (r.base_size, r.signature, r.encode())
-    cached = _CANON_CACHE.get(key)
-    if cached is not None:
-        return cached
+    perm = [0] * r.base_size
     best = None
-    for perm in _perms(r.base_size):
+    for orders in iproduct(*(permutations(cell) for cell in _colour_cells(r))):
+        pos = 0
+        for order in orders:
+            for x in order:
+                perm[x] = pos
+                pos += 1
         enc = tuple(
             tuple(sorted(tuple(perm[x] for x in t) for t in rel))
             for rel in r.relations
         )
         if best is None or enc < best:
             best = enc
-    iso = IsoType(r.base_size, r.signature, best)
-    _CANON_CACHE[key] = iso
-    return iso
+    return IsoType(r.base_size, r.signature, best)
 
 
 def is_isomorphic(r: RelStructure, s: RelStructure) -> bool:
@@ -210,16 +245,6 @@ def invariant_basis(r: RelStructure, n: int) -> list[SetFunction]:
     return [SetFunction(r.base_size, n, buckets[t]) for t in order]
 
 
-class ProfileInequalityError(ValueError):
-    def __init__(self, kind: str, n: int, m: int, lhs: int, rhs: int):
-        self.kind = kind
-        self.n = n
-        self.m = m
-        self.lhs = lhs
-        self.rhs = rhs
-        super().__init__(f"{kind} fails at (n={n}, m={m}): {lhs} > {rhs}")
-
-
 @dataclass
 class ProfileReport:
     base_size: int
@@ -227,8 +252,12 @@ class ProfileReport:
     checks: list[dict]
 
     @property
+    def violations(self) -> list[dict]:
+        return [c for c in self.checks if not c["pass"]]
+
+    @property
     def ok(self) -> bool:
-        return all(c["pass"] for c in self.checks)
+        return not self.violations
 
 
 def check_profile_inequalities(r: RelStructure) -> ProfileReport:
@@ -236,7 +265,8 @@ def check_profile_inequalities(r: RelStructure) -> ProfileReport:
 
     Ratio law: profile(n) <= (n+1) * profile(n+1) for n < base.
     Monotone law: profile(n) <= profile(n+m) whenever 2n+m <= base.
-    A violation raises; it would mean the implementation is broken.
+    Every check is recorded with its pass flag; a violation would mean
+    the implementation is broken, and `violations` lists them.
     """
     l = r.base_size
     values = [profile(r, n) for n in range(l + 1)]
@@ -246,8 +276,6 @@ def check_profile_inequalities(r: RelStructure) -> ProfileReport:
         checks.append(
             {"kind": "ratio", "n": n, "m": 1, "lhs": lhs, "rhs": rhs, "pass": lhs <= rhs}
         )
-        if lhs > rhs:
-            raise ProfileInequalityError("ratio", n, 1, lhs, rhs)
     for n in range(l + 1):
         for m in range(l + 1):
             if 2 * n + m > l:
@@ -256,8 +284,6 @@ def check_profile_inequalities(r: RelStructure) -> ProfileReport:
             checks.append(
                 {"kind": "monotone", "n": n, "m": m, "lhs": lhs, "rhs": rhs, "pass": lhs <= rhs}
             )
-            if lhs > rhs:
-                raise ProfileInequalityError("monotone", n, m, lhs, rhs)
     return ProfileReport(l, values, checks)
 
 
@@ -267,15 +293,14 @@ def disjoint_embedding_check(r: RelStructure, k: int) -> bool:
     if 2 * k > r.base_size:
         raise ValueError("need 2k points in the base")
     for size in range(k + 1):
+        by_type: dict[IsoType, list[int]] = {}
         for points in ksubsets(r.base_size, size):
             t = canonical_form(r.restriction(points))
-            found = False
-            for other in ksubsets(r.base_size, size):
-                if other.isdisjoint(points) and canonical_form(r.restriction(other)) == t:
-                    found = True
-                    break
-            if not found:
-                return False
+            by_type.setdefault(t, []).append(points.mask)
+        for masks in by_type.values():
+            for a in masks:
+                if not any(a & b == 0 for b in masks):
+                    return False
     return True
 
 
@@ -356,11 +381,10 @@ def all_graph_classes(l: int) -> list[RelStructure]:
     pairs = _pair_table(l)
     npairs = len(pairs)
     index = {p: i for i, p in enumerate(pairs)}
-    tables = []
-    for perm in _perms(l):
-        tables.append(
-            [index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs]
-        )
+    tables = [
+        [index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs]
+        for perm in permutations(range(l))
+    ]
     seen = bytearray(1 << npairs)
     reps = []
     for mask in range(1 << npairs):

@@ -101,16 +101,26 @@ def shuffle(u: Word, positions: Iterable[int], v: Word) -> Word:
 
 
 def max_shuffle(u: Word, v: Word) -> Word:
-    """Lexicographically largest interleaving of u and v."""
-    total = len(u) + len(v)
-    best: Word | None = None
-    for pos in combinations(range(total), len(u)):
-        w = shuffle(u, pos, v)
-        if best is None or best.sort_key() < w.sort_key():
-            best = w
-    if best is None:
-        raise AssertionError("no interleaving produced")
-    return best
+    """Lexicographically largest interleaving of u and v.
+
+    All interleavings have length |u|+|v|, so radix order among them is
+    letterwise `letter_key` order.  The merge is built greedily: the next
+    letter comes from whichever remaining suffix is larger as a plain
+    tuple of `letter_key`s, where a proper prefix is smaller (not by
+    `Word.sort_key`, which would put the shorter suffix first).
+    """
+    a = [letter_key(x) for x in u.letters]
+    b = [letter_key(x) for x in v.letters]
+    i = j = 0
+    out = []
+    while i < len(a) and j < len(b):
+        if a[i:] >= b[j:]:
+            out.append(u.letters[i])
+            i += 1
+        else:
+            out.append(v.letters[j])
+            j += 1
+    return Word(out + list(u.letters[i:]) + list(v.letters[j:]))
 
 
 def subwords(w: Word) -> set[Word]:

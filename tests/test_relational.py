@@ -2,14 +2,19 @@
 and kernel-based annihilators."""
 
 import json
+import random
 import warnings
+from functools import cache
+from itertools import permutations, product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from agealgebra import relational
+from agealgebra.cli import run
 from agealgebra.incidence import e_regular_on_invariants
 from agealgebra.relational import (
     IsoType,
-    ProfileInequalityError,
     RelStructure,
     all_graph_classes,
     canonical_form,
@@ -34,6 +39,53 @@ def c4():
     return RelStructure.graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
+@cache
+def brute_encoding(r):
+    """Oracle: the least relabelled encoding over all l! permutations."""
+    return min(
+        tuple(tuple(sorted(tuple(perm[x] for x in t) for t in rel)) for rel in r.relations)
+        for perm in permutations(range(r.base_size))
+    )
+
+
+def brute_profile_sequence(r):
+    return tuple(
+        len({brute_encoding(r.restriction(points)) for points in ksubsets(r.base_size, n)})
+        for n in range(r.base_size + 1)
+    )
+
+
+@st.composite
+def structure_pairs(draw):
+    """A structure on at most 6 points with arities 1-3, and a partner of
+    the same signature: a relabelled copy, a copy with one tuple toggled,
+    or an independent random structure."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    l = draw(st.integers(0, 6))
+    sig = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    density = draw(st.sampled_from((0.1, 0.3, 0.5, 0.7)))
+
+    def fresh():
+        return RelStructure(l, sig, [
+            [t for t in iproduct(range(l), repeat=a) if rng.random() < density] for a in sig
+        ])
+
+    a = fresh()
+    kind = draw(st.sampled_from(("relabel", "toggle", "fresh")))
+    perm = list(range(l))
+    rng.shuffle(perm)
+    b = a.apply_permutation(perm)
+    if kind == "toggle" and l:
+        i = rng.randrange(len(sig))
+        t = tuple(rng.randrange(l) for _ in range(sig[i]))
+        rels = [set(rel) for rel in b.relations]
+        rels[i] ^= {t}
+        b = RelStructure(l, sig, rels)
+    elif kind == "fresh":
+        b = fresh()
+    return a, b
+
+
 def test_graph_constructor_symmetrizes_and_rejects_loops():
     g = RelStructure.graph(3, [(1, 0)])
     assert (0, 1) in g.relations[0] and (1, 0) in g.relations[0]
@@ -54,6 +106,44 @@ def test_isomorphism_detects_relabelings():
     assert is_isomorphic(a, b)
     c = RelStructure.graph(4, [(0, 1), (1, 2), (0, 2)])
     assert not is_isomorphic(a, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(structure_pairs())
+def test_canonical_form_agrees_with_brute_force(pair):
+    a, b = pair
+    assert (canonical_form(a) == canonical_form(b)) == (brute_encoding(a) == brute_encoding(b))
+    assert is_isomorphic(a, b) == (brute_encoding(a) == brute_encoding(b))
+
+
+def test_canonical_form_handles_repeated_points():
+    loops = RelStructure(3, (2,), [[(0, 0), (0, 1)]])
+    relabelled = loops.apply_permutation([2, 0, 1])
+    assert canonical_form(loops) == canonical_form(relabelled)
+    moved = RelStructure(3, (2,), [[(1, 1), (0, 1)]])
+    assert canonical_form(loops) != canonical_form(moved)
+    assert brute_encoding(loops) != brute_encoding(moved)
+
+
+def test_canonical_form_is_cached_and_bounded():
+    info = canonical_form.cache_info()
+    assert info.maxsize == relational.CANON_CACHE_SIZE
+    g = RelStructure.graph(5, [(0, 1), (1, 2), (2, 3)])
+    canonical_form(g)
+    before = canonical_form.cache_info().hits
+    canonical_form(RelStructure.graph(5, [(3, 2), (2, 1), (1, 0)]))
+    assert canonical_form.cache_info().hits == before + 1
+
+
+def test_profiles_match_brute_force_on_small_graphs():
+    for l in range(1, 7):
+        for g in all_graph_classes(l):
+            assert profile_sequence(g) == brute_profile_sequence(g)
+
+
+def test_profiles_match_brute_force_on_random_corpus():
+    for r in random_structures(11, 40, 6, 3):
+        assert profile_sequence(r) == brute_profile_sequence(r)
 
 
 def test_canonical_form_base_cap():
@@ -108,9 +198,18 @@ def test_profile_inequalities_on_hand_graphs():
         assert all(chk["pass"] for chk in rep.checks)
 
 
-def test_profile_inequality_error_carries_the_numbers():
-    err = ProfileInequalityError("ratio", 2, 1, 9, 6)
-    assert err.lhs == 9 and err.rhs == 6 and err.kind == "ratio"
+def test_profile_violations_are_reported_not_raised(monkeypatch, tmp_path):
+    monkeypatch.setattr(relational, "profile", lambda r, n: 10 - n)
+    rep = check_profile_inequalities(c4())
+    assert rep.values == [10, 9, 8, 7, 6]
+    assert not rep.ok
+    assert rep.violations and all(not c["pass"] for c in rep.violations)
+    assert {"kind": "monotone", "n": 0, "m": 1, "lhs": 10, "rhs": 9, "pass": False} in rep.violations
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(structure_to_dict(c4())))
+    code, report = run(["profile", "--input", str(path)])
+    assert code == 1
+    assert any(not r["pass"] for r in report["results"])
 
 
 def test_disjoint_embedding_marked_point():
@@ -120,6 +219,27 @@ def test_disjoint_embedding_marked_point():
     assert disjoint_embedding_check(plain, 2)
     with pytest.raises(ValueError):
         disjoint_embedding_check(plain, 3)
+
+
+def test_disjoint_embedding_matches_pairwise_definition():
+    def pairwise(r, k):
+        return all(
+            any(
+                other.isdisjoint(points)
+                and brute_encoding(r.restriction(other)) == brute_encoding(r.restriction(points))
+                for other in ksubsets(r.base_size, size)
+            )
+            for size in range(k + 1)
+            for points in ksubsets(r.base_size, size)
+        )
+
+    corpus = all_graph_classes(4) + all_graph_classes(5) + random_structures(5, 30, 6, 2)
+    answers = set()
+    for r in corpus:
+        for k in range(r.base_size // 2 + 1):
+            answers.add(disjoint_embedding_check(r, k))
+            assert disjoint_embedding_check(r, k) == pairwise(r, k)
+    assert answers == {True, False}
 
 
 def test_kernel_zero_divisor_squares_to_zero():

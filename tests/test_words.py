@@ -32,6 +32,26 @@ from agealgebra.words import (
 )
 
 words_2letter = st.lists(st.sampled_from([1, 2]), min_size=0, max_size=5).map(Word)
+words_upto6 = st.lists(st.integers(1, 7), min_size=0, max_size=6).map(Word)
+
+
+def brute_max_shuffle(u, v):
+    """Oracle: the radix-largest of all C(|u|+|v|, |u|) interleavings."""
+    return max(
+        (shuffle(u, pos, v) for pos in combinations(range(len(u) + len(v)), len(u))),
+        key=Word.sort_key,
+    )
+
+
+@st.composite
+def shuffle_pairs(draw):
+    """Random pairs, plus pairs where one word is a prefix of the other."""
+    u = draw(words_upto6)
+    if draw(st.booleans()):
+        v = draw(words_upto6)
+    else:
+        v = Word(u.letters[: draw(st.integers(0, len(u)))])
+    return (v, u) if draw(st.booleans()) else (u, v)
 
 
 def test_letters_must_be_nonempty():
@@ -85,6 +105,28 @@ def test_max_shuffle_dominates_every_interleaving():
                     top = max_shuffle(u, v)
                     for pos in combinations(range(lu + lv), lu):
                         assert not top < shuffle(u, pos, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffle_pairs())
+def test_greedy_max_shuffle_matches_brute_force(pair):
+    u, v = pair
+    assert max_shuffle(u, v) == brute_max_shuffle(u, v)
+
+
+def test_greedy_max_shuffle_edge_cases():
+    cases = [
+        (EMPTY_WORD, EMPTY_WORD),
+        (EMPTY_WORD, Word([5, 1])),
+        (Word([3]), Word([3, 1])),
+        (Word([3, 1]), Word([3])),
+        (Word([2, 2]), Word([2, 2, 1])),
+        (Word([1, 7]), Word([1, 7, 1, 7])),
+        (Word([6, 3, 6]), Word([6, 3])),
+    ]
+    for u, v in cases:
+        assert max_shuffle(u, v) == brute_max_shuffle(u, v)
+        assert max_shuffle(v, u) == brute_max_shuffle(u, v)
 
 
 def test_strict_monotonicity_in_each_argument():
