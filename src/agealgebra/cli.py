@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .hitting import is_minimal_transversal, tau
 from .incidence import check_commutation, verify_kantor
-from .relational import check_profile_inequalities, profile_sequence, structure_from_json
+from .relational import check_profile_inequalities, structure_from_json
 from .setfuncs import SetFunction, dumps_canonical, product, singleton_ones
 from .subsets import SetFamily, Subset
 from .witnesses import (
@@ -148,9 +148,9 @@ def _cmd_profile(args, results: list) -> None:
     with open(args.input, "r", encoding="utf-8") as fh:
         structure = structure_from_json(fh.read())
     upto = structure.base_size if args.max_n is None else min(args.max_n, structure.base_size)
-    seq = tuple(profile_sequence(structure)[: upto + 1])
-    _claim(results, f"profile values for degrees 0..{upto}", list(seq), list(seq))
     report = check_profile_inequalities(structure)
+    seq = list(report.values[: upto + 1])
+    _claim(results, f"profile values for degrees 0..{upto}", seq, seq)
     for chk in report.checks:
         if chk["n"] > upto or chk["n"] + chk.get("m", 1) > upto:
             continue

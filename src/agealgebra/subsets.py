@@ -128,15 +128,9 @@ def splits(q: Subset, m: int) -> list[tuple[Subset, Subset]]:
     """
     if m < 0 or m > len(q):
         return []
-    out = []
-    qmask = q.mask
-    n = q.n
-    for combo in combinations(q.elements(), m):
-        pmask = 0
-        for i in combo:
-            pmask |= 1 << i
-        out.append((Subset(n, pmask), Subset(n, qmask ^ pmask)))
-    return out
+    n, qmask = q.n, q.mask
+    bits = [1 << i for i in q.elements()]
+    return [(Subset(n, p), Subset(n, qmask ^ p)) for p in map(sum, combinations(bits, m))]
 
 
 class SetFamily:

@@ -9,10 +9,10 @@ Constructions:
     (m+1)(n+1) - 2 on a ground set of 2nm points.
   * two_squares: the degree-(2,2) pair on 8 points with transversality 7.
 
-Verification recomputes the product by the defining per-subset sums (not
-by the support convolution the constructors use) and runs the exact
-transversal solver on the union of supports, so a certificate never
-depends on the code path that built the witness.
+Verification recomputes the product by the defining split sums on unions
+of disjoint support members (not by the constructors' support convolution)
+and runs the exact transversal solver on the union of supports, so a
+certificate never depends on the code path that built the witness.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product as iproduct
 from math import comb, gcd
 
 from .hitting import TransversalResult, is_transversal, tau
@@ -143,20 +144,19 @@ def gadget_lower(m: int, n: int) -> WitnessPair:
     """Block direct sum on 2nm points realizing tau = (m+1)(n+1) - 2.
 
     f is the indicator of m-subsets meeting every one of the m blocks of
-    size 2n; g places a full-support mate inside each block.  Hitting the
-    union of supports forces one whole block plus n+1 points in each other
-    block: 2n + (n+1)(m-1) elements.
+    size 2n, built as the choices of one point per block in colex order;
+    g places a full-support mate inside each block.  Hitting the union of
+    supports forces one whole block plus n+1 points in each other block:
+    2n + (n+1)(m-1) elements.
     """
     if m < 1 or n < 1:
         raise ValueError("need positive degrees")
     ground = 2 * n * m
     if ground > 64:
         raise ValueError("ground set exceeds 64 points")
-    block_masks = [((1 << (2 * n)) - 1) << (2 * n * i) for i in range(m)]
-    f_coeffs: dict[Subset, Fraction] = {}
-    for a in ksubsets(ground, m):
-        if all(a.mask & bm for bm in block_masks):
-            f_coeffs[a] = Fraction(1)
+    blocks = [[1 << (2 * n * i + j) for j in range(2 * n)] for i in range(m)]
+    f_masks = sorted(sum(picks) for picks in iproduct(*blocks))
+    f_coeffs = {Subset(ground, a): Fraction(1) for a in f_masks}
     inner = gadget_full_support(n)
     g = SetFunction(ground, n, {})
     for i in range(m):
@@ -195,8 +195,10 @@ def two_squares() -> WitnessPair:
 def verify(pair: WitnessPair, formula_expected: int | None = None) -> WitnessCertificate:
     """Re-check a pair from scratch and measure its transversality.
 
-    The product is recomputed by the per-subset defining sums; the first
-    subset with a nonzero value (in colex order) is reported on failure.
+    The product is recomputed by the defining split sums on the candidate
+    sets A ∪ B (disjoint A in supp f, B in supp g), the only sets where it
+    can be nonzero; the first set with a nonzero value (in colex order) is
+    reported on failure.
     """
     f, g = pair.f, pair.g
     if f.is_zero or g.is_zero:

@@ -94,6 +94,26 @@ def test_profile_command_max_n_truncates(tmp_path):
     assert rep["results"][0]["computed"] == [1, 1, 2]
 
 
+def test_profile_command_computes_each_profile_once(tmp_path, monkeypatch):
+    from agealgebra import relational
+
+    calls = []
+    original = relational.profile
+
+    def counting(r, n):
+        calls.append(n)
+        return original(r, n)
+
+    monkeypatch.setattr(relational, "profile", counting)
+    g = RelStructure.graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(structure_to_dict(g)))
+    code, rep = run(["profile", "--input", str(path), "--max-n", "2"])
+    assert code == 0
+    assert sorted(calls) == list(range(g.base_size + 1))
+    assert rep["results"][0]["computed"] == [1, 1, 2]
+
+
 def test_internal_failure_reported_with_exit_one():
     code, rep = run(["profile", "--input", "/nonexistent/file.json"])
     assert code == 1

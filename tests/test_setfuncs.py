@@ -1,7 +1,9 @@
 """Convolution algebra on finitely supported subset weightings.
 
 The product is checked two ways throughout: the support-pair sum and the
-defining sum over ordered splits of each target set.
+defining sum over ordered splits of each target set.  The library evaluates
+that sum only on unions of disjoint support members; the full enumeration
+of every (m+n)-subset below is its oracle.
 """
 
 import json
@@ -24,7 +26,29 @@ from agealgebra.setfuncs import (
     singleton_ones,
     unit,
 )
-from agealgebra.subsets import Subset, ksubsets
+from agealgebra.subsets import Subset, ksubsets, splits
+
+
+def full_product_by_splits(f, g):
+    """The defining sum on every (m+n)-subset Q in colex order."""
+    out = {}
+    for q in ksubsets(f.n, f.degree + g.degree):
+        total = Fraction(0)
+        for p, rest in splits(q, f.degree):
+            fp = f.coeffs.get(p)
+            if fp is None:
+                continue
+            gr = g.coeffs.get(rest)
+            if gr is not None:
+                total += fp * gr
+        if total:
+            out[q] = total
+    return SetFunction(f.n, f.degree + g.degree, out)
+
+
+def same_function(a, b):
+    """Equal ground, degree, and coefficients in the same order."""
+    return (a.n, a.degree, list(a.coeffs.items())) == (b.n, b.degree, list(b.coeffs.items()))
 
 
 def sf(l, deg, terms):
@@ -41,6 +65,13 @@ def random_sf(draw, l, deg):
         if v:
             coeffs[s] = Fraction(v)
     return SetFunction(l, deg, coeffs)
+
+
+def sparse_sf(draw, l, deg):
+    shapes = ksubsets(l, deg)
+    chosen = draw(st.sets(st.sampled_from(shapes), max_size=4))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return SetFunction(l, deg, {s: draw(values) for s in chosen})
 
 
 def test_unit_is_neutral():
@@ -89,6 +120,39 @@ def test_product_commutes_and_matches_oracle(data):
     fg = product(f, g)
     assert fg == product(g, f)
     assert fg == product_by_splits(f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_candidate_split_sum_matches_full_enumeration(data):
+    l = data.draw(st.integers(1, 6))
+    dm = data.draw(st.integers(0, l))
+    dn = data.draw(st.integers(0, l))
+    f = data.draw(st.sampled_from((random_sf, sparse_sf)))(data.draw, l, dm)
+    g = data.draw(st.sampled_from((random_sf, sparse_sf)))(data.draw, l, dn)
+    assert same_function(product_by_splits(f, g), full_product_by_splits(f, g))
+
+
+def test_candidate_split_sum_edge_cases():
+    e = singleton_ones(4)
+    f = sf(6, 2, {(0, 1): 2, (2, 5): Fraction(-1, 3), (1, 4): 1})
+    g = sf(6, 3, {(2, 3, 4): 1, (0, 3, 5): -2})
+    mate = cofactor(e, 2)
+    cases = [
+        (e, e),  # nonzero everywhere
+        (f, sf(6, 1, {(3,): 1, (0,): 5})),  # nonzero on part of the ground
+        (unit(4), sf(4, 2, {(0, 3): 7})),  # degree 0
+        (sf(4, 2, {(0, 1): 1}), unit(4)),
+        (f, g),  # two candidate sets out of C(6, 5)
+        (sf(3, 2, {(0, 1): 1}), sf(3, 2, {(1, 2): 1})),  # m + n > l
+        (e, mate),  # annihilating pair
+        (SetFunction(4, 1, {}), e),  # zero factor
+    ]
+    for a, b in cases:
+        got = product_by_splits(a, b)
+        assert same_function(got, full_product_by_splits(a, b))
+        assert got == product(a, b)
+    assert not product_by_splits(e, e).is_zero and product_by_splits(e, mate).is_zero
 
 
 @settings(max_examples=40, deadline=None)

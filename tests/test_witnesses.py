@@ -5,7 +5,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from agealgebra import witnesses
 from agealgebra.hitting import is_minimal_transversal, is_transversal, tau
 from agealgebra.linalg import nullspace_basis
 from agealgebra.setfuncs import (
@@ -35,6 +37,8 @@ from agealgebra.witnesses import (
     two_squares,
     verify,
 )
+
+from test_setfuncs import full_product_by_splits, same_function, sparse_sf
 
 
 def test_pair_index_layout():
@@ -123,6 +127,49 @@ def test_verify_rejects_non_annihilating_pair():
         verify(WitnessPair(e, e))
     assert exc.value.value == 2
     assert len(exc.value.offending) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_reports_the_oracles_colex_least_offender(data):
+    l = data.draw(st.integers(2, 6))
+    dm = data.draw(st.integers(1, l - 1))
+    dn = data.draw(st.integers(1, l - dm))
+    f = sparse_sf(data.draw, l, dm)
+    g = sparse_sf(data.draw, l, dn)
+    assume(not f.is_zero and not g.is_zero)
+    prod = full_product_by_splits(f, g)
+    assume(not prod.is_zero)
+    with pytest.raises(NotAZeroDivisorPairError) as exc:
+        verify(WitnessPair(f, g))
+    first = min(prod.coeffs, key=lambda s: s.mask)
+    assert exc.value.offending.mask == first.mask
+    assert exc.value.value == prod.coeffs[first]
+
+
+def filtered_gadget_lower(m, n):
+    """The block gadget with f filtered out of all m-subsets of the ground."""
+    ground = 2 * n * m
+    block_masks = [((1 << (2 * n)) - 1) << (2 * n * i) for i in range(m)]
+    f = {a: 1 for a in ksubsets(ground, m) if all(a.mask & bm for bm in block_masks)}
+    inner = witnesses.gadget_full_support(n)
+    g = {
+        Subset(ground, s.mask << (2 * n * i)): v
+        for i in range(m)
+        for s, v in inner.coeffs.items()
+    }
+    return WitnessPair(SetFunction(ground, m, f), SetFunction(ground, n, g))
+
+
+def test_gadget_lower_matches_the_filter_construction(monkeypatch):
+    # The mate on 12 points takes half a minute to solve for; any mate of
+    # the all-ones function exercises the block layout, so the half-split
+    # one stands in for it on both sides.
+    monkeypatch.setattr(witnesses, "gadget_full_support", lambda n: gadget_tau1n(n).g)
+    for m, n in [(m, n) for m in range(1, 7) for n in range(1, 7) if 2 * m * n <= 12]:
+        got, want = gadget_lower(m, n), filtered_gadget_lower(m, n)
+        assert same_function(got.f, want.f), (m, n)
+        assert same_function(got.g, want.g), (m, n)
 
 
 def test_certificate_json_is_canonical():
