@@ -6,6 +6,17 @@ fewest allowed elements, and prunes with a greedy incumbent from above and
 a disjoint-subfamily packing bound from below.  Determinism: members are
 scanned in colex order and elements in increasing index order, so the
 reported witness never depends on hash order.
+
+Symmetry (orbital branching, Ostrowski, Linderoth, Rossi & Smriglio, Math.
+Prog. 2011): elements x and y are twins when the transposition (x y) maps
+the minimal members onto themselves, that is when {M - x : x in M, y not
+in M} equals {M - y : y in M, x not in M}.  A product of transpositions is
+again an automorphism, so twinhood is an equivalence; its classes are
+computed once at the root.  After the branch that chooses x, the later
+branches ban x's whole class outside the chosen set, not just x.  This is
+exact: for a free y twin to x, (x y) fixes the chosen and the banned sets,
+so it maps any transversal of the node that takes y but not x to one of
+the same size that takes x, which the branch of x already explored.
 """
 
 from __future__ import annotations
@@ -49,13 +60,54 @@ def is_minimal_transversal(candidate: Subset, family: SetFamily) -> bool:
 
 
 def _minimal_members(masks: list[int]) -> list[int]:
-    """Drop any member that contains another; hitting the rest hits it too."""
+    """Drop any member that contains another; hitting the rest hits it too.
+
+    Members come out by size, then colex.  Each is tested only against the
+    kept members of strictly smaller size: distinct sets of one size never
+    nest.
+    """
     masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
+    smaller: list[int] = []
+    size = -1
     for m in masks:
-        if not any(k & m == k for k in kept):
+        if m.bit_count() != size:
+            size, smaller = m.bit_count(), kept[:]
+        if not any(k & m == k for k in smaller):
             kept.append(m)
     return kept
+
+
+def _twin_classes(masks: list[int], ground_size: int) -> list[int]:
+    """Mask of each element's twin class (see the module docstring).
+
+    Twins lie in the same number of members, so each element is compared
+    only with one representative per class of its degree.
+    """
+    containing: list[list[int]] = [[] for _ in range(ground_size)]
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            containing[low.bit_length() - 1].append(m)
+            rest ^= low
+    rep = list(range(ground_size))
+    class_mask = [0] * ground_size
+    reps_by_degree: dict[int, list[int]] = {}
+    for x in range(ground_size):
+        bx = 1 << x
+        same_degree = reps_by_degree.setdefault(len(containing[x]), [])
+        for r in same_degree:
+            br = 1 << r
+            if {m ^ bx for m in containing[x] if not m & br} == {
+                m ^ br for m in containing[r] if not m & bx
+            }:
+                rep[x] = r
+                break
+        else:
+            same_degree.append(x)
+        class_mask[rep[x]] |= bx
+    return [class_mask[r] for r in rep]
 
 
 def _greedy_transversal(masks: list[int], ground_size: int) -> int:
@@ -110,7 +162,7 @@ def tau(family: SetFamily) -> TransversalResult:
     if not raw:
         return TransversalResult(0, Subset(n, 0), 0, 0, 0)
     masks = _minimal_members(raw)
-    masks.sort(key=lambda m: (m.bit_count(), m))
+    twins = _twin_classes(masks, n)
     greedy = _greedy_transversal(masks, n)
     root_upper = greedy.bit_count()
     root_lower = _packing_bound(masks, 0)
@@ -148,10 +200,10 @@ def tau(family: SetFamily) -> TransversalResult:
         new_banned = banned
         while allowed:
             bit = allowed & -allowed
-            allowed ^= bit
             sub = [m for m in uncovered if not m & bit]
             search(sub, chosen | bit, new_banned, nchosen + 1)
-            new_banned |= bit
+            new_banned |= twins[bit.bit_length() - 1] & ~chosen
+            allowed &= ~new_banned
 
     search(masks, 0, 0, 0)
     witness = Subset(n, best_mask)

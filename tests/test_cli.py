@@ -114,6 +114,20 @@ def test_profile_command_computes_each_profile_once(tmp_path, monkeypatch):
     assert rep["results"][0]["computed"] == [1, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "argv", [["tau1n", "--n", "2"], ["gadget", "--m", "2", "--n", "2"], ["two-squares"]]
+)
+def test_zero_product_claims_are_computed(argv, monkeypatch):
+    from agealgebra import cli
+    from agealgebra.setfuncs import unit
+
+    monkeypatch.setattr(cli, "product", lambda f, g: unit(f.n))
+    code, rep = run(argv)
+    assert code == 1
+    failed = [r["claim"] for r in rep["results"] if not r["pass"]]
+    assert failed and all("multiplies to zero" in c for c in failed)
+
+
 def test_internal_failure_reported_with_exit_one():
     code, rep = run(["profile", "--input", "/nonexistent/file.json"])
     assert code == 1

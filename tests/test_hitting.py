@@ -1,17 +1,21 @@
 """Branch-and-bound minimum hitting set, cross-checked by brute force."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agealgebra.hitting import (
     NoTransversalError,
+    _minimal_members,
+    _twin_classes,
     is_minimal_transversal,
     is_transversal,
     tau,
 )
 from agealgebra.subsets import SetFamily, Subset
+from agealgebra.witnesses import gadget_lower
 
 
 def family(l, members):
@@ -86,6 +90,20 @@ def test_random_families_match_brute_force():
         assert tau(fam).size == brute_tau(fam), f"trial {trial}"
 
 
+def test_many_small_families_match_brute_force():
+    # A wrong prune tends to lose the optimum on a few families in a
+    # thousand, so the sweep is wide; each family costs well under 1 ms.
+    rng = random.Random(7)
+    for trial in range(3000):
+        l = rng.randint(2, 9)
+        members = {
+            tuple(sorted(rng.sample(range(l), rng.randint(1, min(4, l)))))
+            for _ in range(rng.randint(1, 10))
+        }
+        fam = family(l, [list(m) for m in members])
+        assert tau(fam).size == brute_tau(fam), f"trial {trial}"
+
+
 def test_larger_random_instances_solve_exactly():
     rng = random.Random(5)
     for _ in range(8):
@@ -103,3 +121,107 @@ def test_minimality_predicate():
     assert is_minimal_transversal(Subset.from_indices(4, [1, 2]), fam)
     assert not is_minimal_transversal(Subset.from_indices(4, [0, 1, 2]), fam)
     assert not is_minimal_transversal(Subset.from_indices(4, [0]), fam)
+
+
+# Symmetry pruning.  Twin classes are checked against their definition (the
+# transposition maps the minimal members onto themselves), and tau against
+# brute force on families built to have many twins.
+
+
+def swap(mask, x, y):
+    if (mask >> x & 1) != (mask >> y & 1):
+        mask ^= 1 << x | 1 << y
+    return mask
+
+
+def transposition_fixes(masks, x, y):
+    return {swap(m, x, y) for m in masks} == set(masks)
+
+
+def minimal_oracle(masks):
+    """Members with no proper subset in the family, by size then colex."""
+    distinct = set(masks)
+    kept = [m for m in distinct if not any(k != m and k & m == k for k in distinct)]
+    return sorted(kept, key=lambda m: (m.bit_count(), m))
+
+
+def cell_orbit(mask, cells):
+    """Every set meeting each cell in as many points as mask does."""
+    choices = [combinations(cell, sum(mask >> x & 1 for x in cell)) for cell in cells]
+    return {sum(1 << x for part in pick for x in part) for pick in product(*choices)}
+
+
+@st.composite
+def celled_families(draw):
+    """A family closed under permuting points within random cells, plus a
+    few arbitrary members that may break some of that symmetry."""
+    l = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(l)))
+    cuts = sorted(draw(st.sets(st.integers(1, l - 1), max_size=l - 1))) if l > 1 else []
+    cells = [order[a:b] for a, b in zip([0, *cuts], [*cuts, l])]
+    seeds = draw(st.lists(st.integers(1, (1 << l) - 1), min_size=1, max_size=4))
+    members = set().union(*(cell_orbit(m, cells) for m in seeds))
+    extra = draw(st.lists(st.integers(1, (1 << l) - 1), max_size=2))
+    return cells, SetFamily(l, [Subset(l, m) for m in members | set(extra)]), bool(extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(celled_families())
+def test_tau_with_planted_twins_matches_brute_force(case):
+    cells, fam, broken = case
+    res = tau(fam)
+    assert res.size == brute_tau(fam)
+    assert is_transversal(res.witness, fam) and len(res.witness) == res.size
+    masks = _minimal_members(fam.masks())
+    twins = _twin_classes(masks, fam.n)
+    for x in range(fam.n):
+        for y in range(fam.n):
+            assert bool(twins[x] >> y & 1) == transposition_fixes(masks, x, y)
+    if not broken:
+        for cell in cells:
+            assert all(twins[cell[0]] >> y & 1 for y in cell)
+
+
+@st.composite
+def nested_families(draw):
+    """Members of mixed sizes, many of them supersets of other members."""
+    l = draw(st.integers(1, 9))
+    base = draw(st.lists(st.integers(1, (1 << l) - 1), min_size=1, max_size=5))
+    grown = [m | draw(st.integers(0, (1 << l) - 1)) for m in base for _ in range(2)]
+    return SetFamily(l, [Subset(l, m) for m in set(base + grown)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_families())
+def test_nested_members_of_mixed_sizes(fam):
+    assert _minimal_members(fam.masks()) == minimal_oracle(fam.masks())
+    assert tau(fam).size == brute_tau(fam)
+
+
+def gadget_support(m, n):
+    pair = gadget_lower(m, n)
+    return pair.f.support().union(pair.g.support())
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (3, 2), (2, 3), (3, 3), (4, 4), (6, 2)])
+def test_gadget_twin_classes_are_the_blocks(m, n):
+    fam = gadget_support(m, n)
+    width = 2 * n
+    twins = _twin_classes(_minimal_members(fam.masks()), fam.n)
+    assert twins == [((1 << width) - 1) << (x - x % width) for x in range(fam.n)]
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2)])
+def test_gadget_twin_class_is_the_ground_when_the_support_is_complete(m, n):
+    # (2,1): the minimal members are the singletons; (2,2): every pair of
+    # the 8 points, across blocks from f and inside them from g.
+    fam = gadget_support(m, n)
+    full = (1 << fam.n) - 1
+    assert _twin_classes(_minimal_members(fam.masks()), fam.n) == [full] * fam.n
+
+
+def test_gadget_4_4_optimum_in_few_nodes():
+    fam = gadget_support(4, 4)
+    res = tau(fam)
+    assert res.size == 23 and is_transversal(res.witness, fam)
+    assert res.nodes_expanded <= 1000
