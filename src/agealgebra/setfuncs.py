@@ -15,12 +15,10 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
 from typing import Mapping
 
 from .linalg import RationalMatrix, nullspace_basis
-from .subsets import SetFamily, Subset, ksubsets
+from .subsets import SetFamily, Subset, ksubsets, splits
 
 
 class GroundMismatchError(ValueError):
@@ -141,41 +139,29 @@ def singleton_ones(ground_size: int) -> SetFunction:
     )
 
 
-def _integer_coeffs(f: SetFunction) -> tuple[int, list[tuple[int, int]]]:
-    """Common denominator d of f's values and the pairs (mask, d * value)."""
-    den = lcm(*(v.denominator for v in f.coeffs.values()))
-    return den, [(s.mask, v.numerator * (den // v.denominator)) for s, v in f.coeffs.items()]
-
-
 def product(f: SetFunction, g: SetFunction) -> SetFunction:
-    """Graded convolution product, computed by convolving the supports.
-
-    The convolution runs in integers over the common denominators of f and
-    g; one division per resulting set gives back the rationals.
-    """
+    """Graded convolution product, computed by convolving the supports."""
     if f.n != g.n:
         raise GroundMismatchError("ground-set mismatch in product")
     n = f.n
-    df, fs = _integer_coeffs(f)
-    dg, gs = _integer_coeffs(g)
-    acc: dict[int, int] = {}
-    for am, fa in fs:
-        for bm, gb in gs:
-            if not am & bm:
-                q = am | bm
-                acc[q] = acc.get(q, 0) + fa * gb
-    den = df * dg
-    return SetFunction(
-        n, f.degree + g.degree, {Subset(n, q): Fraction(v, den) for q, v in acc.items()}
-    )
+    out: dict[Subset, Fraction] = {}
+    for a, fa in f.coeffs.items():
+        am = a.mask
+        for b, gb in g.coeffs.items():
+            if am & b.mask:
+                continue
+            q = Subset(n, am | b.mask)
+            prev = out.get(q)
+            out[q] = fa * gb if prev is None else prev + fa * gb
+    return SetFunction(n, f.degree + g.degree, out)
 
 
 def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
     """Same product, evaluating the defining sum on the candidate sets A ∪ B.
 
     Independent of `product`: for every union Q of disjoint A in supp f and
-    B in supp g, taken in colex order, it sums f(P) * g(Q minus P) over all
-    m-subsets P of Q, as bitmasks.  No other set can be nonzero, since each
+    B in supp g, taken in colex order, it sums f(first part) * g(second
+    part) over all splits of Q.  No other set can be nonzero, since each
     term of the defining sum at Q needs f(P) != 0 and g(Q minus P) != 0.
     """
     if f.n != g.n:
@@ -186,14 +172,12 @@ def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
     gm = {s.mask: v for s, v in g.coeffs.items()}
     out: dict[Subset, Fraction] = {}
     for qmask in sorted({am | bm for am in fm for bm in gm if not am & bm}):
-        bits = [1 << i for i in range(n) if qmask >> i & 1]
+        q = Subset(n, qmask)
         total = sum(
-            fm[p] * gm[qmask ^ p]
-            for p in filter(fm.__contains__, map(sum, combinations(bits, m)))
-            if qmask ^ p in gm
+            fm[p.mask] * gm[r.mask] for p, r in splits(q, m) if p.mask in fm and r.mask in gm
         )
         if total:
-            out[Subset(n, qmask)] = total
+            out[q] = total
     return SetFunction(n, f.degree + g.degree, out)
 
 
