@@ -133,21 +133,6 @@ def test_candidate_split_sum_matches_full_enumeration(data):
     assert same_function(product_by_splits(f, g), full_product_by_splits(f, g))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_product_matches_oracle_on_fractions(data):
-    l = data.draw(st.integers(1, 6))
-    f = sparse_sf(data.draw, l, data.draw(st.integers(0, l)))
-    g = sparse_sf(data.draw, l, data.draw(st.integers(0, l)))
-    assert product(f, g) == full_product_by_splits(f, g)
-
-
-def test_product_with_mixed_denominators():
-    f = sf(5, 1, {(0,): Fraction(1, 2), (1,): Fraction(-2, 3), (4,): 5})
-    g = sf(5, 2, {(1, 2): Fraction(3, 4), (0, 3): Fraction(-1, 6), (2, 4): Fraction(7, 10)})
-    assert product(f, g) == full_product_by_splits(f, g)
-
-
 def test_candidate_split_sum_edge_cases():
     e = singleton_ones(4)
     f = sf(6, 2, {(0, 1): 2, (2, 5): Fraction(-1, 3), (1, 4): 1})
