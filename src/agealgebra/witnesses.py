@@ -4,7 +4,8 @@ Constructions:
   * gadget_tau1n: the signed transversal pair on 2n points whose support
     needs all 2n elements to hit, matching the exact value tau(1,n) = 2n.
   * gadget_full_support: a mate for the all-ones degree-1 function that is
-    nonzero on every n-subset of a 2n-point ground set.
+    nonzero on every n-subset of a 2n-point ground set, in closed form
+    g(S) = 1 / prod_{y in S, t not in S} (t - y).
   * gadget_lower: the block direct sum realizing the general lower bound
     (m+1)(n+1) - 2 on a ground set of 2nm points.
   * two_squares: the degree-(2,2) pair on 8 points with transversality 7.
@@ -24,12 +25,10 @@ from itertools import product as iproduct
 from math import comb, gcd
 
 from .hitting import TransversalResult, is_transversal, tau
-from .linalg import nullspace_basis
 from .setfuncs import (
     SetFunction,
     cofactor,
     dumps_canonical,
-    mult_matrix,
     product,
     product_by_splits,
     set_function_to_dict,
@@ -103,32 +102,26 @@ def gadget_tau1n(n: int) -> WitnessPair:
 def gadget_full_support(n: int) -> SetFunction:
     """A degree-n mate for the all-ones function, nonzero on every n-subset.
 
-    The kernel of multiplication by the all-ones function on 2n points is
-    not covered by the coordinate hyperplanes, so some combination
-    sum_j t^j v_j of a kernel basis avoids all of them; the first integer
-    t that works is taken.
+    g(S) = 1 / prod_{y in S, t not in S} (t - y) on the points 0..2n-1.
+    For an (n+1)-set Q with complement C, g(Q - x) is, up to a factor free
+    of x, prod_{c in C} (c - x) / prod_{y in Q - x} (x - y); summed over x in
+    Q that is the n-th divided difference over Q of a polynomial of degree
+    n - 1, hence zero.  The points are distinct, so no value vanishes.
     """
     if n < 1:
         raise ValueError("need at least one column")
     ground = 2 * n
-    basis = nullspace_basis(mult_matrix(singleton_ones(ground), n).matrix)
-    if not basis:
-        raise AssertionError("kernel unexpectedly trivial")
-    ncols = len(basis[0])
-    for t in range(1, 1000):
-        vec = [Fraction(0)] * ncols
-        scale = Fraction(1)
-        for b in basis:
-            for i, x in enumerate(b):
-                if x:
-                    vec[i] += scale * x
-            scale *= t
-        if all(vec):
-            g = SetFunction(ground, n, dict(zip(ksubsets(ground, n), vec)))
-            if not product(singleton_ones(ground), g).is_zero:
-                raise AssertionError("combination left the kernel")
-            return g
-    raise AssertionError("no full-support combination found")
+    coeffs: dict[Subset, Fraction] = {}
+    for s in ksubsets(ground, n):
+        den = 1
+        for y in s:
+            for t in s.complement():
+                den *= t - y
+        coeffs[s] = Fraction(1, den)
+    g = SetFunction(ground, n, coeffs)
+    if not product(singleton_ones(ground), g).is_zero:
+        raise AssertionError("closed-form mate is not killed by the all-ones function")
+    return g
 
 
 def _embed(f: SetFunction, ground: int, offset: int) -> SetFunction:
@@ -259,10 +252,6 @@ class LinearBound:
         self.constant += other.constant
         for sym, c in other.terms.items():
             self.add_term(sym, c)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms
 
     def render(self) -> str:
         if not self.terms:

@@ -75,12 +75,6 @@ def radix_compare(u: Word, v: Word) -> int:
     return -1 if ku < kv else (1 if ku > kv else 0)
 
 
-def lex_less_same_length(u: Word, v: Word) -> bool:
-    if len(u) != len(v):
-        raise ValueError("lexicographic comparison needs equal lengths")
-    return u.sort_key() < v.sort_key()
-
-
 def shuffle(u: Word, positions: Iterable[int], v: Word) -> Word:
     """The word of length |u|+|v| carrying u at the given positions, in
     order, and v at the remaining positions."""

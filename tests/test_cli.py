@@ -118,14 +118,48 @@ def test_profile_command_computes_each_profile_once(tmp_path, monkeypatch):
     "argv", [["tau1n", "--n", "2"], ["gadget", "--m", "2", "--n", "2"], ["two-squares"]]
 )
 def test_zero_product_claims_are_computed(argv, monkeypatch):
-    from agealgebra import cli
-    from agealgebra.setfuncs import unit
+    from agealgebra import witnesses
+    from agealgebra.setfuncs import SetFunction
+    from agealgebra.subsets import Subset
 
-    monkeypatch.setattr(cli, "product", lambda f, g: unit(f.n))
+    def wrong(f, g):
+        degree = f.degree + g.degree
+        return SetFunction(f.n, degree, {Subset(f.n, (1 << degree) - 1): 3})
+
+    monkeypatch.setattr(witnesses, "product_by_splits", wrong)
     code, rep = run(argv)
     assert code == 1
-    failed = [r["claim"] for r in rep["results"] if not r["pass"]]
-    assert failed and all("multiplies to zero" in c for c in failed)
+    failed = [r for r in rep["results"] if not r["pass"]]
+    assert failed and all("multiplies to zero" in r["claim"] for r in failed)
+    for r in failed:
+        degree = len(r["computed"]["set"])
+        assert r["computed"] == {"set": list(range(degree)), "value": {"num": "3", "den": "1"}}
+    assert not any("internal failure" in c for c in claims(rep))
+
+
+def test_gadget_multiplies_the_pair_once(monkeypatch):
+    from agealgebra import cli, witnesses
+
+    calls = []
+    original = witnesses.product_by_splits
+
+    def counting(f, g):
+        calls.append((f.degree, g.degree))
+        return original(f, g)
+
+    monkeypatch.setattr(witnesses, "product_by_splits", counting)
+    code, _ = run(["gadget", "--m", "2", "--n", "2"])
+    assert code == 0
+    assert calls == [(2, 2)]
+    assert not hasattr(cli, "product")
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (5, 7)])
+def test_gadget_out_of_range_degrees_exit_two(m, n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["gadget", "--m", str(m), "--n", str(n)])
+    assert exc.value.code == 2
+    assert "2*m*n <= 64" in capsys.readouterr().err
 
 
 def test_internal_failure_reported_with_exit_one():

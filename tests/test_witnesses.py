@@ -88,10 +88,35 @@ def test_half_split_equations_survive_point_deletion():
 def test_full_support_mate_touches_every_shape():
     from math import comb
 
-    for n in (1, 2, 3):
+    for n in range(1, 8):
         mate = gadget_full_support(n)
         assert len(mate.support()) == comb(2 * n, n)
         assert product(singleton_ones(2 * n), mate).is_zero
+
+
+def test_full_support_mate_hand_values():
+    # g(S) = 1 / prod_{y in S, t not in S} (t - y) on the points 0..3
+    want = {
+        (0, 1): Fraction(1, 12),
+        (0, 2): Fraction(-1, 3),
+        (0, 3): Fraction(1, 4),
+        (1, 2): Fraction(1, 4),
+        (1, 3): Fraction(-1, 3),
+        (2, 3): Fraction(1, 12),
+    }
+    mate = gadget_full_support(2)
+    assert {s.elements(): v for s, v in mate.coeffs.items()} == want
+
+
+def test_full_support_mate_lies_in_the_kernel_basis_span():
+    # the kernel route the closed form replaced stays as the oracle
+    from agealgebra.linalg import RationalMatrix, rank
+
+    for n in range(1, 6):
+        basis = nullspace_basis(mult_matrix(singleton_ones(2 * n), n).matrix)
+        mate = gadget_full_support(n)
+        vec = [mate.value(s) for s in ksubsets(2 * n, n)]
+        assert rank(RationalMatrix(basis + [vec])) == rank(RationalMatrix(basis)) == len(basis), n
 
 
 def test_block_gadget_formula_small():
@@ -161,11 +186,7 @@ def filtered_gadget_lower(m, n):
     return WitnessPair(SetFunction(ground, m, f), SetFunction(ground, n, g))
 
 
-def test_gadget_lower_matches_the_filter_construction(monkeypatch):
-    # The mate on 12 points takes half a minute to solve for; any mate of
-    # the all-ones function exercises the block layout, so the half-split
-    # one stands in for it on both sides.
-    monkeypatch.setattr(witnesses, "gadget_full_support", lambda n: gadget_tau1n(n).g)
+def test_gadget_lower_matches_the_filter_construction():
     for m, n in [(m, n) for m in range(1, 7) for n in range(1, 7) if 2 * m * n <= 12]:
         got, want = gadget_lower(m, n), filtered_gadget_lower(m, n)
         assert same_function(got.f, want.f), (m, n)
