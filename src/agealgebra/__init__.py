@@ -1,112 +1,6 @@
 """Exact workbench for the graded algebra of finitely supported set
 functions: convolution products, kernel witnesses, transversal bounds,
 profile growth laws, and the word-coding leading-term machinery.
+
+The package exports nothing itself; import from the submodules.
 """
-
-from .subsets import Subset, SetFamily, ksubsets, splits
-from .linalg import RationalMatrix, matmul, rank, nullspace_basis
-from .setfuncs import (
-    SetFunction,
-    GroundMismatchError,
-    DegreeMismatchError,
-    MultOperator,
-    unit,
-    singleton_ones,
-    product,
-    product_by_splits,
-    mult_matrix,
-    cofactor,
-    block_of,
-    check_partition_property,
-    set_function_to_dict,
-    set_function_from_dict,
-    set_function_to_json,
-    set_function_from_json,
-)
-from .hitting import (
-    NoTransversalError,
-    TransversalResult,
-    is_transversal,
-    is_minimal_transversal,
-    tau,
-)
-from .incidence import (
-    inclusion_matrix,
-    verify_kantor,
-    derivation_matrix,
-    scaling_matrix,
-    check_commutation,
-    weighted_kantor_check,
-    e_regular_on_invariants,
-)
-from .witnesses import (
-    NotAZeroDivisorPairError,
-    WitnessPair,
-    WitnessCertificate,
-    RamseySymbol,
-    LinearBound,
-    BoundExpression,
-    pair_index,
-    gadget_tau1n,
-    gadget_full_support,
-    gadget_lower,
-    lower_bound_formula,
-    two_squares,
-    verify,
-    certificate_to_dict,
-    certificate_to_json,
-    tau_upper_expr,
-    search_best,
-    discharging_check,
-    disjoint_family_check,
-    max_disjoint_packing,
-)
-from .relational import (
-    RelStructure,
-    IsoType,
-    canonical_form,
-    is_isomorphic,
-    profile,
-    profile_sequence,
-    invariant_indicator,
-    invariant_basis,
-    ProfileReport,
-    check_profile_inequalities,
-    disjoint_embedding_check,
-    kernel_zero_divisor,
-    hilbert_inequality_check,
-    all_graph_classes,
-    random_structure,
-    random_structures,
-    structure_to_dict,
-    structure_from_dict,
-    structure_from_json,
-)
-from .words import (
-    Word,
-    EMPTY_WORD,
-    CodedSet,
-    LayeredGround,
-    InvStructure,
-    LEAD_BOTTOM,
-    HypothesisError,
-    LeadingReport,
-    WordFunction,
-    letter_key,
-    radix_compare,
-    shuffle,
-    max_shuffle,
-    subwords,
-    code,
-    lead,
-    check_invariance,
-    check_invariance_all,
-    code_determined,
-    leading_product_check,
-    word_indicator,
-    shuffle_product,
-    final_segment_ideal_check,
-    code_blind_function,
-)
-
-__version__ = "0.1.0"

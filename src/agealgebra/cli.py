@@ -2,7 +2,9 @@
 
 Every subcommand re-runs its checks from scratch and reports one line per
 claim.  Exit status is 0 exactly when every claim passes, 1 on an internal
-failure (the failing claim is still reported), 2 on usage errors.
+failure (the failing claim is still reported), 2 on usage errors, which are
+caught before any work; they include `gadget` and `tau1n` inputs whose
+support pairs exceed `MAX_SUPPORT_PAIRS`.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 from .hitting import is_minimal_transversal, tau
 from .incidence import check_commutation, verify_kantor
-from .relational import check_profile_inequalities, structure_from_json
+from .relational import MAX_CANON_BASE, check_profile_inequalities, structure_from_json
 from .setfuncs import SetFunction, dumps_canonical, singleton_ones
-from .subsets import SetFamily, Subset
+from .subsets import MAX_GROUND, SetFamily, Subset
 from .witnesses import (
     NotAZeroDivisorPairError,
     gadget_lower,
@@ -40,6 +43,10 @@ from .words import (
     shuffle_product,
     word_indicator,
 )
+
+# Largest |supp f|·|supp g| that `gadget` and `tau1n` take on: the (4,4)
+# block gadget's 4,096 × 280 support pairs.
+MAX_SUPPORT_PAIRS = 1_146_880
 
 
 def _jsonable(value):
@@ -162,8 +169,7 @@ def _cmd_bound(args, results: list) -> None:
 
 
 def _cmd_profile(args, results: list) -> None:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        structure = structure_from_json(fh.read())
+    structure = args.structure
     upto = structure.base_size if args.max_n is None else min(args.max_n, structure.base_size)
     report = check_profile_inequalities(structure)
     seq = list(report.values[: upto + 1])
@@ -291,15 +297,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _support_pairs(args) -> int:
+    """|supp f|·|supp g| of the largest pair `gadget` or `tau1n` builds."""
+    if args.command == "gadget":
+        return (2 * args.n) ** args.m * args.m * comb(2 * args.n, args.n)
+    return 2 * args.n * 2 ** args.n
+
+
+def _validate(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2 on a usage error before any work; `profile` loads its structure here."""
+    cmd = args.command
+    if cmd == "kantor" and args.max_l < 1:
+        parser.error("kantor needs --max-l >= 1")
+    if cmd == "tau1n" and not 1 <= args.n <= MAX_GROUND // 2:
+        parser.error(f"tau1n needs 1 <= n <= {MAX_GROUND // 2}")
+    if cmd == "gadget" and not (args.m >= 1 and args.n >= 1 and 2 * args.m * args.n <= MAX_GROUND):
+        parser.error(f"gadget needs --m >= 1, --n >= 1 and 2*m*n <= {MAX_GROUND} ground points")
+    if cmd in ("gadget", "tau1n") and (pairs := _support_pairs(args)) > MAX_SUPPORT_PAIRS:
+        parser.error(
+            f"{cmd} would multiply {pairs:,} support pairs, above the cap of {MAX_SUPPORT_PAIRS:,}"
+        )
+    if cmd == "search" and not (1 <= min(args.m, args.n) and args.m + args.n <= args.l <= MAX_GROUND):
+        parser.error(f"search needs --m >= 1, --n >= 1 and m+n <= l <= {MAX_GROUND}")
+    if cmd == "commutation" and not (0 <= args.n < args.l <= MAX_GROUND and args.trials >= 0):
+        parser.error(f"commutation needs 0 <= n < l <= {MAX_GROUND} and --trials >= 0")
+    if cmd == "bound" and min(args.m, args.n) < 0:
+        parser.error("bound needs --m >= 0 and --n >= 0")
+    if cmd == "profile":
+        if args.max_n is not None and args.max_n < 0:
+            parser.error("profile needs --max-n >= 0")
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                args.structure = structure_from_json(fh.read())
+        except (OSError, ValueError, KeyError, TypeError) as ex:
+            parser.error(f"cannot read a structure from {args.input}: {type(ex).__name__}: {ex}")
+        if args.structure.base_size > MAX_CANON_BASE:
+            parser.error(f"profile needs a base of at most {MAX_CANON_BASE} points")
+
+
 def run(argv: list[str]) -> tuple[int, dict]:
     """Parse argv, execute the subcommand, and build the report."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gadget" and not (args.m >= 1 and args.n >= 1 and 2 * args.m * args.n <= 64):
-        parser.error("gadget needs --m >= 1, --n >= 1 and 2*m*n <= 64 ground points")
     inputs = {
         k: v for k, v in vars(args).items() if k not in ("command", "json") and v is not None
     }
+    _validate(parser, args)
     seed = getattr(args, "seed", 0)
     results: list[dict] = []
     start = time.monotonic()

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .linalg import RationalMatrix, nullspace_basis, rank
+from .relational import RelStructure, invariant_basis
 from .setfuncs import SetFunction, mult_matrix, product, singleton_ones
 from .subsets import Subset, ksubsets
 
@@ -98,17 +99,11 @@ def weighted_kantor_check(f: SetFunction, n: int) -> bool:
     return nullspace_basis(op.matrix) == []
 
 
-def e_regular_on_invariants(structure, n: int) -> bool:
+def e_regular_on_invariants(structure: RelStructure, n: int) -> bool:
     """True iff multiplying by the all-ones degree-1 function is injective
     on the span of the isomorphism-invariant indicator functions.
-
-    An empty invariant basis (n larger than the base) is vacuously regular.
     """
-    from .relational import invariant_basis
-
     basis = invariant_basis(structure, n)
-    if not basis:
-        return True
     ground = structure.base_size
     if n + 1 > ground:
         raise ValueError("image degree exceeds the base")

@@ -17,12 +17,11 @@ import json
 import random
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 from typing import Iterable, Sequence
 
-from .setfuncs import SetFunction
+from .setfuncs import SetFunction, product
 from .subsets import Subset, ksubsets
 
 MAX_CANON_BASE = 8
@@ -198,14 +197,23 @@ def is_isomorphic(r: RelStructure, s: RelStructure) -> bool:
     return canonical_form(r) == canonical_form(s)
 
 
+def type_classes(r: RelStructure, n: int) -> dict[IsoType, list[Subset]]:
+    """The n-subsets grouped by the isomorphism type of their restriction.
+
+    Types come in order of first colex occurrence, and each class lists
+    its subsets in colex order.
+    """
+    if not 0 <= n <= r.base_size:
+        raise ValueError("degree out of range")
+    classes: dict[IsoType, list[Subset]] = {}
+    for points in ksubsets(r.base_size, n):
+        classes.setdefault(canonical_form(r.restriction(points)), []).append(points)
+    return classes
+
+
 def profile(r: RelStructure, n: int) -> int:
     """Number of isomorphism types among restrictions to n-point subsets."""
-    if not 0 <= n <= r.base_size:
-        raise ValueError("profile degree out of range")
-    seen = set()
-    for points in ksubsets(r.base_size, n):
-        seen.add(canonical_form(r.restriction(points)))
-    return len(seen)
+    return len(type_classes(r, n))
 
 
 def profile_sequence(r: RelStructure) -> tuple[int, ...]:
@@ -218,31 +226,18 @@ def invariant_indicator(r: RelStructure, t: IsoType, n: int) -> SetFunction:
 
     Unrealized types give the zero function and a warning.
     """
-    if not 0 <= n <= r.base_size:
-        raise ValueError("degree out of range")
-    coeffs = {
-        points: Fraction(1)
-        for points in ksubsets(r.base_size, n)
-        if canonical_form(r.restriction(points)) == t
-    }
-    if not coeffs:
+    points = type_classes(r, n).get(t, [])
+    if not points:
         warnings.warn(f"type not realized at size {n}; returning the zero function")
-    return SetFunction(r.base_size, n, coeffs)
+    return SetFunction(r.base_size, n, dict.fromkeys(points, 1))
 
 
 def invariant_basis(r: RelStructure, n: int) -> list[SetFunction]:
     """Indicators of the realized types, ordered by first colex occurrence."""
-    if not 0 <= n <= r.base_size:
-        raise ValueError("degree out of range")
-    order: list[IsoType] = []
-    buckets: dict[IsoType, dict[Subset, Fraction]] = {}
-    for points in ksubsets(r.base_size, n):
-        t = canonical_form(r.restriction(points))
-        if t not in buckets:
-            buckets[t] = {}
-            order.append(t)
-        buckets[t][points] = Fraction(1)
-    return [SetFunction(r.base_size, n, buckets[t]) for t in order]
+    return [
+        SetFunction(r.base_size, n, dict.fromkeys(points, 1))
+        for points in type_classes(r, n).values()
+    ]
 
 
 @dataclass
@@ -293,14 +288,10 @@ def disjoint_embedding_check(r: RelStructure, k: int) -> bool:
     if 2 * k > r.base_size:
         raise ValueError("need 2k points in the base")
     for size in range(k + 1):
-        by_type: dict[IsoType, list[int]] = {}
-        for points in ksubsets(r.base_size, size):
-            t = canonical_form(r.restriction(points))
-            by_type.setdefault(t, []).append(points.mask)
-        for masks in by_type.values():
-            for a in masks:
-                if not any(a & b == 0 for b in masks):
-                    return False
+        for points in type_classes(r, size).values():
+            masks = [p.mask for p in points]
+            if any(all(a & b for b in masks) for a in masks):
+                return False
     return True
 
 
@@ -310,18 +301,12 @@ def kernel_zero_divisor(r: RelStructure, f_set: Subset) -> SetFunction:
     Requires that no two disjoint subsets share that type; then the
     indicator f of the type satisfies f * f = 0, which is re-verified.
     """
-    from .setfuncs import product
-
     t = canonical_form(r.restriction(f_set))
-    size = len(f_set)
-    realizations = [
-        p for p in ksubsets(r.base_size, size)
-        if canonical_form(r.restriction(p)) == t
-    ]
+    realizations = type_classes(r, len(f_set))[t]
     for a, b in combinations(realizations, 2):
         if a.isdisjoint(b):
             raise ValueError("type admits disjoint embedding; f² ≠ 0 not guaranteed")
-    f = SetFunction(r.base_size, size, {p: Fraction(1) for p in realizations})
+    f = SetFunction(r.base_size, len(f_set), dict.fromkeys(realizations, 1))
     if not product(f, f).is_zero:
         raise AssertionError("indicator square is nonzero despite no disjoint pair")
     return f

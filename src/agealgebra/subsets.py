@@ -40,10 +40,6 @@ class Subset:
             mask |= 1 << i
         return cls(n, mask)
 
-    @classmethod
-    def full(cls, n: int) -> "Subset":
-        return cls(n, (1 << n) - 1)
-
     def elements(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.mask >> i & 1)
 

@@ -34,7 +34,7 @@ from .setfuncs import (
     set_function_to_dict,
     singleton_ones,
 )
-from .subsets import Subset, ksubsets
+from .subsets import MAX_GROUND, Subset, ksubsets
 
 
 class NotAZeroDivisorPairError(ValueError):
@@ -52,10 +52,6 @@ class WitnessPair:
 
     f: SetFunction
     g: SetFunction
-
-    @property
-    def ground_size(self) -> int:
-        return self.f.n
 
     @property
     def m(self) -> int:
@@ -145,8 +141,8 @@ def gadget_lower(m: int, n: int) -> WitnessPair:
     if m < 1 or n < 1:
         raise ValueError("need positive degrees")
     ground = 2 * n * m
-    if ground > 64:
-        raise ValueError("ground set exceeds 64 points")
+    if ground > MAX_GROUND:
+        raise ValueError(f"ground set exceeds {MAX_GROUND} points")
     blocks = [[1 << (2 * n * i + j) for j in range(2 * n)] for i in range(m)]
     f_masks = sorted(sum(picks) for picks in iproduct(*blocks))
     f_coeffs = {Subset(ground, a): Fraction(1) for a in f_masks}
@@ -278,15 +274,13 @@ class BoundExpression:
     """Symbolic upper bound for the transversality of degree-(m, n) pairs.
 
     `exact_value` is filled for min(m, n) <= 1, where the bound collapses
-    to a known integer.  `recurrence_forms` records the two circulating
-    spellings of the bound statement; the expansion follows the first.
+    to a known integer.
     """
 
     m: int
     n: int
     expression: LinearBound
     exact_value: int | None
-    recurrence_forms: tuple[str, str] = ("phi(m,n)", "phi(m,m)")
 
     def render(self) -> str:
         return self.expression.render()

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 from .setfuncs import SetFunction, block_of, product
-from .subsets import Subset, ksubsets
+from .subsets import MAX_GROUND, Subset, ksubsets
 
 
 def letter_key(mask: int) -> tuple[int, int]:
@@ -201,8 +201,8 @@ class LayeredGround:
     def __init__(self, f_size: int, v_size: int, chain_size: int):
         if f_size < 0 or v_size < 1 or chain_size < 0:
             raise ValueError("need nonnegative F, nonempty V, nonnegative chain")
-        if f_size + v_size * chain_size > 64:
-            raise ValueError("flat ground set exceeds 64 points")
+        if f_size + v_size * chain_size > MAX_GROUND:
+            raise ValueError(f"flat ground set exceeds {MAX_GROUND} points")
         self.f_size = f_size
         self.v_size = v_size
         self.chain_size = chain_size
@@ -464,10 +464,6 @@ class WordFunction:
         for w, v in other.coeffs.items():
             out[w] = out.get(w, Fraction(0)) + v
         return WordFunction(out)
-
-    def scale(self, c) -> "WordFunction":
-        c = Fraction(c)
-        return WordFunction({w: c * v for w, v in self.coeffs.items()})
 
     def lead_word(self):
         if not self.coeffs:

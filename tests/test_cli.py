@@ -1,6 +1,7 @@
 """Front-end behavior: reports, exit codes, canonical JSON."""
 
 import json
+import time
 
 import pytest
 
@@ -162,11 +163,104 @@ def test_gadget_out_of_range_degrees_exit_two(m, n, capsys):
     assert "2*m*n <= 64" in capsys.readouterr().err
 
 
-def test_internal_failure_reported_with_exit_one():
-    code, rep = run(["profile", "--input", "/nonexistent/file.json"])
+def test_internal_failure_reported_with_exit_one(monkeypatch):
+    from agealgebra import cli
+
+    def broken(ground_size, n, m):
+        raise RuntimeError("rank routine broke")
+
+    monkeypatch.setattr(cli, "verify_kantor", broken)
+    code, rep = run(["kantor", "--max-l", "2"])
     assert code == 1
     assert any(not r["pass"] for r in rep["results"])
     assert "internal failure" in rep["results"][-1]["claim"]
+
+
+USAGE_ERRORS = {
+    "search ground over 64": ["search", "--m", "1", "--n", "2", "--l", "100"],
+    "search zero degree": ["search", "--m", "0", "--n", "2", "--l", "6"],
+    "commutation ground over 64": ["commutation", "--l", "70", "--n", "2"],
+    "commutation degree fills ground": ["commutation", "--l", "5", "--n", "5"],
+    "commutation negative trials": ["commutation", "--l", "5", "--n", "2", "--trials", "-3"],
+    "bound negative degree": ["bound", "--m", "-1", "--n", "2"],
+    "tau1n no degrees": ["tau1n", "--n", "0"],
+    "kantor no grounds": ["kantor", "--max-l", "0"],
+    "profile negative degree": ["profile", "--input", "cycle.json", "--max-n", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_exit_two_before_any_work(argv, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    assert "agealg: error: " + argv[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("missing.json", None, "FileNotFoundError"),
+        ("malformed.json", "{not json", "JSONDecodeError"),
+        ("invalid.json", json.dumps({"base_size": 3, "signature": [2], "relations": [[[0, 5]]]}),
+         "leaves the base"),
+        ("list.json", "[1, 2]", "TypeError"),
+        ("large.json", json.dumps({"base_size": 9, "signature": [2], "relations": [[]]}),
+         "at most 8 points"),
+    ],
+)
+def test_profile_bad_input_exits_two(tmp_path, name, text, message, capsys):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run(["profile", "--input", str(path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        (["gadget", "--m", "5", "--n", "4"], "11,468,800"),
+        (["gadget", "--m", "32", "--n", "1"], "274,877,906,944"),
+        (["tau1n", "--n", "16"], "2,097,152"),
+    ],
+)
+def test_support_pair_cap_rejects_from_the_estimate(argv, pairs, monkeypatch, capsys):
+    from agealgebra import cli
+
+    def unreachable(*args):
+        raise AssertionError("built a pair past the cap")
+
+    monkeypatch.setattr(cli, "gadget_lower", unreachable)
+    monkeypatch.setattr(cli, "gadget_tau1n", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert pairs in err and "1,146,880" in err
+
+
+def test_support_pair_cap_admits_every_small_gadget(monkeypatch):
+    from agealgebra import cli
+
+    def reached(*args):
+        raise RuntimeError("admitted")
+
+    monkeypatch.setattr(cli, "gadget_lower", reached)
+    monkeypatch.setattr(cli, "gadget_tau1n", reached)
+    argvs = [
+        ["gadget", "--m", str(m), "--n", str(n)] for m in range(1, 8) for n in range(1, 9 - m)
+    ]
+    assert len(argvs) == 28
+    for argv in argvs + [["tau1n", "--n", "15"]]:
+        code, rep = run(argv)
+        assert code == 1 and rep["results"][-1]["computed"] == "RuntimeError: admitted"
+    gadget_4_4 = build_parser().parse_args(["gadget", "--m", "4", "--n", "4"])
+    assert cli._support_pairs(gadget_4_4) == cli.MAX_SUPPORT_PAIRS
 
 
 def test_unknown_flags_exit_two():

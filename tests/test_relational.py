@@ -30,6 +30,7 @@ from agealgebra.relational import (
     random_structures,
     structure_from_json,
     structure_to_dict,
+    type_classes,
 )
 from agealgebra.setfuncs import product
 from agealgebra.subsets import Subset, ksubsets
@@ -133,6 +134,29 @@ def test_canonical_form_is_cached_and_bounded():
     before = canonical_form.cache_info().hits
     canonical_form(RelStructure.graph(5, [(3, 2), (2, 1), (1, 0)]))
     assert canonical_form.cache_info().hits == before + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(structure_pairs())
+def test_type_classes_group_subsets_by_brute_encoding(pair):
+    r = pair[0]
+    l = r.base_size
+    for n in range(l + 1):
+        classes = type_classes(r, n)
+        members = [p for points in classes.values() for p in points]
+        assert sorted(members) == ksubsets(l, n)
+        assert all(points == sorted(points) for points in classes.values())
+        firsts = [points[0] for points in classes.values()]
+        assert firsts == sorted(firsts)
+        label = {p: i for i, points in enumerate(classes.values()) for p in points}
+        for a in ksubsets(l, n):
+            for b in ksubsets(l, n):
+                same = brute_encoding(r.restriction(a)) == brute_encoding(r.restriction(b))
+                assert (label[a] == label[b]) == same
+        assert profile(r, n) == len(classes)
+    for n in (-1, l + 1):
+        with pytest.raises(ValueError):
+            type_classes(r, n)
 
 
 def test_profiles_match_brute_force_on_small_graphs():

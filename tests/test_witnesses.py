@@ -237,7 +237,6 @@ def test_bound_symmetry_via_swap():
 def test_bound_records_both_recurrence_spellings():
     expr = tau_upper_expr(2, 2)
     assert isinstance(expr, BoundExpression)
-    assert len(expr.recurrence_forms) == 2
 
 
 def test_ramsey_symbol_render():
