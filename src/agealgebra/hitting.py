@@ -1,10 +1,17 @@
 """Exact minimum transversals (hitting sets) of finite set families.
 
-Branch and bound over bitmasks: each node carries a set of chosen elements
-and a set of banned elements, branches on an uncovered member with the
-fewest allowed elements, and prunes with a greedy incumbent from above and
-a disjoint-subfamily packing bound from below.  Determinism: members are
-scanned in colex order and elements in increasing index order, so the
+Branch and bound over bitsets.  The minimal members are indexed by size,
+then colex; occ[e] is the int of the indices of the members that contain
+element e.  The uncovered members are one int, and choosing e leaves
+`uncovered & ~occ[e]`.  Each member's count of allowed (unbanned) elements
+is kept bit-sliced: plane k holds bit k of every count, and banning e
+subtracts occ[e] with a borrow ripple, so the members with no, exactly one
+and fewest allowed elements are each a few ANDs over the planes.  A node
+branches on an uncovered member with the fewest allowed elements, ties
+going to the smallest mask (the lowest index of each size group, then the
+smallest of those), and prunes with a greedy incumbent from above and a
+disjoint-subfamily packing bound from below.  Determinism: members are
+scanned in index order and elements in increasing index order, so the
 reported witness never depends on hash order.
 
 Symmetry (orbital branching, Ostrowski, Linderoth, Rossi & Smriglio, Math.
@@ -59,6 +66,13 @@ def is_minimal_transversal(candidate: Subset, family: SetFamily) -> bool:
     return True
 
 
+def _elements(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _minimal_members(masks: list[int]) -> list[int]:
     """Drop any member that contains another; hitting the rest hits it too.
 
@@ -86,11 +100,8 @@ def _twin_classes(masks: list[int], ground_size: int) -> list[int]:
     """
     containing: list[list[int]] = [[] for _ in range(ground_size)]
     for m in masks:
-        rest = m
-        while rest:
-            low = rest & -rest
-            containing[low.bit_length() - 1].append(m)
-            rest ^= low
+        for e in _elements(m):
+            containing[e].append(m)
     rep = list(range(ground_size))
     class_mask = [0] * ground_size
     reps_by_degree: dict[int, list[int]] = {}
@@ -110,43 +121,22 @@ def _twin_classes(masks: list[int], ground_size: int) -> list[int]:
     return [class_mask[r] for r in rep]
 
 
-def _greedy_transversal(masks: list[int], ground_size: int) -> int:
+def _greedy_transversal(occ: list[int], full: int) -> int:
     """Greedy cover (max coverage, lowest index on ties), then pruned."""
     chosen = 0
-    uncovered = list(masks)
+    uncovered = full
     while uncovered:
-        counts = [0] * ground_size
-        for m in uncovered:
-            while m:
-                low = m & -m
-                counts[low.bit_length() - 1] += 1
-                m ^= low
-        best = max(range(ground_size), key=lambda i: (counts[i], -i))
+        best = max(range(len(occ)), key=lambda i: ((occ[i] & uncovered).bit_count(), -i))
         chosen |= 1 << best
-        uncovered = [m for m in uncovered if not m >> best & 1]
-    for i in range(ground_size):
-        bit = 1 << i
-        if chosen & bit:
-            reduced = chosen ^ bit
-            if all(reduced & m for m in masks):
-                chosen = reduced
+        uncovered &= ~occ[best]
+    for e in _elements(chosen):
+        reduced = chosen ^ 1 << e
+        covered = 0
+        for f in _elements(reduced):
+            covered |= occ[f]
+        if covered == full:
+            chosen = reduced
     return chosen
-
-
-def _packing_bound(uncovered: list[int], banned: int) -> int:
-    """Size of a greedy family of pairwise disjoint allowed parts.
-
-    Any transversal needs one fresh element per member of a disjoint
-    subfamily, so this lower-bounds the number of elements still missing.
-    """
-    used = 0
-    count = 0
-    for m in uncovered:
-        a = m & ~banned
-        if not a & used:
-            count += 1
-            used |= a
-    return count
 
 
 def tau(family: SetFamily) -> TransversalResult:
@@ -163,49 +153,99 @@ def tau(family: SetFamily) -> TransversalResult:
         return TransversalResult(0, Subset(n, 0), 0, 0, 0)
     masks = _minimal_members(raw)
     twins = _twin_classes(masks, n)
-    greedy = _greedy_transversal(masks, n)
+    elems = [tuple(_elements(m)) for m in masks]
+    occ = [0] * n
+    size_groups: dict[int, int] = {}
+    # planes[k] holds bit k of every member's count of allowed elements.
+    planes = [0] * len(elems[-1]).bit_length()
+    for i, es in enumerate(elems):
+        for e in es:
+            occ[e] |= 1 << i
+        size_groups[len(es)] = size_groups.get(len(es), 0) | 1 << i
+        for k in range(len(planes)):
+            planes[k] |= (len(es) >> k & 1) << i
+    full = (1 << len(masks)) - 1
+
+    def packing(uncovered: int, banned: int, limit: int) -> int:
+        """Size, capped at limit, of a greedy family of members with pairwise
+        disjoint allowed parts, taken in index order: each needs one more
+        element of any transversal."""
+        count = 0
+        while uncovered and count < limit:
+            i = (uncovered & -uncovered).bit_length() - 1
+            count += 1
+            for e in elems[i]:
+                if not banned >> e & 1:
+                    uncovered &= ~occ[e]
+        return count
+
+    greedy = _greedy_transversal(occ, full)
     root_upper = greedy.bit_count()
-    root_lower = _packing_bound(masks, 0)
+    root_lower = packing(full, 0, len(masks))
     best_size = root_upper
     best_mask = greedy
     nodes = 0
 
-    def search(uncovered: list[int], chosen: int, banned: int, nchosen: int) -> None:
+    def search(uncovered: int, planes: list[int], chosen: int, banned: int, nchosen: int) -> None:
         nonlocal best_size, best_mask, nodes
         nodes += 1
+        high = 0
+        for p in planes[1:]:
+            high |= p
         while True:
             if not uncovered:
                 if nchosen < best_size:
                     best_size = nchosen
                     best_mask = chosen
                 return
-            forced = 0
-            for m in uncovered:
-                a = m & ~banned
-                if a == 0:
-                    return
-                if a & (a - 1) == 0:
-                    forced |= a
-            if not forced:
+            if uncovered & ~(planes[0] | high):
+                return
+            single = uncovered & planes[0] & ~high
+            if not single:
                 break
+            forced = 0
+            for i in _elements(single):
+                forced |= masks[i]
+            forced &= ~banned
             chosen |= forced
             nchosen = chosen.bit_count()
             if nchosen >= best_size:
                 return
-            uncovered = [m for m in uncovered if not m & chosen]
-        if nchosen + _packing_bound(uncovered, banned) >= best_size:
+            for e in _elements(forced):
+                uncovered &= ~occ[e]
+        if nchosen + packing(uncovered, banned, best_size - nchosen) >= best_size:
             return
-        branch = min(uncovered, key=lambda m: ((m & ~banned).bit_count(), m))
+        # Fewest allowed elements: keep the members whose count is minimal
+        # bit by bit from the top plane down.
+        fewest = uncovered
+        for p in reversed(planes):
+            if fewest & ~p:
+                fewest &= ~p
+        # Then the smallest mask: the lowest index within each size group.
+        branch = min(
+            masks[(low & -low).bit_length() - 1]
+            for low in (fewest & g for g in size_groups.values())
+            if low
+        )
         allowed = branch & ~banned
         new_banned = banned
+        planes = planes[:]
         while allowed:
             bit = allowed & -allowed
-            sub = [m for m in uncovered if not m & bit]
-            search(sub, chosen | bit, new_banned, nchosen + 1)
-            new_banned |= twins[bit.bit_length() - 1] & ~chosen
+            e = bit.bit_length() - 1
+            search(uncovered & ~occ[e], planes, chosen | bit, new_banned, nchosen + 1)
+            fresh = twins[e] & ~chosen & ~new_banned
+            new_banned |= fresh
             allowed &= ~new_banned
+            for f in _elements(fresh):
+                borrow = occ[f]
+                for k, p in enumerate(planes):
+                    planes[k] = p ^ borrow
+                    borrow &= ~p
+                    if not borrow:
+                        break
 
-    search(masks, 0, 0, 0)
+    search(full, planes, 0, 0, 0)
     witness = Subset(n, best_mask)
     if not is_transversal(witness, family):
         raise AssertionError("search returned a non-transversal")

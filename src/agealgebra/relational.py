@@ -18,7 +18,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, combinations_with_replacement, permutations, product as iproduct
 from typing import Iterable, Sequence
 
 from .setfuncs import SetFunction, product
@@ -303,7 +303,9 @@ def kernel_zero_divisor(r: RelStructure, f_set: Subset) -> SetFunction:
     """
     t = canonical_form(r.restriction(f_set))
     realizations = type_classes(r, len(f_set))[t]
-    for a, b in combinations(realizations, 2):
+    # Self-pairs included: the empty type's one realization is disjoint
+    # from itself.
+    for a, b in combinations_with_replacement(realizations, 2):
         if a.isdisjoint(b):
             raise ValueError("type admits disjoint embedding; f² ≠ 0 not guaranteed")
     f = SetFunction(r.base_size, len(f_set), dict.fromkeys(realizations, 1))

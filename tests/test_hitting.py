@@ -1,4 +1,5 @@
-"""Branch-and-bound minimum hitting set, cross-checked by brute force."""
+"""Branch-and-bound minimum hitting set, cross-checked by brute force and,
+node for node, by the list-of-masks search it replaced."""
 
 import random
 from itertools import combinations, product
@@ -225,3 +226,109 @@ def test_gadget_4_4_optimum_in_few_nodes():
     res = tau(fam)
     assert res.size == 23 and is_transversal(res.witness, fam)
     assert res.nodes_expanded <= 1000
+
+
+# The list-of-masks search that the bitset search replaced.  Both branch on
+# the same member, bound with the same packing and ban the same twins, so
+# they must agree on the witness and on the node count, not just the size.
+
+
+def reference_tau(fam):
+    """(size, witness mask, nodes, root lower, root upper) of the old search."""
+    masks = _minimal_members(fam.masks())
+    twins = _twin_classes(masks, fam.n)
+
+    def packing_bound(uncovered, banned):
+        used = count = 0
+        for m in uncovered:
+            a = m & ~banned
+            if not a & used:
+                count += 1
+                used |= a
+        return count
+
+    chosen, uncovered = 0, list(masks)
+    while uncovered:
+        counts = [sum(m >> i & 1 for m in uncovered) for i in range(fam.n)]
+        best = max(range(fam.n), key=lambda i: (counts[i], -i))
+        chosen |= 1 << best
+        uncovered = [m for m in uncovered if not m >> best & 1]
+    for i in range(fam.n):
+        if chosen >> i & 1 and all((chosen ^ 1 << i) & m for m in masks):
+            chosen ^= 1 << i
+    state = {"size": chosen.bit_count(), "mask": chosen, "nodes": 0}
+
+    def search(uncovered, chosen, banned, nchosen):
+        state["nodes"] += 1
+        while True:
+            if not uncovered:
+                if nchosen < state["size"]:
+                    state["size"], state["mask"] = nchosen, chosen
+                return
+            forced = 0
+            for m in uncovered:
+                a = m & ~banned
+                if a == 0:
+                    return
+                if a & (a - 1) == 0:
+                    forced |= a
+            if not forced:
+                break
+            chosen |= forced
+            nchosen = chosen.bit_count()
+            if nchosen >= state["size"]:
+                return
+            uncovered = [m for m in uncovered if not m & chosen]
+        if nchosen + packing_bound(uncovered, banned) >= state["size"]:
+            return
+        branch = min(uncovered, key=lambda m: ((m & ~banned).bit_count(), m))
+        allowed = branch & ~banned
+        new_banned = banned
+        while allowed:
+            bit = allowed & -allowed
+            search([m for m in uncovered if not m & bit], chosen | bit, new_banned, nchosen + 1)
+            new_banned |= twins[bit.bit_length() - 1] & ~chosen
+            allowed &= ~new_banned
+
+    root_upper = state["size"]
+    search(masks, 0, 0, 0)
+    return state["size"], state["mask"], state["nodes"], packing_bound(masks, 0), root_upper
+
+
+def search_record(fam):
+    res = tau(fam)
+    return res.size, res.witness.mask, res.nodes_expanded, res.root_lower_bound, res.root_upper_bound
+
+
+@st.composite
+def seeded_families(draw, points, sizes, most):
+    """Up to `most` distinct random members on `points` points, each of a
+    size drawn from `sizes`."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, most))
+    members = {tuple(sorted(rng.sample(range(points), rng.choice(sizes)))) for _ in range(count)}
+    return family(points, [list(m) for m in members])
+
+
+@settings(max_examples=100, deadline=None)
+@given(celled_families())
+def test_bitset_search_walks_the_reference_tree_with_twins(case):
+    assert search_record(case[1]) == reference_tau(case[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(nested_families(), seeded_families(16, (3, 4), 60)))
+def test_bitset_search_walks_the_reference_tree_on_mixed_sizes(fam):
+    assert search_record(fam) == reference_tau(fam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_families(16, (4,), 60))
+def test_bitset_search_walks_the_reference_tree_on_uniform_families(fam):
+    assert search_record(fam) == reference_tau(fam)
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (4, 3), (6, 2), (3, 3), (2, 2), (5, 2)])
+def test_bitset_search_walks_the_reference_tree_on_gadgets(m, n):
+    fam = gadget_support(m, n)
+    assert search_record(fam) == reference_tau(fam)

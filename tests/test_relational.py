@@ -282,6 +282,21 @@ def test_kernel_zero_divisor_refuses_embeddable_types():
     assert "disjoint embedding" in str(exc.value)
 
 
+def test_kernel_zero_divisor_squares_to_zero_or_refuses_on_small_graphs():
+    # The empty set included: its type is realized by a set disjoint from
+    # itself, so it must be refused, not fail the square check.
+    for l in range(1, 6):
+        for r in all_graph_classes(l):
+            for mask in range(1 << l):
+                try:
+                    f = kernel_zero_divisor(r, Subset(l, mask))
+                except ValueError:
+                    continue
+                assert product(f, f).is_zero
+    with pytest.raises(ValueError):
+        kernel_zero_divisor(RelStructure.graph(3, []), Subset(3, 0))
+
+
 def test_multiplication_by_ones_on_invariants():
     assert e_regular_on_invariants(c4(), 1)
     # the cycle's triples all look alike, which leaves room in the kernel
