@@ -4,7 +4,9 @@ Every subcommand re-runs its checks from scratch and reports one line per
 claim.  Exit status is 0 exactly when every claim passes, 1 on an internal
 failure (the failing claim is still reported), 2 on usage errors, which are
 caught before any work; they include `gadget` and `tau1n` inputs whose
-support pairs exceed `MAX_SUPPORT_PAIRS`.
+support pairs exceed `MAX_SUPPORT_PAIRS`, and `kantor` and `commutation`
+inputs whose matrix cells exceed `MAX_KANTOR_CELLS` or
+`MAX_COMMUTATION_CELLS`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ from .words import (
 # Largest |supp f|·|supp g| that `gadget` and `tau1n` take on: the (4,4)
 # block gadget's 4,096 × 280 support pairs.
 MAX_SUPPORT_PAIRS = 1_146_880
+# Largest matrix cells that `kantor` ranks (`--max-l 10` fills 492,202 in
+# about 2 s) and that `commutation` checks (about 3.5 s at the cap).
+MAX_KANTOR_CELLS = 500_000
+MAX_COMMUTATION_CELLS = 1_000_000
 
 
 def _jsonable(value):
@@ -304,11 +310,24 @@ def _support_pairs(args) -> int:
     return 2 * args.n * 2 ** args.n
 
 
+def _matrix_cells(args) -> int:
+    """Cells of every matrix `kantor` ranks or `commutation` checks."""
+    if args.command == "kantor":
+        return sum(
+            comb(ell, n) * comb(ell, n + m)
+            for ell in range(1, args.max_l + 1)
+            for n in range(ell // 2 + 1)
+            for m in range(ell - 2 * n + 1)
+            if n + m
+        )
+    return (args.trials + 1) * comb(args.l, args.n + 1) * comb(args.l, args.n)
+
+
 def _validate(parser: argparse.ArgumentParser, args) -> None:
     """Exit 2 on a usage error before any work; `profile` loads its structure here."""
     cmd = args.command
-    if cmd == "kantor" and args.max_l < 1:
-        parser.error("kantor needs --max-l >= 1")
+    if cmd == "kantor" and not 1 <= args.max_l <= MAX_GROUND:
+        parser.error(f"kantor needs 1 <= max-l <= {MAX_GROUND}")
     if cmd == "tau1n" and not 1 <= args.n <= MAX_GROUND // 2:
         parser.error(f"tau1n needs 1 <= n <= {MAX_GROUND // 2}")
     if cmd == "gadget" and not (args.m >= 1 and args.n >= 1 and 2 * args.m * args.n <= MAX_GROUND):
@@ -321,6 +340,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"search needs --m >= 1, --n >= 1 and m+n <= l <= {MAX_GROUND}")
     if cmd == "commutation" and not (0 <= args.n < args.l <= MAX_GROUND and args.trials >= 0):
         parser.error(f"commutation needs 0 <= n < l <= {MAX_GROUND} and --trials >= 0")
+    cap = {"kantor": MAX_KANTOR_CELLS, "commutation": MAX_COMMUTATION_CELLS}.get(cmd)
+    if cap is not None and (cells := _matrix_cells(args)) > cap:
+        parser.error(f"{cmd} would fill {cells:,} matrix cells, above the cap of {cap:,}")
     if cmd == "bound" and min(args.m, args.n) < 0:
         parser.error("bound needs --m >= 0 and --n >= 0")
     if cmd == "profile":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import random
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product as iproduct
@@ -189,14 +188,6 @@ def canonical_form(r: RelStructure) -> IsoType:
     return IsoType(r.base_size, r.signature, best)
 
 
-def is_isomorphic(r: RelStructure, s: RelStructure) -> bool:
-    if r.base_size != s.base_size or r.signature != s.signature:
-        return False
-    if tuple(len(rel) for rel in r.relations) != tuple(len(rel) for rel in s.relations):
-        return False
-    return canonical_form(r) == canonical_form(s)
-
-
 def type_classes(r: RelStructure, n: int) -> dict[IsoType, list[Subset]]:
     """The n-subsets grouped by the isomorphism type of their restriction.
 
@@ -214,22 +205,6 @@ def type_classes(r: RelStructure, n: int) -> dict[IsoType, list[Subset]]:
 def profile(r: RelStructure, n: int) -> int:
     """Number of isomorphism types among restrictions to n-point subsets."""
     return len(type_classes(r, n))
-
-
-def profile_sequence(r: RelStructure) -> tuple[int, ...]:
-    """Profile at every degree from 0 to the base size."""
-    return tuple(profile(r, n) for n in range(r.base_size + 1))
-
-
-def invariant_indicator(r: RelStructure, t: IsoType, n: int) -> SetFunction:
-    """Indicator of the n-subsets whose restriction has type t.
-
-    Unrealized types give the zero function and a warning.
-    """
-    points = type_classes(r, n).get(t, [])
-    if not points:
-        warnings.warn(f"type not realized at size {n}; returning the zero function")
-    return SetFunction(r.base_size, n, dict.fromkeys(points, 1))
 
 
 def invariant_basis(r: RelStructure, n: int) -> list[SetFunction]:

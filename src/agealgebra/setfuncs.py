@@ -66,8 +66,6 @@ class SetFunction:
     def value(self, s: Subset) -> Fraction:
         return self.coeffs.get(s, Fraction(0))
 
-    __call__ = value
-
     def support(self) -> SetFamily:
         return SetFamily(self.n, self.coeffs.keys())
 
@@ -173,9 +171,7 @@ def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
     out: dict[Subset, Fraction] = {}
     for qmask in sorted({am | bm for am in fm for bm in gm if not am & bm}):
         q = Subset(n, qmask)
-        total = sum(
-            fm[p.mask] * gm[r.mask] for p, r in splits(q, m) if p.mask in fm and r.mask in gm
-        )
+        total = sum(fm[p] * gm[r] for p, r in splits(q, m) if p in fm and r in gm)
         if total:
             out[q] = total
     return SetFunction(n, f.degree + g.degree, out)
@@ -299,11 +295,3 @@ def set_function_from_dict(data: dict) -> SetFunction:
 def dumps_canonical(obj) -> str:
     """Canonical JSON: sorted keys, no whitespace.  Round-trips exactly."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def set_function_to_json(f: SetFunction) -> str:
-    return dumps_canonical(set_function_to_dict(f))
-
-
-def set_function_from_json(text: str) -> SetFunction:
-    return set_function_from_dict(json.loads(text))

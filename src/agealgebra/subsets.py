@@ -116,17 +116,17 @@ def ksubsets(ground_size: int, k: int) -> list[Subset]:
     return out
 
 
-def splits(q: Subset, m: int) -> list[tuple[Subset, Subset]]:
-    """All ordered splits of q into (P, q minus P) with |P| = m.
+def splits(q: Subset, m: int) -> list[tuple[int, int]]:
+    """All ordered splits of q into (P, q minus P) with |P| = m, as masks.
 
-    Returns all C(|q|, m) pairs; the second component is the exact
-    complement of the first inside q.
+    Returns all C(|q|, m) pairs; the second mask is the exact complement
+    of the first inside q.
     """
     if m < 0 or m > len(q):
         return []
-    n, qmask = q.n, q.mask
+    qmask = q.mask
     bits = [1 << i for i in q.elements()]
-    return [(Subset(n, p), Subset(n, qmask ^ p)) for p in map(sum, combinations(bits, m))]
+    return [(p, qmask ^ p) for p in map(sum, combinations(bits, m))]
 
 
 class SetFamily:

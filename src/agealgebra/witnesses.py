@@ -28,7 +28,6 @@ from .hitting import TransversalResult, is_transversal, tau
 from .setfuncs import (
     SetFunction,
     cofactor,
-    dumps_canonical,
     product,
     product_by_splits,
     set_function_to_dict,
@@ -211,10 +210,6 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
         "formula_expected": cert.formula_expected,
         "match": cert.match,
     }
-
-
-def certificate_to_json(cert: WitnessCertificate) -> str:
-    return dumps_canonical(certificate_to_dict(cert))
 
 
 # Symbolic upper bounds.  The recurrence produces integer combinations of

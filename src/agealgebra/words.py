@@ -69,12 +69,6 @@ def _bits(mask: int) -> list[int]:
 EMPTY_WORD = Word()
 
 
-def radix_compare(u: Word, v: Word) -> int:
-    """-1, 0, or +1: shorter words first, then letterwise alphabet order."""
-    ku, kv = u.sort_key(), v.sort_key()
-    return -1 if ku < kv else (1 if ku > kv else 0)
-
-
 def shuffle(u: Word, positions: Iterable[int], v: Word) -> Word:
     """The word of length |u|+|v| carrying u at the given positions, in
     order, and v at the remaining positions."""
@@ -325,23 +319,24 @@ def check_invariance(h: InvStructure, r: int) -> bool:
     return all(_columns_equivalent(h, x, x0) for x in cols[1:])
 
 
-def check_invariance_all(h: InvStructure) -> bool:
-    return all(check_invariance(h, r) for r in range(h.layered.chain_size + 1))
+def code_classes(layered: LayeredGround, degree: int) -> dict[CodedSet, list[Subset]]:
+    """The degree-subsets of the flat ground grouped by their code.
+
+    Codes come in order of first colex occurrence, and each class lists
+    its subsets in colex order.
+    """
+    classes: dict[CodedSet, list[Subset]] = {}
+    for s in ksubsets(layered.flat_size, degree):
+        classes.setdefault(code(s, layered), []).append(s)
+    return classes
 
 
 def code_determined(f: SetFunction, layered: LayeredGround) -> bool:
     """Whether f takes equal values on subsets with equal codes; this is
     the working form of invariance for structures on a layered ground."""
-    seen: dict[CodedSet, Fraction] = {}
-    for s in ksubsets(layered.flat_size, f.degree):
-        c = code(s, layered)
-        v = f.value(s)
-        if c in seen:
-            if seen[c] != v:
-                return False
-        else:
-            seen[c] = v
-    return True
+    return all(
+        len({f.value(s) for s in cls}) == 1 for cls in code_classes(layered, f.degree).values()
+    )
 
 
 class HypothesisError(ValueError):
@@ -369,9 +364,11 @@ def leading_product_check(f: SetFunction, g: SetFunction, h: InvStructure) -> Le
     """Verify the leading-term equations on a concrete invariant pair.
 
     Hypotheses checked up front (each failure raises HypothesisError):
-    the colored structure is invariant at every chain size, both functions
-    are determined by codes and match the structure's colors, the chain is
-    at least as long as the total degree, and f has support clear of F.
+    both functions are determined by codes and match the structure's
+    colors, the chain is at least as long as the total degree, and f has
+    support clear of F.  Together these make the structure invariant at
+    every chain size: mapping r columns onto r others in order keeps each
+    subset's F-part and column word, hence its code, hence its colors.
     """
     L = h.layered
     if f.n != L.flat_size or g.n != L.flat_size:
@@ -380,8 +377,6 @@ def leading_product_check(f: SetFunction, g: SetFunction, h: InvStructure) -> Le
         raise ValueError("functions must be nonzero")
     if L.chain_size < f.degree + g.degree:
         raise HypothesisError("chain_at_least_total_degree")
-    if not check_invariance_all(h):
-        raise HypothesisError("structure_invariant_at_all_chain_sizes")
     if not code_determined(f, L):
         raise HypothesisError("f_code_determined")
     if not code_determined(g, L):
@@ -524,31 +519,18 @@ def code_blind_function(
     support on subsets disjoint from F (a hypothesis of the leading-term
     equations)."""
     rng = random.Random(seed)
-    values: dict[CodedSet, Fraction] = {}
-    coeffs: dict[Subset, Fraction] = {}
-    shapes = ksubsets(layered.flat_size, degree)
-    for s in shapes:
-        c = code(s, layered)
-        if c not in values:
-            values[c] = Fraction(rng.choice((-1, 0, 0, 1)))
-        if values[c]:
-            coeffs[s] = values[c]
-    f_all = (1 << layered.f_size) - 1
+    classes = code_classes(layered, degree)
+    values = {c: Fraction(rng.choice((-1, 0, 0, 1))) for c in classes}
+    coeffs = dict(sorted((s, v) for c, v in values.items() if v for s in classes[c]))
 
-    def force_class(predicate) -> None:
-        target = None
-        for s in shapes:
-            if predicate(s):
-                target = code(s, layered)
-                break
+    def force_class(pure_columns: bool) -> None:
+        target = next((c for c in classes if not pure_columns or c.f_mask == 0), None)
         if target is None:
             raise ValueError("no subset matches the forced class")
-        for s in shapes:
-            if code(s, layered) == target:
-                coeffs[s] = Fraction(1)
+        coeffs.update(dict.fromkeys(classes[target], Fraction(1)))
 
-    if need_pure_column_support and not any(s.mask & f_all == 0 for s in coeffs):
-        force_class(lambda s: s.mask & f_all == 0)
+    if need_pure_column_support and not any(c.f_mask == 0 and v for c, v in values.items()):
+        force_class(True)
     if not coeffs:
-        force_class(lambda s: True)
+        force_class(False)
     return SetFunction(layered.flat_size, degree, coeffs)

@@ -185,6 +185,7 @@ USAGE_ERRORS = {
     "bound negative degree": ["bound", "--m", "-1", "--n", "2"],
     "tau1n no degrees": ["tau1n", "--n", "0"],
     "kantor no grounds": ["kantor", "--max-l", "0"],
+    "kantor ground over 64": ["kantor", "--max-l", "70"],
     "profile negative degree": ["profile", "--input", "cycle.json", "--max-n", "-1"],
 }
 
@@ -261,6 +262,57 @@ def test_support_pair_cap_admits_every_small_gadget(monkeypatch):
         assert code == 1 and rep["results"][-1]["computed"] == "RuntimeError: admitted"
     gadget_4_4 = build_parser().parse_args(["gadget", "--m", "4", "--n", "4"])
     assert cli._support_pairs(gadget_4_4) == cli.MAX_SUPPORT_PAIRS
+
+
+@pytest.mark.parametrize(
+    "argv, cells, cap",
+    [
+        (["kantor", "--max-l", "11"], "1,893,493", "500,000"),
+        (["kantor", "--max-l", "64"], "130,334,657,484,332,403,948,369,792,293,990,715,420", "500,000"),
+        (["commutation", "--l", "10", "--n", "4"], "1,111,320", "1,000,000"),
+        (["commutation", "--l", "7", "--n", "3", "--trials", "1000"], "1,226,225", "1,000,000"),
+        (["commutation", "--l", "64", "--n", "32"], "68,391,501,654,571,565,209,116,535,399,286,795,904",
+         "1,000,000"),
+    ],
+)
+def test_matrix_cell_caps_reject_from_the_estimate(argv, cells, cap, monkeypatch, capsys):
+    from agealgebra import cli
+
+    def unreachable(*args):
+        raise AssertionError("built a matrix past the cap")
+
+    monkeypatch.setattr(cli, "verify_kantor", unreachable)
+    monkeypatch.setattr(cli, "check_commutation", unreachable)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert f"{cells} matrix cells" in err and f"cap of {cap}" in err
+
+
+def test_matrix_cell_caps_admit_every_documented_invocation(monkeypatch):
+    from agealgebra import cli
+
+    def reached(*args):
+        raise RuntimeError("admitted")
+
+    monkeypatch.setattr(cli, "verify_kantor", reached)
+    monkeypatch.setattr(cli, "check_commutation", reached)
+    argvs = [
+        ["kantor", "--max-l", "10"],
+        ["kantor", "--max-l", "9"],
+        ["commutation", "--l", "6", "--n", "2", "--trials", "20"],
+        ["commutation", "--l", "7", "--n", "3", "--seed", "5"],
+        ["commutation", "--l", "10", "--n", "4", "--trials", "17"],
+        ["commutation", "--l", "64", "--n", "0", "--trials", "100"],
+    ]
+    for argv in argvs:
+        code, rep = run(argv)
+        assert code == 1 and rep["results"][-1]["computed"] == "RuntimeError: admitted"
+    kantor_10 = build_parser().parse_args(["kantor", "--max-l", "10"])
+    assert cli._matrix_cells(kantor_10) == 492_202 <= cli.MAX_KANTOR_CELLS
 
 
 def test_unknown_flags_exit_two():

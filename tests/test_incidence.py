@@ -6,16 +6,17 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
+from agealgebra import incidence
+from agealgebra.cli import run
 from agealgebra.incidence import (
     check_commutation,
     derivation_matrix,
     inclusion_matrix,
     scaling_matrix,
     verify_kantor,
-    weighted_kantor_check,
 )
-from agealgebra.linalg import matmul, rank
-from agealgebra.setfuncs import SetFunction, singleton_ones
+from agealgebra.linalg import RationalMatrix, matmul, rank
+from agealgebra.setfuncs import MultOperator, SetFunction, cofactor, mult_matrix, singleton_ones
 from agealgebra.subsets import Subset
 
 
@@ -51,10 +52,10 @@ def test_rank_deficient_outside_the_threshold():
 def test_weighted_rank_needs_enough_nonzero_points():
     l, n = 5, 2
     full = weight(l, {i: i + 1 for i in range(l)})
-    assert weighted_kantor_check(full, n)
+    assert cofactor(full, n) is None
     # only 2n nonzero points: the rank argument breaks down
     sparse = weight(l, {0: 1, 1: 1, 2: 1, 3: 1})
-    assert not weighted_kantor_check(sparse, n)
+    assert cofactor(sparse, n) is not None
 
 
 def test_commutation_for_all_ones_weight():
@@ -70,6 +71,25 @@ def test_commutation_for_random_weights_with_zeros():
         n = rng.randint(0, min(3, l - 1))
         f = weight(l, {i: rng.randint(-2, 2) for i in range(l)})
         assert check_commutation(f, n)
+
+
+def perturbed_mult_matrix(f, degree):
+    """`mult_matrix` with its first stored entry raised by one."""
+    entries = mult_matrix(f, degree).matrix.entries
+    entries[0][0] += 1
+    return MultOperator(f, degree, RationalMatrix(entries))
+
+
+def test_commutation_fails_on_a_perturbed_multiplication_matrix(monkeypatch):
+    f = weight(5, {0: 1, 1: -2, 2: 3, 3: Fraction(1, 2), 4: 5})
+    assert check_commutation(f, 2)
+    code, rep = run(["commutation", "--l", "5", "--n", "2", "--trials", "3"])
+    assert code == 0 and all(r["pass"] for r in rep["results"])
+    monkeypatch.setattr(incidence, "mult_matrix", perturbed_mult_matrix)
+    assert not check_commutation(f, 2)
+    assert not check_commutation(singleton_ones(5), 2)
+    code, rep = run(["commutation", "--l", "5", "--n", "2", "--trials", "3"])
+    assert code == 1 and [r["pass"] for r in rep["results"]] == [False, False]
 
 
 def test_derivation_matrix_column_sums_with_unit_weights():

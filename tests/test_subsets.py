@@ -53,8 +53,8 @@ def test_splits_enumerates_ordered_partitions():
     got = splits(q, 1)
     assert len(got) == 3
     for p, rest in got:
-        assert p.issubset(q) and rest.issubset(q)
-        assert (p | rest).mask == q.mask and p.isdisjoint(rest)
+        assert p & ~q.mask == 0 and rest & ~q.mask == 0
+        assert p | rest == q.mask and not p & rest and p.bit_count() == 1
 
 
 @given(st.integers(1, 10), st.data())
@@ -62,7 +62,7 @@ def test_splits_matches_combinations(l, data):
     mask = data.draw(st.integers(0, (1 << l) - 1))
     q = Subset(l, mask)
     m = data.draw(st.integers(0, len(q)))
-    got = {p.mask for p, _ in splits(q, m)}
+    got = {p for p, _ in splits(q, m)}
     want = set()
     for combo in combinations(q.elements(), m):
         pm = 0

@@ -4,10 +4,10 @@ import random
 from itertools import combinations, product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from agealgebra.setfuncs import SetFunction, product
-from agealgebra.subsets import Subset
+from agealgebra.subsets import Subset, ksubsets
 from agealgebra.words import (
     EMPTY_WORD,
     HypothesisError,
@@ -16,15 +16,14 @@ from agealgebra.words import (
     LayeredGround,
     Word,
     check_invariance,
-    check_invariance_all,
     code,
     code_blind_function,
+    code_classes,
     code_determined,
     final_segment_ideal_check,
     lead,
     leading_product_check,
     max_shuffle,
-    radix_compare,
     shuffle,
     shuffle_product,
     subwords,
@@ -62,22 +61,19 @@ def test_letters_must_be_nonempty():
 
 
 def test_radix_order_prefers_length_then_alphabet():
-    assert radix_compare(Word([3]), Word([1, 1])) == -1
-    assert radix_compare(Word([1, 2]), Word([1, 2])) == 0
+    assert Word([3]) < Word([1, 1])
+    assert not Word([1, 2]) < Word([1, 2]) and Word([1, 2]) == Word([1, 2])
     # same length: compare letters by cardinality then mask
-    assert radix_compare(Word([2]), Word([1])) == 1
-    assert radix_compare(Word([3]), Word([2])) == 1
+    assert Word([1]) < Word([2])
+    assert Word([2]) < Word([3])
 
 
 @settings(max_examples=80, deadline=None)
 @given(words_2letter, words_2letter, words_2letter)
 def test_radix_total_order(u, v, w):
-    cuv, cvw, cuw = radix_compare(u, v), radix_compare(v, w), radix_compare(u, w)
-    assert radix_compare(v, u) == -cuv
-    if cuv == 0:
-        assert u == v
-    if cuv <= 0 and cvw <= 0:
-        assert cuw <= 0
+    assert (u < v) + (v < u) + (u == v) == 1
+    if not v < u and not w < v:
+        assert not w < u
 
 
 def test_shuffle_places_letters_by_position():
@@ -189,12 +185,27 @@ def test_code_blind_functions_are_code_determined():
         assert code_determined(f, layered)
 
 
+@pytest.mark.parametrize("shape", [(0, 1, 4), (1, 2, 3), (2, 1, 3), (2, 2, 2)])
+def test_code_classes_partition_subsets_by_code(shape):
+    layered = LayeredGround(*shape)
+    for degree in range(layered.flat_size + 2):
+        classes = code_classes(layered, degree)
+        members = [s for cls in classes.values() for s in cls]
+        assert sorted(members) == ksubsets(layered.flat_size, degree)
+        assert all(cls == sorted(cls) for cls in classes.values())
+        firsts = [cls[0] for cls in classes.values()]
+        assert firsts == sorted(firsts)
+        # each class sits under its own code, so two subsets share a class
+        # exactly when their codes agree
+        assert all(code(s, layered) == c for c, cls in classes.items() for s in cls)
+
+
 def test_invariance_of_blind_colorings_and_a_counterexample():
     layered = LayeredGround(1, 2, 4)
     f = code_blind_function(layered, 2, seed=0)
     g = code_blind_function(layered, 1, seed=1)
     h = InvStructure.from_pair(layered, f, g)
-    assert check_invariance_all(h)
+    assert all(check_invariance(h, r) for r in range(layered.chain_size + 1))
 
     # color tied to one chosen column: already unequal at single columns
     single = LayeredGround(0, 1, 3)
@@ -225,6 +236,61 @@ def test_leading_product_equations_on_blind_pairs():
         assert rep.lead_product != LEAD_BOTTOM
         seen_ok += 1
     assert seen_ok == 8
+
+
+def sign_flipped(g, index):
+    """g with the value on its index-th subset (colex) negated, or set to 1."""
+    coeffs = dict(g.coeffs)
+    shapes = ksubsets(g.n, g.degree)
+    s = shapes[index % len(shapes)]
+    coeffs[s] = -coeffs.get(s, -1)
+    return SetFunction(g.n, g.degree, coeffs)
+
+
+def assert_passing_check_implies_invariance(layered, f, g):
+    """Whenever the leading-term check passes, the colored structure is
+    invariant at every chain size, so the check needs no invariance pass."""
+    h = InvStructure.from_pair(layered, f, g)
+    try:
+        passed = leading_product_check(f, g, h).ok
+    except HypothesisError:
+        passed = False
+    if passed:
+        assert all(check_invariance(h, r) for r in range(layered.chain_size + 1))
+    return passed
+
+
+def test_passing_leading_check_implies_invariance_on_criterion_9_corpus():
+    passed = refused = 0
+    for f_size in (0, 1, 2):
+        for v_size in (1, 2):
+            for m, n in ((1, 1), (1, 2), (2, 2)):
+                for chain in (m + n, min(6, m + n + 2)):
+                    if f_size + v_size * chain > 12:
+                        continue
+                    layered = LayeredGround(f_size, v_size, chain)
+                    for seed in range(3):
+                        f = code_blind_function(layered, m, seed=seed, need_pure_column_support=True)
+                        g = code_blind_function(layered, n, seed=seed + 1000)
+                        assert assert_passing_check_implies_invariance(layered, f, g)
+                        passed += 1
+                        flipped = sign_flipped(g, seed)
+                        refused += not assert_passing_check_implies_invariance(layered, f, flipped)
+    assert passed == 102 and refused > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2), st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
+    st.integers(0, 2), st.integers(0, 10**6), st.none() | st.integers(0, 200),
+)
+def test_passing_leading_check_implies_invariance(f_size, v_size, m, n, extra, seed, flip):
+    chain = m + n + extra
+    assume(f_size + v_size * chain <= 10)
+    layered = LayeredGround(f_size, v_size, chain)
+    f = code_blind_function(layered, m, seed=seed, need_pure_column_support=True)
+    g = code_blind_function(layered, n, seed=seed + 1)
+    assert_passing_check_implies_invariance(layered, f, g if flip is None else sign_flipped(g, flip))
 
 
 def test_leading_check_requires_long_chain():
