@@ -4,9 +4,9 @@ Every subcommand re-runs its checks from scratch and reports one line per
 claim.  Exit status is 0 exactly when every claim passes, 1 on an internal
 failure (the failing claim is still reported), 2 on usage errors, which are
 caught before any work; they include `gadget` and `tau1n` inputs whose
-support pairs exceed `MAX_SUPPORT_PAIRS`, and `kantor` and `commutation`
-inputs whose matrix cells exceed `MAX_KANTOR_CELLS` or
-`MAX_COMMUTATION_CELLS`.
+support pairs exceed `MAX_SUPPORT_PAIRS`, and `kantor`, `commutation` and
+`search` inputs whose matrix cells exceed `MAX_KANTOR_CELLS`,
+`MAX_COMMUTATION_CELLS` or `MAX_SEARCH_CELLS`.
 """
 
 from __future__ import annotations
@@ -50,9 +50,14 @@ from .words import (
 # block gadget's 4,096 × 280 support pairs.
 MAX_SUPPORT_PAIRS = 1_146_880
 # Largest matrix cells that `kantor` ranks (`--max-l 10` fills 492,202 in
-# about 2 s) and that `commutation` checks (about 3.5 s at the cap).
+# about 1 s) and that `commutation` checks (`--l 10 --n 4 --trials 17`,
+# 952,560 cells, about 1 s).
 MAX_KANTOR_CELLS = 500_000
 MAX_COMMUTATION_CELLS = 1_000_000
+# Largest cells of the 8 random multiplication matrices `search` solves,
+# plus its embedded gadget's support pairs: `--m 1 --n 3 --l 16` needs
+# 8,153,720 and takes 2-3 s.
+MAX_SEARCH_CELLS = 10_000_000
 
 
 def _jsonable(value):
@@ -303,15 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _gadget_pairs(m: int, n: int) -> int:
+    """|supp f|·|supp g| of the (m,n) block gadget."""
+    return (2 * n) ** m * m * comb(2 * n, n)
+
+
 def _support_pairs(args) -> int:
     """|supp f|·|supp g| of the largest pair `gadget` or `tau1n` builds."""
     if args.command == "gadget":
-        return (2 * args.n) ** args.m * args.m * comb(2 * args.n, args.n)
+        return _gadget_pairs(args.m, args.n)
     return 2 * args.n * 2 ** args.n
 
 
 def _matrix_cells(args) -> int:
-    """Cells of every matrix `kantor` ranks or `commutation` checks."""
+    """Cells of every matrix `kantor` ranks, `commutation` checks or `search`
+    solves; `search` adds its embedded gadget's support pairs when its
+    strategy builds that gadget."""
     if args.command == "kantor":
         return sum(
             comb(ell, n) * comb(ell, n + m)
@@ -320,6 +332,12 @@ def _matrix_cells(args) -> int:
             for m in range(ell - 2 * n + 1)
             if n + m
         )
+    if args.command == "search":
+        m, n, ell = args.m, args.n, args.l
+        cells = 8 * comb(ell, m + n) * comb(ell, n) if args.strategy != "gadget" else 0
+        if args.strategy != "random" and 2 * m * n <= ell:
+            cells += _gadget_pairs(m, n)
+        return cells
     return (args.trials + 1) * comb(args.l, args.n + 1) * comb(args.l, args.n)
 
 
@@ -340,7 +358,11 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"search needs --m >= 1, --n >= 1 and m+n <= l <= {MAX_GROUND}")
     if cmd == "commutation" and not (0 <= args.n < args.l <= MAX_GROUND and args.trials >= 0):
         parser.error(f"commutation needs 0 <= n < l <= {MAX_GROUND} and --trials >= 0")
-    cap = {"kantor": MAX_KANTOR_CELLS, "commutation": MAX_COMMUTATION_CELLS}.get(cmd)
+    cap = {
+        "kantor": MAX_KANTOR_CELLS,
+        "commutation": MAX_COMMUTATION_CELLS,
+        "search": MAX_SEARCH_CELLS,
+    }.get(cmd)
     if cap is not None and (cells := _matrix_cells(args)) > cap:
         parser.error(f"{cmd} would fill {cells:,} matrix cells, above the cap of {cap:,}")
     if cmd == "bound" and min(args.m, args.n) < 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .linalg import RationalMatrix, nullspace_basis, rank
+from .linalg import RationalMatrix, kernel_vector, rank
 from .relational import RelStructure, invariant_basis
 from .setfuncs import SetFunction, mult_matrix, product, singleton_ones
 from .subsets import Subset, ksubsets
@@ -24,11 +24,13 @@ def inclusion_matrix(ground_size: int, n: int, m: int) -> RationalMatrix:
         raise ValueError("sizes must be nonnegative")
     if n + m > ground_size:
         raise ValueError("column subsets exceed the ground set")
-    cols = ksubsets(ground_size, n + m)
-    return RationalMatrix([
-        [1 if b.mask & ~q.mask == 0 else 0 for q in cols]
-        for b in ksubsets(ground_size, n)
-    ])
+    cols = [q.mask for q in ksubsets(ground_size, n + m)]
+    rows = ksubsets(ground_size, n)
+    return RationalMatrix.from_scaled(
+        [[1 if b.mask & q == b.mask else 0 for q in cols] for b in rows],
+        [1] * len(rows),
+        len(cols),
+    )
 
 
 def verify_kantor(ground_size: int, n: int, m: int) -> bool:
@@ -46,31 +48,6 @@ def _set_weights(f: SetFunction, subsets: list[Subset]) -> list[Fraction]:
             w *= points[x]
         out.append(w)
     return out
-
-
-def derivation_matrix(f: SetFunction, n: int) -> RationalMatrix:
-    """Weighted one-step contraction from degree n+1 down to degree n.
-
-    Entry at (B, Q) is f(Q minus B) when B is inside Q: the transpose of
-    multiplication by f from degree n.
-    """
-    if f.degree != 1:
-        raise ValueError("derivation needs a degree-1 weight function")
-    if n < 0 or n + 1 > f.n:
-        raise ValueError("degree out of range for the ground set")
-    return mult_matrix(f, n).matrix.transpose()
-
-
-def scaling_matrix(f: SetFunction, n: int) -> RationalMatrix:
-    """Diagonal rescaling of n-subsets by the product of their point weights."""
-    if f.degree != 1:
-        raise ValueError("scaling needs a degree-1 weight function")
-    if n < 0 or n > f.n:
-        raise ValueError("degree out of range for the ground set")
-    diag = _set_weights(f, ksubsets(f.n, n))
-    return RationalMatrix(
-        [[w if i == j else 0 for j in range(len(diag))] for i, w in enumerate(diag)]
-    )
 
 
 def check_commutation(f: SetFunction, n: int) -> bool:
@@ -108,4 +85,4 @@ def e_regular_on_invariants(structure: RelStructure, n: int) -> bool:
     ones = singleton_ones(ground)
     images = [product(ones, h) for h in basis]
     entries = [[img.value(q) for img in images] for q in ksubsets(ground, n + 1)]
-    return nullspace_basis(RationalMatrix(entries)) == []
+    return kernel_vector(RationalMatrix(entries)) is None

@@ -4,9 +4,14 @@ A matrix stores each row once, as integers scaled by the lcm of that row's
 denominators.  Scaling a row changes neither the rank nor the right kernel,
 so rank and kernel eliminate the stored integer rows directly with
 fraction-free (Bareiss) elimination: intermediate entries stay minors of
-the scaled matrix instead of blowing up as unreduced fractions.  Nullspace
-vectors are back-substituted in integers and re-checked against the
-stored rows, skipping their zero entries.
+the scaled matrix instead of blowing up as unreduced fractions.  The
+rescaling Bareiss applies to every row below a pivot is done lazily: a
+row remembers the pivot it was last brought to and is touched only when
+it has an entry in the pivot column or becomes the pivot row, so sparse
+rows cost little.  Kernel vectors are back-substituted in integers, one
+free column at a time, and re-checked exactly against the stored rows;
+`kernel_vector` does this for the first free column only, where
+`nullspace_basis` does it for all of them.
 """
 
 from __future__ import annotations
@@ -43,6 +48,17 @@ class RationalMatrix:
         self.dens = dens
         self.rows = len(nums)
         self.cols = cols or 0
+
+    @classmethod
+    def from_scaled(cls, nums: list[list[int]], dens: list[int], cols: int) -> "RationalMatrix":
+        """Adopt rows already in stored form: row i is nums[i] / dens[i] with
+        dens[i] the lcm of that row's reduced denominators (1 for a zero row)."""
+        m = cls.__new__(cls)
+        m.nums = nums
+        m.dens = dens
+        m.rows = len(nums)
+        m.cols = cols
+        return m
 
     @property
     def entries(self) -> list[list[Fraction]]:
@@ -83,12 +99,19 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
-    """In-place fraction-free row echelon reduction.
+    """In-place fraction-free row echelon reduction with lazy rescaling.
 
-    Returns the list of pivot columns.  Every entry stays an exact minor of
-    the input, so all the divisions below are exact integer divisions.
+    Returns the list of pivot columns.  Pivots and reduced rows are those
+    of plain Bareiss elimination, which rescales every row below a pivot
+    by pivot/prev; those factors telescope, so a row instead keeps the
+    pivot `scale[i]` its entries were last brought to and is skipped while
+    its entry in the pivot column is zero.  Eliminating a stale row against
+    a current pivot row divides by that scale, and a row that becomes the
+    pivot row is brought up to date first.  Every value computed is an
+    exact minor of the input, so all the divisions are exact.
     """
     piv_cols: list[int] = []
+    scale = [1] * nrows
     r = 0
     prev = 1
     for c in range(ncols):
@@ -103,72 +126,88 @@ def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
             continue
         if pr != r:
             a[pr], a[r] = a[r], a[pr]
+            scale[pr], scale[r] = scale[r], scale[pr]
         arow = a[r]
+        s = scale[r]
+        if s != prev:
+            arow[c:] = [x * prev // s if x else 0 for x in arow[c:]]
         pivot = arow[c]
+        tail = arow[c + 1:]
         for i in range(r + 1, nrows):
             row = a[i]
             t = row[c]
-            if t:
-                for j in range(c + 1, ncols):
-                    row[j] = (pivot * row[j] - t * arow[j]) // prev
-                row[c] = 0
-            elif prev != 1:
-                for j in range(c + 1, ncols):
-                    if row[j]:
-                        row[j] = pivot * row[j] // prev
-            elif pivot != 1:
-                for j in range(c + 1, ncols):
-                    if row[j]:
-                        row[j] = pivot * row[j]
+            if not t:
+                continue
+            s = scale[i]
+            if s == 1:
+                row[c + 1:] = [pivot * x - t * y for x, y in zip(row[c + 1:], tail)]
+            else:
+                row[c + 1:] = [(pivot * x - t * y) // s for x, y in zip(row[c + 1:], tail)]
+            row[c] = 0
+            scale[i] = pivot
         prev = pivot
         piv_cols.append(c)
         r += 1
     return piv_cols
 
 
+def _echelon(m: RationalMatrix) -> tuple[list[list[int]], list[int]]:
+    a = [row[:] for row in m.nums]
+    return a, _bareiss_echelon(a, m.rows, m.cols)
+
+
 def rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals via fraction-free elimination."""
-    return len(_bareiss_echelon([row[:] for row in m.nums], m.rows, m.cols))
+    return len(_echelon(m)[1])
+
+
+def _kernel_vector_at(
+    m: RationalMatrix, a: list[list[int]], piv_cols: list[int], fc: int
+) -> list[Fraction]:
+    """The kernel vector of free column fc from the echelon rows `a`.
+
+    It is back-substituted in integers, re-checked exactly against the
+    stored rows, and normalized so its first nonzero coordinate is 1.
+    """
+    # w is the kernel vector scaled to integers; rescale it whenever a
+    # pivot does not divide the sum it has to cancel.
+    w = [0] * m.cols
+    w[fc] = 1
+    for i in range(len(piv_cols) - 1, -1, -1):
+        pc = piv_cols[i]
+        if pc > fc:
+            continue
+        row = a[i]
+        s = 0
+        for j in range(pc + 1, fc + 1):
+            if row[j] and w[j]:
+                s += row[j] * w[j]
+        p = row[pc]
+        g = gcd(s, p)
+        k = abs(p) // g
+        if k != 1:
+            for j in range(pc + 1, fc + 1):
+                if w[j]:
+                    w[j] *= k
+        w[pc] = -(s // g) if p > 0 else s // g
+    support = [(j, x) for j, x in enumerate(w) if x]
+    for row in m.nums:
+        if sum(row[j] * x for j, x in support):
+            raise AssertionError("kernel vector failed exact re-check")
+    lead = support[0][1]
+    return [Fraction(x, lead) for x in w]
 
 
 def nullspace_basis(m: RationalMatrix) -> list[list[Fraction]]:
-    """Exact basis of the right kernel, one vector per free column.
-
-    Each vector is normalized so its first nonzero coordinate is 1, and is
-    re-checked against the stored integer rows before being returned.
-    """
-    a = [row[:] for row in m.nums]
-    piv_cols = _bareiss_echelon(a, m.rows, m.cols)
+    """Exact basis of the right kernel, one vector per free column, each
+    normalized so its first nonzero coordinate is 1."""
+    a, piv_cols = _echelon(m)
     piv_set = set(piv_cols)
-    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in m.nums]
-    basis = []
-    for fc in range(m.cols):
-        if fc in piv_set:
-            continue
-        # w is the kernel vector scaled to integers; rescale it whenever a
-        # pivot does not divide the sum it has to cancel.
-        w = [0] * m.cols
-        w[fc] = 1
-        for i in range(len(piv_cols) - 1, -1, -1):
-            pc = piv_cols[i]
-            if pc > fc:
-                continue
-            row = a[i]
-            s = 0
-            for j in range(pc + 1, fc + 1):
-                if row[j] and w[j]:
-                    s += row[j] * w[j]
-            p = row[pc]
-            g = gcd(s, p)
-            k = abs(p) // g
-            if k != 1:
-                for j in range(pc + 1, fc + 1):
-                    if w[j]:
-                        w[j] *= k
-            w[pc] = -(s // g) if p > 0 else s // g
-        for row in sparse:
-            if sum(x * w[j] for j, x in row):
-                raise AssertionError("kernel vector failed exact re-check")
-        lead = next(x for x in w if x)
-        basis.append([Fraction(x, lead) for x in w])
-    return basis
+    return [_kernel_vector_at(m, a, piv_cols, fc) for fc in range(m.cols) if fc not in piv_set]
+
+
+def kernel_vector(m: RationalMatrix) -> list[Fraction] | None:
+    """The first vector of `nullspace_basis(m)`, or None if the kernel is trivial."""
+    a, piv_cols = _echelon(m)
+    fc = next((c for c, pc in enumerate(piv_cols) if c != pc), len(piv_cols))
+    return _kernel_vector_at(m, a, piv_cols, fc) if fc < m.cols else None

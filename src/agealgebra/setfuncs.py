@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
-from .linalg import RationalMatrix, nullspace_basis
+from .linalg import RationalMatrix, kernel_vector
 from .subsets import SetFamily, Subset, ksubsets, splits
 
 
@@ -200,27 +201,34 @@ def mult_matrix(f: SetFunction, source_degree: int) -> MultOperator:
         raise ValueError("source degree must be nonnegative")
     if f.degree + source_degree > f.n:
         raise ValueError("target degree exceeds ground set")
-    by_mask = {s.mask: v for s, v in f.coeffs.items()}
-    cols = [b.mask for b in ksubsets(f.n, source_degree)]
-    entries = [
-        [0 if b & ~q.mask else by_mask.get(q.mask ^ b, 0) for b in cols]
-        for q in ksubsets(f.n, f.degree + source_degree)
-    ]
-    return MultOperator(f, source_degree, RationalMatrix(entries))
+    col_of = {b.mask: j for j, b in enumerate(ksubsets(f.n, source_degree))}
+    terms = [(s.mask, v) for s, v in f.coeffs.items()]
+    nums: list[list[int]] = []
+    dens: list[int] = []
+    for q in ksubsets(f.n, f.degree + source_degree):
+        qm = q.mask
+        cells = [(col_of[qm ^ am], v) for am, v in terms if am & qm == am]
+        den = lcm(*(v.denominator for _, v in cells))
+        row = [0] * len(col_of)
+        for j, v in cells:
+            row[j] = v.numerator * (den // v.denominator)
+        nums.append(row)
+        dens.append(den)
+    return MultOperator(f, source_degree, RationalMatrix.from_scaled(nums, dens, len(col_of)))
 
 
 def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
     """A nonzero degree-`degree` g with f * g = 0, or None if none exists.
 
-    Solves the kernel of the multiplication matrix and re-checks the
-    product before returning.
+    Takes one vector of the kernel of the multiplication matrix and
+    re-checks the product before returning.
     """
     if f.is_zero:
         raise ValueError("zero function has every cofactor")
-    basis = nullspace_basis(mult_matrix(f, degree).matrix)
-    if not basis:
+    vec = kernel_vector(mult_matrix(f, degree).matrix)
+    if vec is None:
         return None
-    g = SetFunction(f.n, degree, dict(zip(ksubsets(f.n, degree), basis[0])))
+    g = SetFunction(f.n, degree, dict(zip(ksubsets(f.n, degree), vec)))
     if not product(f, g).is_zero:
         raise AssertionError("kernel vector is not a cofactor")
     return g

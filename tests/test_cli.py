@@ -273,16 +273,23 @@ def test_support_pair_cap_admits_every_small_gadget(monkeypatch):
         (["commutation", "--l", "7", "--n", "3", "--trials", "1000"], "1,226,225", "1,000,000"),
         (["commutation", "--l", "64", "--n", "32"], "68,391,501,654,571,565,209,116,535,399,286,795,904",
          "1,000,000"),
+        (["search", "--m", "1", "--n", "3", "--l", "64"], "211,778,445,432", "10,000,000"),
+        (["search", "--m", "1", "--n", "5", "--l", "13"], "17,670,456", "10,000,000"),
+        (["search", "--m", "1", "--n", "3", "--l", "64", "--strategy", "random"], "211,778,445,312",
+         "10,000,000"),
+        (["search", "--m", "1", "--n", "30", "--l", "64", "--strategy", "gadget"],
+         "7,095,874,893,891,685,440", "10,000,000"),
     ],
 )
 def test_matrix_cell_caps_reject_from_the_estimate(argv, cells, cap, monkeypatch, capsys):
     from agealgebra import cli
 
-    def unreachable(*args):
+    def unreachable(*args, **kwargs):
         raise AssertionError("built a matrix past the cap")
 
     monkeypatch.setattr(cli, "verify_kantor", unreachable)
     monkeypatch.setattr(cli, "check_commutation", unreachable)
+    monkeypatch.setattr(cli, "search_best", unreachable)
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -295,11 +302,12 @@ def test_matrix_cell_caps_reject_from_the_estimate(argv, cells, cap, monkeypatch
 def test_matrix_cell_caps_admit_every_documented_invocation(monkeypatch):
     from agealgebra import cli
 
-    def reached(*args):
+    def reached(*args, **kwargs):
         raise RuntimeError("admitted")
 
     monkeypatch.setattr(cli, "verify_kantor", reached)
     monkeypatch.setattr(cli, "check_commutation", reached)
+    monkeypatch.setattr(cli, "search_best", reached)
     argvs = [
         ["kantor", "--max-l", "10"],
         ["kantor", "--max-l", "9"],
@@ -307,12 +315,21 @@ def test_matrix_cell_caps_admit_every_documented_invocation(monkeypatch):
         ["commutation", "--l", "7", "--n", "3", "--seed", "5"],
         ["commutation", "--l", "10", "--n", "4", "--trials", "17"],
         ["commutation", "--l", "64", "--n", "0", "--trials", "100"],
+        ["search", "--m", "1", "--n", "2", "--l", "6", "--seed", "0", "--strategy", "all"],
+        ["search", "--m", "1", "--n", "3", "--l", "8", "--seed", "5"],
+        ["search", "--m", "1", "--n", "2", "--l", "4", "--seed", "5"],
+        ["search", "--m", "2", "--n", "2", "--l", "8"],
+        ["search", "--m", "2", "--n", "1", "--l", "7"],
+        ["search", "--m", "1", "--n", "3", "--l", "16"],
+        ["search", "--m", "2", "--n", "2", "--l", "40", "--strategy", "gadget"],
     ]
     for argv in argvs:
         code, rep = run(argv)
         assert code == 1 and rep["results"][-1]["computed"] == "RuntimeError: admitted"
     kantor_10 = build_parser().parse_args(["kantor", "--max-l", "10"])
     assert cli._matrix_cells(kantor_10) == 492_202 <= cli.MAX_KANTOR_CELLS
+    search_16 = build_parser().parse_args(["search", "--m", "1", "--n", "3", "--l", "16"])
+    assert cli._matrix_cells(search_16) == 8_153_720 <= cli.MAX_SEARCH_CELLS
 
 
 def test_unknown_flags_exit_two():

@@ -1,6 +1,8 @@
 """Exact rank and nullspace checks against hand-computed matrices, and
 hypothesis cross-checks of the integer-row elimination against a dense
-Fraction Gauss-Jordan reduction kept here as the oracle."""
+Fraction Gauss-Jordan reduction kept here as the oracle.  The lazily
+rescaled Bareiss elimination is checked step for step against the eager
+one, `reference_bareiss`, which rescales every row below each pivot."""
 
 from fractions import Fraction
 import random
@@ -8,7 +10,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agealgebra.linalg import RationalMatrix, matmul, nullspace_basis, rank
+from agealgebra.incidence import inclusion_matrix
+from agealgebra.linalg import (
+    RationalMatrix,
+    _bareiss_echelon,
+    kernel_vector,
+    matmul,
+    nullspace_basis,
+    rank,
+)
 
 
 def M(rows):
@@ -133,6 +143,7 @@ def test_rank_and_nullspace_match_dense_oracle(rows):
     want_rank, want_basis = dense_rank_and_nullspace(rows)
     assert rank(m) == want_rank
     assert nullspace_basis(m) == want_basis
+    assert kernel_vector(m) == (want_basis or [None])[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,3 +168,80 @@ def test_ragged_rows_rejected():
         RationalMatrix([[1, Fraction(1, 2)], [3]])
     with pytest.raises(ValueError):
         RationalMatrix([[Fraction(1, 3)], [1, 2]])
+
+
+def reference_bareiss(a, nrows, ncols):
+    """Oracle: eager fraction-free elimination.  Every row below the pivot
+    is brought to the new pivot at each step, whether or not its entry in
+    the pivot column is zero."""
+    piv_cols = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if a[i][c]), -1)
+        if pr < 0:
+            continue
+        a[pr], a[r] = a[r], a[pr]
+        arow = a[r]
+        pivot = arow[c]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            t = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (pivot * row[j] - t * arow[j]) // prev
+            row[c] = 0
+        prev = pivot
+        piv_cols.append(c)
+        r += 1
+    return piv_cols
+
+
+def assert_same_echelon(rows, ncols):
+    eager, lazy = [row[:] for row in rows], [row[:] for row in rows]
+    assert _bareiss_echelon(lazy, len(rows), ncols) == reference_bareiss(eager, len(rows), ncols)
+    assert lazy == eager
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer matrices of mixed density, from 1xn and nx1 up to 9x9, with
+    zeroed rows and columns and rows that combine two others."""
+    r, c = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    zeros = draw(st.sampled_from((0, 4, 12, 40)))
+    cell = st.sampled_from([0] * zeros + [x for x in range(-6, 7) if x])
+    rows = [draw(st.lists(cell, min_size=c, max_size=c)) for _ in range(r)]
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=r // 3)):
+        rows[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=c // 3)):
+        for row in rows:
+            row[j] = 0
+    for i in range(r):
+        if r > 2 and draw(st.booleans()):
+            j, k = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            t = draw(st.integers(-2, 2))
+            rows[i] = [x + t * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows())
+def test_lazy_bareiss_matches_eager_reference(rows):
+    assert_same_echelon(rows, len(rows[0]))
+    m = RationalMatrix(rows)
+    assert kernel_vector(m) == (nullspace_basis(m) or [None])[0]
+
+
+def test_lazy_bareiss_matches_eager_reference_on_inclusion_matrices():
+    for l in range(1, 9):
+        for n in range(l + 1):
+            for m in range(l - n + 1):
+                inc = inclusion_matrix(l, n, m)
+                assert_same_echelon(inc.nums, inc.cols)
+
+
+def test_kernel_vector_hand_cases():
+    assert kernel_vector(M([[1, 0], [0, 1]])) is None
+    assert kernel_vector(M([[1, 2, 3], [2, 4, 6]])) == [1, Fraction(-1, 2), 0]
+    assert kernel_vector(M([[0, 1]])) == [1, 0]

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from agealgebra.linalg import RationalMatrix, nullspace_basis
 from agealgebra.setfuncs import (
     DegreeMismatchError,
     SetFunction,
@@ -174,6 +175,58 @@ def test_mult_matrix_agrees_with_product():
     op = mult_matrix(f, 1)
     image = op.matrix.apply([g.value(b) for b in ksubsets(4, 1)])
     assert SetFunction(4, 2, dict(zip(ksubsets(4, 2), image))) == product(f, g)
+
+
+def dense_mult_matrix(f, d):
+    """Oracle: every cell f(Q minus B) of the dense rows, stored by the
+    general constructor."""
+    by_mask = {s.mask: v for s, v in f.coeffs.items()}
+    cols = [b.mask for b in ksubsets(f.n, d)]
+    return RationalMatrix([
+        [0 if b & ~q.mask else by_mask.get(q.mask ^ b, 0) for b in cols]
+        for q in ksubsets(f.n, f.degree + d)
+    ])
+
+
+@st.composite
+def fractional_sf_and_source_degree(draw):
+    l = draw(st.integers(1, 7))
+    deg = draw(st.integers(0, min(3, l)))
+    d = draw(st.integers(0, l - deg))
+    shapes = ksubsets(l, deg)
+    chosen = draw(st.sets(st.sampled_from(shapes), min_size=1, max_size=min(6, len(shapes))))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return SetFunction(l, deg, {s: draw(values) for s in chosen}), d
+
+
+@settings(max_examples=120, deadline=None)
+@given(fractional_sf_and_source_degree())
+def test_mult_matrix_matches_dense_oracle(case):
+    f, d = case
+    got, want = mult_matrix(f, d).matrix, dense_mult_matrix(f, d)
+    assert (got.rows, got.cols, got.nums, got.dens) == (want.rows, want.cols, want.nums, want.dens)
+    assert got == want
+
+
+def test_mult_matrix_keeps_rows_without_support():
+    f = sf(5, 1, {(0,): Fraction(1, 2), (1,): Fraction(-2, 3)})
+    got = mult_matrix(f, 2).matrix
+    want = dense_mult_matrix(f, 2)
+    assert got.nums == want.nums and got.dens == want.dens
+    zero_rows = [i for i, row in enumerate(got.nums) if not any(row)]
+    assert zero_rows and all(got.dens[i] == 1 for i in zero_rows)
+    assert 6 in got.dens
+
+
+@settings(max_examples=100, deadline=None)
+@given(fractional_sf_and_source_degree())
+def test_cofactor_is_the_first_basis_vector(case):
+    f, d = case
+    if f.is_zero:
+        return
+    basis = nullspace_basis(mult_matrix(f, d).matrix)
+    want = SetFunction(f.n, d, dict(zip(ksubsets(f.n, d), basis[0]))) if basis else None
+    assert cofactor(f, d) == want
 
 
 def test_mult_matrix_of_unit_is_identity():
