@@ -101,14 +101,12 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
     """In-place fraction-free row echelon reduction with lazy rescaling.
 
-    Returns the list of pivot columns.  Pivots and reduced rows are those
-    of plain Bareiss elimination, which rescales every row below a pivot
-    by pivot/prev; those factors telescope, so a row instead keeps the
-    pivot `scale[i]` its entries were last brought to and is skipped while
-    its entry in the pivot column is zero.  Eliminating a stale row against
-    a current pivot row divides by that scale, and a row that becomes the
-    pivot row is brought up to date first.  Every value computed is an
-    exact minor of the input, so all the divisions are exact.
+    Returns the list of pivot columns; pivots and reduced rows are those of
+    eager Bareiss elimination.  Its pivot/prev rescalings telescope, so row
+    i keeps the pivot `scale[i]` it was last brought to.  Eliminating it
+    divides by that scale instead of prev, and a pivot row is brought up to
+    date first.  Every value computed is an exact minor of the input, so
+    all the divisions are exact.
     """
     piv_cols: list[int] = []
     scale = [1] * nrows
@@ -130,7 +128,7 @@ def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
         arow = a[r]
         s = scale[r]
         if s != prev:
-            arow[c:] = [x * prev // s if x else 0 for x in arow[c:]]
+            arow[c:] = [x * prev // s for x in arow[c:]]
         pivot = arow[c]
         tail = arow[c + 1:]
         for i in range(r + 1, nrows):
@@ -139,10 +137,7 @@ def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
             if not t:
                 continue
             s = scale[i]
-            if s == 1:
-                row[c + 1:] = [pivot * x - t * y for x, y in zip(row[c + 1:], tail)]
-            else:
-                row[c + 1:] = [(pivot * x - t * y) // s for x, y in zip(row[c + 1:], tail)]
+            row[c + 1:] = [(pivot * x - t * y) // s for x, y in zip(row[c + 1:], tail)]
             row[c] = 0
             scale[i] = pivot
         prev = pivot
