@@ -9,8 +9,7 @@ the multiplication operator.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 
 from .linalg import RationalMatrix, kernel_vector, rank
 from .relational import RelStructure, invariant_basis
@@ -38,16 +37,13 @@ def verify_kantor(ground_size: int, n: int, m: int) -> bool:
     return rank(inclusion_matrix(ground_size, n, m)) == comb(ground_size, n)
 
 
-def _set_weights(f: SetFunction, subsets: list[Subset]) -> list[Fraction]:
-    """Per subset, the product of the point weights f({x}) over its members."""
+def _set_weights(f: SetFunction, subsets: list[Subset]) -> tuple[list[int], int]:
+    """The lcm D of the point weights' denominators and, per subset S, the
+    integer D**|S| times the product of the point weights f({x}) over S."""
     points = [f.value(Subset(f.n, 1 << x)) for x in range(f.n)]
-    out = []
-    for s in subsets:
-        w = Fraction(1)
-        for x in s.elements():
-            w *= points[x]
-        out.append(w)
-    return out
+    d = lcm(*(p.denominator for p in points))
+    nums = [p.numerator * (d // p.denominator) for p in points]
+    return [prod(nums[x] for x in s.elements()) for s in subsets], d
 
 
 def check_commutation(f: SetFunction, n: int) -> bool:
@@ -56,7 +52,10 @@ def check_commutation(f: SetFunction, n: int) -> bool:
 
     With w the product of the point weights, the identity is checked entry
     by entry on the stored rows of M = mult_matrix(f, n): w(B) * M[Q][B]
-    must be w(Q) when B is inside Q and 0 otherwise.
+    must be w(Q) when B is inside Q and 0 otherwise.  Both sides are
+    compared as integers: with W = D**|S| w from `_set_weights` and the
+    row M[Q] = nums / den, the test is W(B) * x * D = W(Q) * den, since
+    |Q| = |B| + 1.
     """
     if f.degree != 1:
         raise ValueError("commutation check needs a degree-1 weight function")
@@ -64,12 +63,12 @@ def check_commutation(f: SetFunction, n: int) -> bool:
         raise ValueError("degree out of range for the ground set")
     m = mult_matrix(f, n).matrix
     rows, cols = ksubsets(f.n, n + 1), ksubsets(f.n, n)
-    weights = _set_weights(f, rows + cols)
-    pairs = list(zip((b.mask for b in cols), weights[len(rows):]))
+    weights, d = _set_weights(f, rows + cols)
+    pairs = [(b.mask, wb * d) for b, wb in zip(cols, weights[len(rows):])]
     for q, wq, nums, den in zip(rows, weights, m.nums, m.dens):
         outside, target = ~q.mask, wq * den
-        for (b, wb), x in zip(pairs, nums):
-            if (x if b & outside else wb * x != target):
+        for (b, wbd), x in zip(pairs, nums):
+            if (x if b & outside else wbd * x != target):
                 return False
     return True
 

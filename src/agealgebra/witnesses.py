@@ -13,7 +13,9 @@ Constructions:
 Verification recomputes the product by the defining split sums on unions
 of disjoint support members (not by the constructors' support convolution)
 and runs the exact transversal solver on the union of supports, so a
-certificate never depends on the code path that built the witness.
+certificate never depends on the code path that built the witness.  A
+certificate holds the pair and its minimum transversal; callers compare
+its size with their own expected value.
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ class WitnessPair:
 class WitnessCertificate:
     pair: WitnessPair
     transversal: TransversalResult
-    formula_expected: int | None
-    match: bool
 
 
 def pair_index(half: int, column: int) -> int:
@@ -180,8 +180,9 @@ def two_squares() -> WitnessPair:
     return WitnessPair(SetFunction(ground, 2, f_coeffs), SetFunction(ground, 2, g_coeffs))
 
 
-def verify(pair: WitnessPair, formula_expected: int | None = None) -> WitnessCertificate:
-    """Re-check a pair from scratch and measure its transversality.
+def verify(pair: WitnessPair) -> WitnessCertificate:
+    """Re-check a pair from scratch and return it with a minimum
+    transversal of the union of its supports.
 
     The product is recomputed by the defining split sums on the candidate
     sets A ∪ B (disjoint A in supp f, B in supp g), the only sets where it
@@ -195,10 +196,7 @@ def verify(pair: WitnessPair, formula_expected: int | None = None) -> WitnessCer
     if not prod.is_zero:
         offender = min(prod.coeffs, key=lambda s: s.mask)
         raise NotAZeroDivisorPairError(offender, prod.coeffs[offender])
-    support = f.support().union(g.support())
-    result = tau(support)
-    match = formula_expected is None or result.size == formula_expected
-    return WitnessCertificate(pair, result, formula_expected, match)
+    return WitnessCertificate(pair, tau(f.support().union(g.support())))
 
 
 def certificate_to_dict(cert: WitnessCertificate) -> dict:
@@ -207,8 +205,6 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
         "g": set_function_to_dict(cert.pair.g),
         "tau": cert.transversal.size,
         "tau_witness": list(cert.transversal.witness.elements()),
-        "formula_expected": cert.formula_expected,
-        "match": cert.match,
     }
 
 
@@ -329,7 +325,7 @@ def search_best(
         pair = gadget_lower(m, n)
         f = _embed(pair.f, ground_size, 0)
         g = _embed(pair.g, ground_size, 0)
-        candidates.append(verify(WitnessPair(f, g), lower_bound_formula(m, n)))
+        candidates.append(verify(WitnessPair(f, g)))
     if strategy in ("random", "all"):
         rng = random.Random(seed)
         shapes = ksubsets(ground_size, m)

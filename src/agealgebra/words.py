@@ -6,7 +6,9 @@ read along the chain.  The radix order on words (length first, then
 letterwise) combined with a cardinality-descending order on F-parts turns
 codes into the leading-term device: the lead of a product of two suitably
 invariant functions is the max shuffle of their leads, and in particular
-the product cannot vanish.
+the product cannot vanish.  `leading_product_check(f, g, layered)` and
+`check_invariance(layered, f, g, r)` read the sign colors of the pair from
+f and g themselves; the lead of the zero function is None.
 """
 
 from __future__ import annotations
@@ -120,30 +122,6 @@ def subwords(w: Word) -> set[Word]:
     return out
 
 
-class _LeadBottom:
-    """Explicit bottom element below every coded set."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "-inf"
-
-    def __lt__(self, other) -> bool:
-        return not isinstance(other, _LeadBottom)
-
-    def __gt__(self, other) -> bool:
-        return False
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _LeadBottom)
-
-    def __hash__(self) -> int:
-        return hash("_LeadBottom")
-
-
-LEAD_BOTTOM = _LeadBottom()
-
-
 class CodedSet:
     """F-part plus column word; the code w(Q) of a subset Q.
 
@@ -163,8 +141,6 @@ class CodedSet:
         return ((-self.f_mask.bit_count(), self.f_mask), self.word.sort_key())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _LeadBottom):
-            return False
         if not isinstance(other, CodedSet):
             return NotImplemented
         return self.f_mask == other.f_mask and self.word == other.word
@@ -172,15 +148,8 @@ class CodedSet:
     def __hash__(self) -> int:
         return hash((self.f_mask, self.word))
 
-    def __lt__(self, other) -> bool:
-        if isinstance(other, _LeadBottom):
-            return False
+    def __lt__(self, other: "CodedSet") -> bool:
         return self.sort_key() < other.sort_key()
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, _LeadBottom):
-            return True
-        return self.sort_key() > other.sort_key()
 
     def __repr__(self) -> str:
         return f"CodedSet(F={_bits(self.f_mask)}, {self.word!r})"
@@ -213,19 +182,6 @@ class LayeredGround:
     def column_letter(self, q_mask: int, c: int) -> int:
         return q_mask >> (self.f_size + c * self.v_size) & ((1 << self.v_size) - 1)
 
-    def subset(self, f_part: Iterable[int] = (), columns: Mapping[int, int] | None = None) -> Subset:
-        """Build a flat subset from F-indices and a column -> letter map."""
-        mask = 0
-        for i in f_part:
-            if not 0 <= i < self.f_size:
-                raise ValueError("F-index out of range")
-            mask |= 1 << i
-        for c, letter in (columns or {}).items():
-            if letter >> self.v_size:
-                raise ValueError("letter leaves V")
-            mask |= letter << (self.f_size + c * self.v_size)
-        return Subset(self.flat_size, mask)
-
 
 def code(q: Subset, layered: LayeredGround) -> CodedSet:
     """F-part and column-trace word of a flat subset, empty columns skipped."""
@@ -240,64 +196,23 @@ def code(q: Subset, layered: LayeredGround) -> CodedSet:
     return CodedSet(f_mask, Word(letters))
 
 
-def lead(f: SetFunction, layered: LayeredGround):
-    """Largest code in the support; the explicit bottom for the zero map."""
-    if f.is_zero:
-        return LEAD_BOTTOM
-    best = None
-    for s in f.coeffs:
-        c = code(s, layered)
-        if best is None or best < c:
-            best = c
-    return best
+def lead(f: SetFunction, layered: LayeredGround) -> CodedSet | None:
+    """Largest code in the support; None for the zero function."""
+    return max((code(s, layered) for s in f.coeffs), key=CodedSet.sort_key, default=None)
 
 
-class InvStructure:
-    """The layered ground set colored by the signs of two set functions."""
-
-    __slots__ = ("layered", "m", "n", "f_colors", "g_colors")
-
-    def __init__(
-        self,
-        layered: LayeredGround,
-        m: int,
-        n: int,
-        f_colors: Mapping[int, int],
-        g_colors: Mapping[int, int],
-    ):
-        for colors, deg in ((f_colors, m), (g_colors, n)):
-            for mask, sign in colors.items():
-                if mask.bit_count() != deg:
-                    raise ValueError("colored mask has the wrong cardinality")
-                if sign not in (-1, 1):
-                    raise ValueError("colors are the two sign blocks")
-        self.layered = layered
-        self.m = m
-        self.n = n
-        self.f_colors = dict(f_colors)
-        self.g_colors = dict(g_colors)
-
-    @classmethod
-    def from_pair(cls, layered: LayeredGround, f: SetFunction, g: SetFunction) -> "InvStructure":
-        if f.n != layered.flat_size or g.n != layered.flat_size:
-            raise ValueError("functions are not over this layered ground")
-        return cls(
-            layered,
-            f.degree,
-            g.degree,
-            {s.mask: block_of(v) for s, v in f.coeffs.items()},
-            {s.mask: block_of(v) for s, v in g.coeffs.items()},
-        )
-
-
-def _columns_equivalent(h: InvStructure, x: tuple[int, ...], x0: tuple[int, ...]) -> bool:
-    L = h.layered
-    mapping = {i: i for i in range(L.f_size)}
+def _columns_equivalent(
+    layered: LayeredGround,
+    colorings: list[tuple[int, dict[int, int]]],
+    x: tuple[int, ...],
+    x0: tuple[int, ...],
+) -> bool:
+    mapping = {i: i for i in range(layered.f_size)}
     for c, c0 in zip(x, x0):
-        for v in range(L.v_size):
-            mapping[L.flat_of(v, c)] = L.flat_of(v, c0)
+        for v in range(layered.v_size):
+            mapping[layered.flat_of(v, c)] = layered.flat_of(v, c0)
     dom = sorted(mapping)
-    for deg, colors in ((h.m, h.f_colors), (h.n, h.g_colors)):
+    for deg, colors in colorings:
         for combo in combinations(dom, deg):
             mask = 0
             img = 0
@@ -309,14 +224,16 @@ def _columns_equivalent(h: InvStructure, x: tuple[int, ...], x0: tuple[int, ...]
     return True
 
 
-def check_invariance(h: InvStructure, r: int) -> bool:
+def check_invariance(layered: LayeredGround, f: SetFunction, g: SetFunction, r: int) -> bool:
     """True iff all r-subsets of the chain look alike through the induced
-    order-isomorphism maps (colors of both functions preserved)."""
-    if not 0 <= r <= h.layered.chain_size:
+    order-isomorphism maps, which must keep the signs of both f and g."""
+    if f.n != layered.flat_size or g.n != layered.flat_size:
+        raise ValueError("functions are not over this layered ground")
+    if not 0 <= r <= layered.chain_size:
         raise ValueError("r exceeds the chain")
-    cols = list(combinations(range(h.layered.chain_size), r))
-    x0 = cols[0]
-    return all(_columns_equivalent(h, x, x0) for x in cols[1:])
+    colorings = [(h.degree, {s.mask: block_of(v) for s, v in h.coeffs.items()}) for h in (f, g)]
+    cols = list(combinations(range(layered.chain_size), r))
+    return all(_columns_equivalent(layered, colorings, x, cols[0]) for x in cols[1:])
 
 
 def code_classes(layered: LayeredGround, degree: int) -> dict[CodedSet, list[Subset]]:
@@ -350,7 +267,7 @@ class LeadingReport:
     q0: Subset
     lead_f: CodedSet
     lead_g: CodedSet
-    lead_product: object
+    lead_product: CodedSet | None
     support_pair_count: int
     splitter_count: int
     checks: dict[str, bool]
@@ -360,58 +277,47 @@ class LeadingReport:
         return all(self.checks.values())
 
 
-def leading_product_check(f: SetFunction, g: SetFunction, h: InvStructure) -> LeadingReport:
+def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround) -> LeadingReport:
     """Verify the leading-term equations on a concrete invariant pair.
 
     Hypotheses checked up front (each failure raises HypothesisError):
-    both functions are determined by codes and match the structure's
-    colors, the chain is at least as long as the total degree, and f has
-    support clear of F.  Together these make the structure invariant at
-    every chain size: mapping r columns onto r others in order keeps each
-    subset's F-part and column word, hence its code, hence its colors.
+    both functions are determined by codes, the chain is at least as long
+    as the total degree, and f has support clear of F.  Together these
+    make the signs of f and g invariant at every chain size: mapping r
+    columns onto r others in order keeps each subset's F-part and column
+    word, hence its code, hence its values.
     """
-    L = h.layered
-    if f.n != L.flat_size or g.n != L.flat_size:
-        raise ValueError("functions are not over the structure's ground")
+    if f.n != layered.flat_size or g.n != layered.flat_size:
+        raise ValueError("functions are not over this layered ground")
     if f.is_zero or g.is_zero:
         raise ValueError("functions must be nonzero")
-    if L.chain_size < f.degree + g.degree:
+    if layered.chain_size < f.degree + g.degree:
         raise HypothesisError("chain_at_least_total_degree")
-    if not code_determined(f, L):
+    if not code_determined(f, layered):
         raise HypothesisError("f_code_determined")
-    if not code_determined(g, L):
+    if not code_determined(g, layered):
         raise HypothesisError("g_code_determined")
-    if {s.mask: block_of(v) for s, v in f.coeffs.items()} != h.f_colors:
-        raise HypothesisError("structure_colors_match_f")
-    if {s.mask: block_of(v) for s, v in g.coeffs.items()} != h.g_colors:
-        raise HypothesisError("structure_colors_match_g")
-    f_all = (1 << L.f_size) - 1
+    f_all = (1 << layered.f_size) - 1
     if not any(s.mask & f_all == 0 for s in f.coeffs):
         raise HypothesisError("f_support_meets_pure_columns")
 
     pairs = [(a, b) for a in f.coeffs for b in g.coeffs if a.isdisjoint(b)]
     checks: dict[str, bool] = {"support_pairs_nonempty": bool(pairs)}
-    lead_f = lead(f, L)
-    lead_g = lead(g, L)
+    lead_f = lead(f, layered)
+    lead_g = lead(g, layered)
     if not pairs:
-        return LeadingReport(Subset(L.flat_size, 0), lead_f, lead_g, LEAD_BOTTOM, 0, 0, checks)
+        return LeadingReport(Subset(layered.flat_size, 0), lead_f, lead_g, None, 0, 0, checks)
 
-    q0 = None
-    best = None
-    for a, b in pairs:
-        u = a | b
-        cu = code(u, L)
-        if best is None or best < cu:
-            best = cu
-            q0 = u
+    q0 = max((a | b for a, b in pairs), key=lambda u: code(u, layered).sort_key())
+    best = code(q0, layered)
     splitters = sorted(
         ((a, b) for a, b in pairs if (a.mask | b.mask) == q0.mask),
         key=lambda ab: (ab[0].mask, ab[1].mask),
     )
     a0, b0 = splitters[0]
-    checks["lead_f_avoids_f_part"] = code(a0, L).f_mask == 0
+    checks["lead_f_avoids_f_part"] = code(a0, layered).f_mask == 0
     checks["splitter_codes_are_leads"] = all(
-        code(a, L) == lead_f and code(b, L) == lead_g for a, b in splitters
+        code(a, layered) == lead_f and code(b, layered) == lead_g for a, b in splitters
     )
     checks["splitter_values_constant"] = all(
         (f.value(a), g.value(b)) == (f.value(a0), g.value(b0)) for a, b in splitters
@@ -419,9 +325,10 @@ def leading_product_check(f: SetFunction, g: SetFunction, h: InvStructure) -> Le
     prod = product(f, g)
     expected_q0 = len(splitters) * f.value(a0) * g.value(b0)
     checks["value_at_q0_is_count_times_leads"] = prod.value(q0) == expected_q0
-    lead_prod = lead(prod, L)
+    lead_prod = lead(prod, layered)
     checks["product_lead_is_best_pair_code"] = lead_prod == best
-    shuffled = CodedSet(q0.mask & f_all, max_shuffle(code(a0, L).word, code(b0, L).word))
+    top = max_shuffle(code(a0, layered).word, code(b0, layered).word)
+    shuffled = CodedSet(q0.mask & f_all, top)
     checks["product_lead_is_max_shuffle_of_leads"] = lead_prod == shuffled
     checks["product_nonzero_at_q0"] = prod.value(q0) != 0
     checks["product_nonzero"] = not prod.is_zero
@@ -460,10 +367,8 @@ class WordFunction:
             out[w] = out.get(w, Fraction(0)) + v
         return WordFunction(out)
 
-    def lead_word(self):
-        if not self.coeffs:
-            return LEAD_BOTTOM
-        return max(self.coeffs, key=Word.sort_key)
+    def lead_word(self) -> Word | None:
+        return max(self.coeffs, key=Word.sort_key, default=None)
 
     def __repr__(self) -> str:
         return f"WordFunction({len(self.coeffs)} terms)"

@@ -33,10 +33,9 @@ def test_tau1n_reports_doubling_values():
 def test_two_squares_lists_all_co_singletons():
     code, rep = run(["two-squares"])
     assert code == 0
-    listed = [r for r in rep["results"] if "form a minimal transversal" in r["claim"]]
-    assert len(listed) == 8
-    count = [r for r in rep["results"] if "number of minimal" in r["claim"]]
-    assert count and count[0]["computed"] == 8
+    count = [r for r in rep["results"] if r["claim"].startswith("number of minimal co-singleton")]
+    assert len(count) == 1 and count[0]["expected"] == count[0]["computed"] == 8
+    assert count[0]["pass"]
 
 
 def test_bound_matches_printed_expression():
@@ -62,6 +61,43 @@ def test_words_demo_passes():
     # the demo is also the default behavior
     code2, rep2 = run(["words"])
     assert code2 == 0 and claims(rep2) == claims(rep)
+
+
+def test_words_demo_claims_are_pinned():
+    code, rep = run(["words", "--demo", "--seed", "0"])
+    assert code == 0
+    leading = [
+        "support_pairs_nonempty",
+        "lead_f_avoids_f_part",
+        "splitter_codes_are_leads",
+        "splitter_values_constant",
+        "value_at_q0_is_count_times_leads",
+        "product_lead_is_best_pair_code",
+        "product_lead_is_max_shuffle_of_leads",
+        "product_nonzero_at_q0",
+        "product_nonzero",
+    ]
+    assert [(r["claim"], r["pass"]) for r in rep["results"]] == [
+        ("radix order puts longer words above", True),
+        ("largest interleaving of (2,1)-letter and (2)-letter words", True),
+        ("square of a one-letter indicator", True),
+        ("lead of the zero function is the bottom marker", True),
+    ] + [(f"leading-term property: {name}", True) for name in leading]
+
+
+def test_search_gadget_claim_is_independent_of_the_search(monkeypatch):
+    from agealgebra import cli
+    from agealgebra.witnesses import gadget_tau1n, verify
+
+    code, rep = run(["search", "--m", "2", "--n", "2", "--l", "8", "--strategy", "gadget"])
+    gadget = [r for r in rep["results"] if "block gadget's" in r["claim"]]
+    assert code == 0 and len(gadget) == 1 and gadget[0]["pass"]
+    _, rep = run(["search", "--m", "2", "--n", "2", "--l", "8", "--strategy", "random"])
+    assert not any("block gadget's" in c for c in claims(rep))
+    # a best certificate below (m+1)(n+1)-2 = 7 fails the claim
+    monkeypatch.setattr(cli, "search_best", lambda *a, **k: verify(gadget_tau1n(2)))
+    code, rep = run(["search", "--m", "2", "--n", "2", "--l", "8", "--strategy", "gadget"])
+    assert code == 1 and [r["pass"] for r in rep["results"]] == [True, True, False]
 
 
 def test_commutation_sweep_passes():

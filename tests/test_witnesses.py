@@ -50,9 +50,8 @@ def test_pair_index_layout():
 def test_half_split_gadget_small_values():
     for n in (1, 2, 3, 4):
         pair = gadget_tau1n(n)
-        cert = verify(pair, formula_expected=2 * n)
-        assert cert.match, n
-        assert cert.transversal.size == 2 * n
+        cert = verify(pair)
+        assert cert.transversal.size == 2 * n, n
 
 
 def test_half_split_signs_alternate_by_low_picks():
@@ -123,8 +122,8 @@ def test_full_support_mate_lies_in_the_kernel_basis_span():
 def test_block_gadget_formula_small():
     for m, n in ((1, 1), (1, 2), (2, 2)):
         pair = gadget_lower(m, n)
-        cert = verify(pair, formula_expected=lower_bound_formula(m, n))
-        assert cert.match, (m, n)
+        cert = verify(pair)
+        assert cert.transversal.size == lower_bound_formula(m, n), (m, n)
 
 
 def test_lower_bound_formula_values():
@@ -139,7 +138,7 @@ def test_two_squares_certificate():
     prod = product_by_splits(pair.f, pair.g)
     assert prod.is_zero
     assert len(ksubsets(8, 4)) == 70
-    cert = verify(pair, formula_expected=7)
+    cert = verify(pair)
     assert cert.transversal.size == 7
     fam = SetFamily(8, set(pair.f.support()) | set(pair.g.support()))
     for x in range(8):
@@ -197,7 +196,7 @@ def test_gadget_lower_matches_the_filter_construction():
 def test_certificate_json_is_canonical():
     import json
 
-    cert = verify(gadget_tau1n(2), formula_expected=4)
+    cert = verify(gadget_tau1n(2))
     blob = dumps_canonical(certificate_to_dict(cert))
     assert json.dumps(json.loads(blob), sort_keys=True, separators=(",", ":")) == blob
 

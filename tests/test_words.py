@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 from agealgebra.setfuncs import SetFunction, product
 from agealgebra.subsets import Subset, ksubsets
 from agealgebra.words import (
+    CodedSet,
     EMPTY_WORD,
     HypothesisError,
-    InvStructure,
-    LEAD_BOTTOM,
     LayeredGround,
     Word,
+    WordFunction,
     check_invariance,
     code,
     code_blind_function,
@@ -149,25 +149,25 @@ def test_subwords_of_two_letter_word():
 
 def test_code_splits_fixed_part_from_column_traces():
     layered = LayeredGround(2, 2, 3)
-    q = layered.subset([0], {0: 0b01, 2: 0b11})
+    points = [0, layered.flat_of(0, 0), layered.flat_of(0, 2), layered.flat_of(1, 2)]
+    q = Subset.from_indices(layered.flat_size, points)
     c = code(q, layered)
     assert c.f_mask == 0b01
     assert list(c.word) == [0b01, 0b11]
 
 
 def test_code_order_puts_larger_fixed_parts_first():
-    from agealgebra.words import CodedSet
-
     a = CodedSet(0b11, Word([1]))
     b = CodedSet(0b01, Word([1]))
     c = CodedSet(0b00, Word([1]))
     assert a < b < c
-    assert LEAD_BOTTOM < a and not (a < LEAD_BOTTOM)
+    assert max([b, c, a]) == c and min([b, c, a]) == a
 
 
 def test_lead_of_zero_function_is_bottom():
     layered = LayeredGround(1, 1, 3)
-    assert lead(SetFunction(layered.flat_size, 1, {}), layered) == LEAD_BOTTOM
+    assert lead(SetFunction(layered.flat_size, 1, {}), layered) is None
+    assert WordFunction().lead_word() is None
 
 
 def test_flat_layout_is_column_major():
@@ -204,13 +204,26 @@ def test_invariance_of_blind_colorings_and_a_counterexample():
     layered = LayeredGround(1, 2, 4)
     f = code_blind_function(layered, 2, seed=0)
     g = code_blind_function(layered, 1, seed=1)
-    h = InvStructure.from_pair(layered, f, g)
-    assert all(check_invariance(h, r) for r in range(layered.chain_size + 1))
+    assert all(check_invariance(layered, f, g, r) for r in range(layered.chain_size + 1))
 
     # color tied to one chosen column: already unequal at single columns
     single = LayeredGround(0, 1, 3)
-    skew = InvStructure(single, 1, 1, {0b001: 1}, {})
-    assert not check_invariance(skew, 1)
+    skew = SetFunction(3, 1, {Subset(3, 0b001): 1})
+    assert not check_invariance(single, skew, SetFunction(3, 1, {}), 1)
+
+
+def test_check_invariance_rejects_other_grounds_and_long_r():
+    layered = LayeredGround(1, 2, 3)
+    f = code_blind_function(layered, 1, seed=0)
+    g = code_blind_function(layered, 2, seed=1)
+    other = SetFunction(layered.flat_size + 1, 1, {Subset(layered.flat_size + 1, 1): 1})
+    for a, b in ((other, g), (f, other)):
+        with pytest.raises(ValueError, match="not over this layered ground"):
+            check_invariance(layered, a, b, 1)
+    for r in (-1, layered.chain_size + 1):
+        with pytest.raises(ValueError, match="r exceeds the chain"):
+            check_invariance(layered, f, g, r)
+    assert check_invariance(layered, f, g, layered.chain_size)
 
 
 def test_invariance_is_hereditary_downward():
@@ -218,8 +231,7 @@ def test_invariance_is_hereditary_downward():
     for seed in range(4):
         f = code_blind_function(layered, 2, seed=seed)
         g = code_blind_function(layered, 2, seed=seed + 50)
-        h = InvStructure.from_pair(layered, f, g)
-        flags = [check_invariance(h, r) for r in range(layered.chain_size + 1)]
+        flags = [check_invariance(layered, f, g, r) for r in range(layered.chain_size + 1)]
         for r, flag in enumerate(flags):
             if flag:
                 assert all(flags[: r + 1])
@@ -231,9 +243,9 @@ def test_leading_product_equations_on_blind_pairs():
     for seed in range(8):
         f = code_blind_function(layered, 2, seed=seed, need_pure_column_support=True)
         g = code_blind_function(layered, 2, seed=seed + 31)
-        rep = leading_product_check(f, g, InvStructure.from_pair(layered, f, g))
+        rep = leading_product_check(f, g, layered)
         assert rep.ok, rep.checks
-        assert rep.lead_product != LEAD_BOTTOM
+        assert rep.lead_product is not None
         seen_ok += 1
     assert seen_ok == 8
 
@@ -250,13 +262,12 @@ def sign_flipped(g, index):
 def assert_passing_check_implies_invariance(layered, f, g):
     """Whenever the leading-term check passes, the colored structure is
     invariant at every chain size, so the check needs no invariance pass."""
-    h = InvStructure.from_pair(layered, f, g)
     try:
-        passed = leading_product_check(f, g, h).ok
+        passed = leading_product_check(f, g, layered).ok
     except HypothesisError:
         passed = False
     if passed:
-        assert all(check_invariance(h, r) for r in range(layered.chain_size + 1))
+        assert all(check_invariance(layered, f, g, r) for r in range(layered.chain_size + 1))
     return passed
 
 
@@ -298,7 +309,7 @@ def test_leading_check_requires_long_chain():
     f = code_blind_function(layered, 2, seed=1, need_pure_column_support=True)
     g = code_blind_function(layered, 2, seed=2)
     with pytest.raises(HypothesisError) as exc:
-        leading_product_check(f, g, InvStructure.from_pair(layered, f, g))
+        leading_product_check(f, g, layered)
     assert exc.value.hypothesis == "chain_at_least_total_degree"
 
 
@@ -313,9 +324,8 @@ def test_leading_check_requires_code_constancy():
         pytest.skip("empty support cannot be broken")
     broken[some] = broken[some] + 1
     g2 = SetFunction(layered.flat_size, 2, broken)
-    h = InvStructure.from_pair(layered, f, g2)
     with pytest.raises(HypothesisError):
-        leading_product_check(f, g2, h)
+        leading_product_check(f, g2, layered)
 
 
 def test_shuffle_product_matches_hand_expansion():
@@ -338,8 +348,6 @@ def test_shuffle_product_lead_is_max_shuffle_of_leads():
             Word(rng.choice(letters) for _ in range(rng.randint(0, 4))): rng.choice((-2, -1, 1, 2))
             for _ in range(rng.randint(1, 3))
         }
-        from agealgebra.words import WordFunction
-
         f, g = WordFunction(terms_f), WordFunction(terms_g)
         prod = shuffle_product(f, g)
         assert not prod.is_zero
