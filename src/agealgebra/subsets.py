@@ -116,16 +116,23 @@ def ksubsets(ground_size: int, k: int) -> list[Subset]:
     return out
 
 
-def splits(q: Subset, m: int) -> list[tuple[int, int]]:
-    """All ordered splits of q into (P, q minus P) with |P| = m, as masks.
+def splits(qmask: int, m: int) -> list[tuple[int, int]]:
+    """All ordered splits of the set with mask qmask into (P, Q minus P)
+    with |P| = m, as masks.
 
-    Returns all C(|q|, m) pairs; the second mask is the exact complement
-    of the first inside q.
+    Returns all C(|Q|, m) pairs; the second mask is the exact complement
+    of the first inside Q.
     """
-    if m < 0 or m > len(q):
+    if qmask < 0:
+        raise ValueError(f"mask {qmask} is negative")
+    bits = []
+    rest = qmask
+    while rest:
+        low = rest & -rest
+        bits.append(low)
+        rest ^= low
+    if m < 0 or m > len(bits):
         return []
-    qmask = q.mask
-    bits = [1 << i for i in q.elements()]
     return [(p, qmask ^ p) for p in map(sum, combinations(bits, m))]
 
 

@@ -19,7 +19,6 @@ from agealgebra.relational import (
 )
 from agealgebra.setfuncs import (
     SetFunction,
-    check_partition_property,
     mult_matrix,
     product_by_splits,
     singleton_ones,
@@ -43,6 +42,8 @@ from agealgebra.words import (
     shuffle,
     shuffle_product,
 )
+
+from test_setfuncs import check_partition_property
 
 
 def report(num: int, label: str, ok: bool, elapsed: float) -> None:

@@ -174,6 +174,36 @@ def test_zero_product_claims_are_computed(argv, monkeypatch):
     assert not any("internal failure" in c for c in claims(rep))
 
 
+def test_failing_pair_names_its_colex_first_nonzero_set(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from agealgebra import cli
+    from agealgebra.setfuncs import SetFunction, product
+    from agealgebra.subsets import Subset
+    from agealgebra.witnesses import NotAZeroDivisorPairError, WitnessPair, verify
+
+    def sf(terms):
+        return SetFunction(4, 1, {Subset.from_indices(4, [i]): v for i, v in terms.items()})
+
+    # {0, 1} cancels (1/3 * 3/14 - 2/7 * 1/4 = 0); {0, 2} is first nonzero
+    f = sf({0: Fraction(1, 3), 1: Fraction(-2, 7)})
+    g = sf({0: Fraction(1, 4), 1: Fraction(3, 14), 2: Fraction(5, 6)})
+    pair = WitnessPair(f, g)
+    with pytest.raises(NotAZeroDivisorPairError) as exc:
+        verify(pair)
+    offender, value = exc.value.offending, exc.value.value
+    assert offender == Subset.from_indices(4, [0, 2])
+    assert type(value) is Fraction and (value.numerator, value.denominator) == (5, 18)
+    assert value == product(f, g).value(offender)
+
+    monkeypatch.setattr(cli, "gadget_lower", lambda m, n: pair)
+    assert main(["gadget", "--m", "1", "--n", "1", "--json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    failed = [r for r in rep["results"] if not r["pass"]]
+    assert [r["claim"] for r in failed] == ["block gadget (1,1) multiplies to zero"]
+    assert failed[0]["computed"] == {"set": [0, 2], "value": {"num": "5", "den": "18"}}
+
+
 def test_gadget_multiplies_the_pair_once(monkeypatch):
     from agealgebra import cli, witnesses
 

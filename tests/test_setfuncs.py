@@ -7,7 +7,9 @@ of every (m+n)-subset below is its oracle.
 """
 
 import json
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,6 @@ from agealgebra.setfuncs import (
     DegreeMismatchError,
     SetFunction,
     block_of,
-    check_partition_property,
     cofactor,
     dumps_canonical,
     mult_matrix,
@@ -36,7 +37,7 @@ def full_product_by_splits(f, g):
     out = {}
     for q in ksubsets(f.n, f.degree + g.degree):
         total = Fraction(0)
-        for p, rest in splits(q, f.degree):
+        for p, rest in splits(q.mask, f.degree):
             fp = f.coeffs.get(Subset(f.n, p))
             if fp is None:
                 continue
@@ -133,6 +134,36 @@ def test_candidate_split_sum_matches_full_enumeration(data):
     f = data.draw(st.sampled_from((random_sf, sparse_sf)))(data.draw, l, dm)
     g = data.draw(st.sampled_from((random_sf, sparse_sf)))(data.draw, l, dn)
     assert same_function(product_by_splits(f, g), full_product_by_splits(f, g))
+
+
+# Primes just below 10**6, so any coefficients drawn with distinct ones
+# have pairwise coprime denominators and the lcms grow to their product.
+LARGE_PRIMES = [
+    p for p in range(999_000, 1_000_000) if all(p % d for d in range(2, isqrt(p) + 1))
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_split_sum_exact_over_coprime_denominators(data):
+    l = data.draw(st.integers(1, 7))
+    dm = data.draw(st.integers(0, min(3, l)))
+    dn = data.draw(st.integers(0, min(3, l)))
+    primes = st.lists(st.sampled_from(LARGE_PRIMES), min_size=12, max_size=12, unique=True)
+    dens = iter(data.draw(primes))
+    numerators = st.integers(-10**6, 10**6).filter(bool)
+
+    def coprime_sf(deg):
+        chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
+        return SetFunction(l, deg, {s: Fraction(data.draw(numerators), next(dens)) for s in chosen})
+
+    f, g = coprime_sf(dm), coprime_sf(dn)
+    got = product_by_splits(f, g)
+    assert same_function(got, full_product_by_splits(f, g))
+    assert got == product(f, g)
+    scalars = st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**6)
+    c, d = data.draw(scalars), data.draw(scalars)
+    assert product_by_splits(c * f, d * g) == c * d * got
 
 
 def test_candidate_split_sum_edge_cases():
@@ -261,6 +292,34 @@ def test_block_of_signs():
     assert block_of(Fraction(-1, 9)) == -1
     with pytest.raises(ValueError):
         block_of(Fraction(0))
+
+
+def check_partition_property(max_len: int, trials: int, seed: int) -> dict:
+    """Randomized check that same-block dot products never vanish."""
+    if max_len < 1 or trials < 1:
+        raise ValueError("need at least one term and one trial")
+    rng = random.Random(seed)
+
+    def draw(sign: int, k: int) -> list[Fraction]:
+        return [
+            Fraction(sign * rng.randint(1, 99), rng.randint(1, 9)) for _ in range(k)
+        ]
+
+    failures = []
+    for t in range(trials):
+        k = rng.randint(1, max_len)
+        alphas = draw(rng.choice((1, -1)), k)
+        betas = draw(rng.choice((1, -1)), k)
+        dot = sum(a * b for a, b in zip(alphas, betas))
+        if dot == 0:
+            failures.append({"trial": t, "alphas": alphas, "betas": betas})
+    return {
+        "trials": trials,
+        "max_len": max_len,
+        "seed": seed,
+        "failures": failures,
+        "all_nonzero": not failures,
+    }
 
 
 def test_same_block_dot_products_stay_nonzero():

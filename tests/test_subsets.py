@@ -50,11 +50,13 @@ def test_set_operations_respect_ground():
 
 def test_splits_enumerates_ordered_partitions():
     q = Subset.from_indices(5, [0, 2, 4])
-    got = splits(q, 1)
+    got = splits(q.mask, 1)
     assert len(got) == 3
     for p, rest in got:
         assert p & ~q.mask == 0 and rest & ~q.mask == 0
         assert p | rest == q.mask and not p & rest and p.bit_count() == 1
+    with pytest.raises(ValueError):
+        splits(-1, 0)
 
 
 @given(st.integers(1, 10), st.data())
@@ -62,7 +64,7 @@ def test_splits_matches_combinations(l, data):
     mask = data.draw(st.integers(0, (1 << l) - 1))
     q = Subset(l, mask)
     m = data.draw(st.integers(0, len(q)))
-    got = {p for p, _ in splits(q, m)}
+    got = {p for p, _ in splits(mask, m)}
     want = set()
     for combo in combinations(q.elements(), m):
         pm = 0
