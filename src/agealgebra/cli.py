@@ -6,7 +6,8 @@ failure (the failing claim is still reported), 2 on usage errors, which are
 caught before any work; they include `gadget` and `tau1n` inputs whose
 support pairs exceed `MAX_SUPPORT_PAIRS`, and `kantor`, `commutation` and
 `search` inputs whose matrix cells exceed `MAX_KANTOR_CELLS`,
-`MAX_COMMUTATION_CELLS` or `MAX_SEARCH_CELLS`.
+`MAX_COMMUTATION_CELLS` or `MAX_SEARCH_CELLS`, and `bound` degrees above
+`MAX_GROUND`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .witnesses import (
     gadget_tau1n,
     lower_bound_formula,
     search_best,
-    tau_upper_expr,
+    tau_upper_bound,
     two_squares,
     verify,
 )
@@ -159,14 +160,13 @@ def _cmd_search(args, results: list) -> None:
 
 
 def _cmd_bound(args, results: list) -> None:
-    expr = tau_upper_expr(args.m, args.n)
-    rendered = expr.render()
+    rendered, exact = tau_upper_bound(args.m, args.n)
     _claim(results, f"upper bound for tau({args.m},{args.n})", rendered, rendered)
     lo, hi = min(args.m, args.n), max(args.m, args.n)
     if lo == 0:
-        _claim(results, "exact value (degree zero case)", 0, expr.exact_value)
+        _claim(results, "exact value (degree zero case)", 0, exact)
     elif lo == 1:
-        _claim(results, "exact value (linear case)", 2 * hi, expr.exact_value)
+        _claim(results, "exact value (linear case)", 2 * hi, exact)
 
 
 def _cmd_profile(args, results: list) -> None:
@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
 
     p = sub.add_parser("words", parents=[common], help="shuffle, lead, and invariance demonstration")
-    p.add_argument("--demo", action="store_true", help="run the worked property demonstration")
+    p.add_argument("--demo", action="store_true",
+                   help="accepted for compatibility; the demonstration always runs")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("commutation", parents=[common], help="derivation/scaling commutation sweep")
@@ -361,8 +362,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     }.get(cmd)
     if cap is not None and (cells := _matrix_cells(args)) > cap:
         parser.error(f"{cmd} would fill {cells:,} matrix cells, above the cap of {cap:,}")
-    if cmd == "bound" and min(args.m, args.n) < 0:
-        parser.error("bound needs --m >= 0 and --n >= 0")
+    if cmd == "bound" and not (0 <= min(args.m, args.n) and max(args.m, args.n) <= MAX_GROUND):
+        parser.error(f"bound needs 0 <= m, n <= {MAX_GROUND}")
     if cmd == "profile":
         if args.max_n is not None and args.max_n < 0:
             parser.error("profile needs --max-n >= 0")

@@ -96,15 +96,7 @@ class SetFunction:
             out[s] = out.get(s, Fraction(0)) + v
         return SetFunction(self.n, self.degree, out)
 
-    def __sub__(self, other: "SetFunction") -> "SetFunction":
-        return self + (-1) * other
-
-    def __neg__(self) -> "SetFunction":
-        return (-1) * self
-
     def __mul__(self, other):
-        if isinstance(other, SetFunction):
-            return product(self, other)
         scalar = Fraction(other)
         return SetFunction(self.n, self.degree, {s: scalar * v for s, v in self.coeffs.items()})
 

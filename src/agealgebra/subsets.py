@@ -63,9 +63,6 @@ class Subset:
     def __lt__(self, other: "Subset") -> bool:
         return self.mask < other.mask
 
-    def __le__(self, other: "Subset") -> bool:
-        return self.mask <= other.mask
-
     def _merge_ground(self, other: "Subset") -> int:
         if self.n != other.n:
             raise ValueError("ground-set mismatch between subsets")

@@ -21,7 +21,7 @@ its size with their own expected value.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, gcd
@@ -208,101 +208,40 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
     }
 
 
-# Symbolic upper bounds.  The recurrence produces integer combinations of
+# Symbolic upper bound.  The recurrence gives an integer combination of
 # Ramsey numbers for colorings of r-tuples with 5**s colors; the numbers
-# are never evaluated, only carried symbolically.
+# are never evaluated, only rendered.
 
-@dataclass(frozen=True)
-class RamseySymbol:
-    arity: int
-    colors_exponent: int
-    target: int
-
-    def render(self) -> str:
-        return f"R^{self.arity}_{{5^{self.colors_exponent}}}({self.target})"
-
-
-@dataclass
-class LinearBound:
-    """Integer constant plus integer combination of Ramsey symbols."""
-
-    constant: int = 0
-    terms: dict[RamseySymbol, int] = field(default_factory=dict)
-
-    def add_term(self, sym: RamseySymbol, coeff: int) -> None:
-        if coeff:
-            self.terms[sym] = self.terms.get(sym, 0) + coeff
-            if not self.terms[sym]:
-                del self.terms[sym]
-
-    def add(self, other: "LinearBound") -> None:
-        self.constant += other.constant
-        for sym, c in other.terms.items():
-            self.add_term(sym, c)
-
-    def render(self) -> str:
-        if not self.terms:
-            return str(self.constant)
-        coeffs = [abs(c) for c in self.terms.values()]
-        if self.constant:
-            coeffs.append(abs(self.constant))
-        g = gcd(*coeffs)
-        parts_count = len(self.terms) + (1 if self.constant else 0)
-        if g > 1 and parts_count > 1:
-            inner = LinearBound(self.constant // g, {s: c // g for s, c in self.terms.items()})
-            return f"{g}*({inner.render()})"
-        chunks = []
-        for sym, c in self.terms.items():
-            body = sym.render() if c == 1 else f"{c}*{sym.render()}"
-            chunks.append(body if not chunks else f"+ {body}")
-        if self.constant:
-            chunks.append(f"+ {self.constant}")
-        return " ".join(chunks)
+def _render(constant: int, terms: list[tuple[int, str]]) -> str:
+    g = gcd(constant, *(c for c, _ in terms))
+    if g > 1 and len(terms) + bool(constant) > 1:
+        return f"{g}*({_render(constant // g, [(c // g, sym) for c, sym in terms])})"
+    chunks = [sym if c == 1 else f"{c}*{sym}" for c, sym in terms]
+    if constant:
+        chunks.append(str(constant))
+    return " + ".join(chunks)
 
 
-@dataclass(frozen=True)
-class BoundExpression:
-    """Symbolic upper bound for the transversality of degree-(m, n) pairs.
+def tau_upper_bound(m: int, n: int) -> tuple[str, int | None]:
+    """Rendered upper bound for tau(m, n), and its exact value when min(m, n) <= 1.
 
-    `exact_value` is filled for min(m, n) <= 1, where the bound collapses
-    to a known integer.
+    Unrolls tau(k, hi) <= hi - k + k*R^hi_{5^s}(hi+k) + tau(k-1, hi), with
+    s = C(k*hi+hi, k) + C(k*hi+hi, hi), for k = min(m, n) down to 2 and
+    ends at the exact tail tau(1, hi) = 2*hi.  At min(m, n) = 1 it renders
+    the k = 1 step itself.
     """
-
-    m: int
-    n: int
-    expression: LinearBound
-    exact_value: int | None
-
-    def render(self) -> str:
-        return self.expression.render()
-
-
-def _ramsey_for(m: int, n: int) -> RamseySymbol:
-    r = max(m, n)
-    s = comb(m * r + n, m) + comb(m * r + n, n)
-    return RamseySymbol(r, s, n + m)
-
-
-def _phi(m: int, n: int) -> LinearBound:
-    """n + m*(nu(n+m) - 1) + tau(m-1, n), with the known exact tails."""
-    out = LinearBound(n - m)
-    out.add_term(_ramsey_for(m, n), m)
-    if m - 1 >= 2:
-        out.add(_phi(m - 1, n))
-    elif m - 1 == 1:
-        out.constant += 2 * n
-    return out
-
-
-def tau_upper_expr(m: int, n: int) -> BoundExpression:
     if m < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
-    lo, hi = (m, n) if m <= n else (n, m)
+    lo, hi = min(m, n), max(m, n)
     if lo == 0:
-        return BoundExpression(m, n, LinearBound(0), 0)
-    if lo == 1:
-        return BoundExpression(m, n, _phi(1, hi), 2 * hi)
-    return BoundExpression(m, n, _phi(lo, hi), None)
+        return "0", 0
+    constant = 2 * hi if lo >= 2 else 0
+    terms = []
+    for k in range(lo, min(lo, 2) - 1, -1):
+        s = comb(k * hi + hi, k) + comb(k * hi + hi, hi)
+        constant += hi - k
+        terms.append((k, f"R^{hi}_{{5^{s}}}({hi + k})"))
+    return _render(constant, terms), (2 * hi if lo == 1 else None)
 
 
 # Search over candidate pairs for a given ground set.

@@ -268,8 +268,6 @@ class LeadingReport:
     lead_f: CodedSet
     lead_g: CodedSet
     lead_product: CodedSet | None
-    support_pair_count: int
-    splitter_count: int
     checks: dict[str, bool]
 
     @property
@@ -306,7 +304,7 @@ def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround
     lead_f = lead(f, layered)
     lead_g = lead(g, layered)
     if not pairs:
-        return LeadingReport(Subset(layered.flat_size, 0), lead_f, lead_g, None, 0, 0, checks)
+        return LeadingReport(Subset(layered.flat_size, 0), lead_f, lead_g, None, checks)
 
     q0 = max((a | b for a, b in pairs), key=lambda u: code(u, layered).sort_key())
     best = code(q0, layered)
@@ -332,7 +330,7 @@ def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround
     checks["product_lead_is_max_shuffle_of_leads"] = lead_prod == shuffled
     checks["product_nonzero_at_q0"] = prod.value(q0) != 0
     checks["product_nonzero"] = not prod.is_zero
-    return LeadingReport(q0, lead_f, lead_g, lead_prod, len(pairs), len(splitters), checks)
+    return LeadingReport(q0, lead_f, lead_g, lead_prod, checks)
 
 
 class WordFunction:

@@ -49,6 +49,12 @@ def test_bound_exact_linear_case():
     assert exact and exact[0]["computed"] == 6
 
 
+def test_bound_at_the_degree_cap_runs():
+    code, rep = run(["bound", "--m", "64", "--n", "64"])
+    assert code == 0
+    assert rep["results"][0]["computed"].startswith("64*R^64_{5^")
+
+
 def test_kantor_sweep_passes():
     code, rep = run(["kantor", "--max-l", "6"])
     assert code == 0 and rep["results"]
@@ -249,6 +255,9 @@ USAGE_ERRORS = {
     "commutation degree fills ground": ["commutation", "--l", "5", "--n", "5"],
     "commutation negative trials": ["commutation", "--l", "5", "--n", "2", "--trials", "-3"],
     "bound negative degree": ["bound", "--m", "-1", "--n", "2"],
+    "bound degree over 64": ["bound", "--m", "1", "--n", "20000"],
+    "bound degrees over 64": ["bound", "--m", "1000", "--n", "1000"],
+    "bound degree 65": ["bound", "--m", "65", "--n", "0"],
     "tau1n no degrees": ["tau1n", "--n", "0"],
     "kantor no grounds": ["kantor", "--max-l", "0"],
     "kantor ground over 64": ["kantor", "--max-l", "70"],

@@ -20,9 +20,7 @@ from agealgebra.setfuncs import (
 )
 from agealgebra.subsets import SetFamily, Subset, ksubsets
 from agealgebra.witnesses import (
-    BoundExpression,
     NotAZeroDivisorPairError,
-    RamseySymbol,
     WitnessPair,
     certificate_to_dict,
     disjoint_family_check,
@@ -34,7 +32,7 @@ from agealgebra.witnesses import (
     max_disjoint_packing,
     pair_index,
     search_best,
-    tau_upper_expr,
+    tau_upper_bound,
     two_squares,
     verify,
 )
@@ -216,31 +214,29 @@ def test_search_random_strategy_finds_pairs_on_odd_grounds():
 
 
 def test_bound_expressions_frozen():
-    assert tau_upper_expr(0, 9).render() == "0"
-    assert tau_upper_expr(1, 1).render() == "R^1_{5^4}(2)"
-    assert tau_upper_expr(1, 2).render() == "R^2_{5^10}(3) + 1"
-    assert tau_upper_expr(2, 2).render() == "2*(R^2_{5^30}(4) + 2)"
-    assert tau_upper_expr(3, 3).render() == "3*R^3_{5^440}(6) + 2*R^3_{5^120}(5) + 7"
+    assert tau_upper_bound(0, 9) == ("0", 0)
+    assert tau_upper_bound(1, 0) == ("0", 0)
+    assert tau_upper_bound(1, 1)[0] == "R^1_{5^4}(2)"
+    assert tau_upper_bound(1, 2)[0] == "R^2_{5^10}(3) + 1"
+    assert tau_upper_bound(1, 7) == ("R^7_{5^3446}(8) + 6", 14)
+    assert tau_upper_bound(2, 2)[0] == "2*(R^2_{5^30}(4) + 2)"
+    assert tau_upper_bound(3, 3)[0] == "3*R^3_{5^440}(6) + 2*R^3_{5^120}(5) + 7"
+    assert tau_upper_bound(4, 4)[0] == (
+        "4*R^4_{5^9690}(8) + 3*R^4_{5^2380}(7) + 2*R^4_{5^561}(6) + 11"
+    )
+    assert tau_upper_bound(2, 5)[0] == tau_upper_bound(5, 2)[0] == "2*R^5_{5^3108}(7) + 13"
+    assert tau_upper_bound(6, 3)[0] == "3*R^6_{5^136620}(9) + 2*R^6_{5^18717}(8) + 19"
 
 
 def test_bound_exact_values_when_known():
-    assert tau_upper_expr(0, 5).exact_value == 0
-    assert tau_upper_expr(1, 4).exact_value == 8
-    assert tau_upper_expr(4, 1).exact_value == 8  # symmetric in the degrees
-    assert tau_upper_expr(2, 3).exact_value is None
+    assert tau_upper_bound(0, 5)[1] == 0
+    assert tau_upper_bound(1, 4)[1] == 8
+    assert tau_upper_bound(4, 1)[1] == 8  # symmetric in the degrees
+    assert tau_upper_bound(2, 3)[1] is None
 
 
 def test_bound_symmetry_via_swap():
-    assert tau_upper_expr(3, 2).render() == tau_upper_expr(2, 3).render()
-
-
-def test_bound_records_both_recurrence_spellings():
-    expr = tau_upper_expr(2, 2)
-    assert isinstance(expr, BoundExpression)
-
-
-def test_ramsey_symbol_render():
-    assert RamseySymbol(2, 30, 4).render() == "R^2_{5^30}(4)"
+    assert tau_upper_bound(3, 2) == tau_upper_bound(2, 3)
 
 
 def test_max_disjoint_packing_hand_cases():
