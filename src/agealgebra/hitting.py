@@ -1,18 +1,23 @@
 """Exact minimum transversals (hitting sets) of finite set families.
 
-Branch and bound over bitsets.  The minimal members are indexed by size,
-then colex; occ[e] is the int of the indices of the members that contain
-element e.  The uncovered members are one int, and choosing e leaves
+Branch and bound over bitsets.  The distinct members are sorted once, by
+size then colex, and occ[e], the int of the indices of the members that
+contain element e, comes from one bit transpose of all of them.  The AND of
+occ[e] over the elements of a member is every member containing it, so the
+members that contain another are dropped column by column, leaving the
+minimal ones.  The uncovered members are one int, and choosing e leaves
 `uncovered & ~occ[e]`.  Each member's count of allowed (unbanned) elements
-is kept bit-sliced: plane k holds bit k of every count, and banning e
-subtracts occ[e] with a borrow ripple, so the members with no, exactly one
-and fewest allowed elements are each a few ANDs over the planes.  A node
+is kept in unary: below[k] holds the members with fewer than k, and banning
+e moves the members of occ[e] down one count, so the members with no,
+exactly one and fewest allowed elements are each an AND or two.  A node
 branches on an uncovered member with the fewest allowed elements, ties
 going to the smallest mask (the lowest index of each size group, then the
 smallest of those), and prunes with a greedy incumbent from above and a
-disjoint-subfamily packing bound from below.  Determinism: members are
-scanned in index order and elements in increasing index order, so the
-reported witness never depends on hash order.
+disjoint-subfamily packing bound from below.  The packing looks up the
+members that a member's allowed part misses in a table keyed by that part,
+which lives for one `tau` call.  Determinism: members are scanned in index
+order and elements in increasing index order, so the reported witness
+never depends on hash order.
 
 Symmetry (orbital branching, Ostrowski, Linderoth, Rossi & Smriglio, Math.
 Prog. 2011): elements x and y are twins when the transposition (x y) maps
@@ -29,6 +34,7 @@ the same size that takes x, which the branch of x already explored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, groupby
 
 from .subsets import SetFamily, Subset
 
@@ -73,52 +79,88 @@ def _elements(mask: int):
         mask ^= low
 
 
-def _minimal_members(masks: list[int]) -> list[int]:
-    """Drop any member that contains another; hitting the rest hits it too.
+def _columns(masks: list[int], n: int) -> list[int]:
+    """occ[e] for each e < n: the int of the indices of the members holding e.
 
-    Members come out by size, then colex.  Each is tested only against the
-    kept members of strictly smaller size: distinct sets of one size never
-    nest.
+    One bit transpose.  Packed w bits apiece into one int, the members print
+    as a single binary string in which member i's bit e is the character at
+    (len(masks) - 1 - i) * w + w - 1 - e, so the stride-w slice from w - 1 - e
+    spells occ[e] from its top bit down.
     """
-    masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    smaller: list[int] = []
-    size = -1
-    for m in masks:
-        if m.bit_count() != size:
-            size, smaller = m.bit_count(), kept[:]
-        if not any(k & m == k for k in smaller):
-            kept.append(m)
-    return kept
+    w = -(-n // 8)
+    packed = int.from_bytes(b"".join([m.to_bytes(w, "little") for m in masks]), "little")
+    digits = format(packed, f"0{len(masks) * w * 8}b")
+    w *= 8
+    return [int(digits[w - 1 - e :: w], 2) for e in range(n)]
 
 
-def _twin_classes(masks: list[int], ground_size: int) -> list[int]:
+def _minimal(masks: list[int], n: int) -> tuple[list[int], list[int]]:
+    """The minimal members, by size then colex, and their occ columns.
+
+    The members holding every element of member j are the AND of occ[e] over
+    e in j; all of them but j itself are proper supersets and are dropped.
+    Only members below the top size can have one: distinct sets of one size
+    never nest.
+    """
+    masks = sorted(set(masks))
+    masks.sort(key=int.bit_count)
+    occ = _columns(masks, n)
+    top = masks[-1].bit_count() if masks else 0
+    everyone = (1 << len(masks)) - 1
+    dropped = 0
+    for j, m in enumerate(masks):
+        if m.bit_count() == top:
+            break
+        supersets = everyone ^ 1 << j
+        for e in _elements(m):
+            supersets &= occ[e]
+        dropped |= supersets
+    if not dropped:
+        return masks, occ
+    masks = [m for j, m in enumerate(masks) if not dropped >> j & 1]
+    return masks, _columns(masks, n)
+
+
+def _minimal_members(masks: list[int]) -> list[int]:
+    """Drop any member that contains another; hitting the rest hits it too."""
+    return _minimal(masks, max(masks, default=0).bit_length())[0]
+
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _twins(masks: list[int], occ: list[int]) -> list[int]:
     """Mask of each element's twin class (see the module docstring).
 
     Twins lie in the same number of members, so each element is compared
-    only with one representative per class of its degree.
+    only with one representative per class of its degree, a popcount.  For
+    such a pair (x, r) the swap fixes the family when every member holding x
+    but not r, found from occ, lands on a member.
     """
-    containing: list[list[int]] = [[] for _ in range(ground_size)]
-    for m in masks:
-        for e in _elements(m):
-            containing[e].append(m)
-    rep = list(range(ground_size))
-    class_mask = [0] * ground_size
+    members = set(masks)
+    rep = list(range(len(occ)))
+    class_mask = [0] * len(occ)
     reps_by_degree: dict[int, list[int]] = {}
-    for x in range(ground_size):
+    for x, column in enumerate(occ):
         bx = 1 << x
-        same_degree = reps_by_degree.setdefault(len(containing[x]), [])
+        same_degree = reps_by_degree.setdefault(column.bit_count(), [])
         for r in same_degree:
-            br = 1 << r
-            if {m ^ bx for m in containing[x] if not m & br} == {
-                m ^ br for m in containing[r] if not m & bx
-            }:
+            swap = bx | 1 << r
+            # One byte per member index, 1 for the members holding x but not r.
+            flags = format(column & ~occ[r], f"0{len(masks)}b")[::-1].encode()
+            moved = compress(masks, flags.translate(_DIGIT_VALUES))
+            if members.issuperset(map(swap.__xor__, moved)):
                 rep[x] = r
                 break
         else:
             same_degree.append(x)
         class_mask[rep[x]] |= bx
     return [class_mask[r] for r in rep]
+
+
+def _twin_classes(masks: list[int], ground_size: int) -> list[int]:
+    """Twin class masks of the minimal members `masks` on ground_size points."""
+    return _twins(masks, _columns(masks, ground_size))
 
 
 def _greedy_transversal(occ: list[int], full: int) -> int:
@@ -147,36 +189,49 @@ def tau(family: SetFamily) -> TransversalResult:
     """
     n = family.n
     raw = family.masks()
-    if any(m == 0 for m in raw):
+    if 0 in raw:
         raise NoTransversalError("no transversal exists: family contains the empty set")
     if not raw:
         return TransversalResult(0, Subset(n, 0), 0, 0, 0)
-    masks = _minimal_members(raw)
-    twins = _twin_classes(masks, n)
-    elems = [tuple(_elements(m)) for m in masks]
-    occ = [0] * n
-    size_groups: dict[int, int] = {}
-    # planes[k] holds bit k of every member's count of allowed elements.
-    planes = [0] * len(elems[-1]).bit_length()
-    for i, es in enumerate(elems):
-        for e in es:
-            occ[e] |= 1 << i
-        size_groups[len(es)] = size_groups.get(len(es), 0) | 1 << i
-        for k in range(len(planes)):
-            planes[k] |= (len(es) >> k & 1) << i
+    masks, occ = _minimal(raw, n)
+    twins = _twins(masks, occ)
     full = (1 << len(masks)) - 1
+    # The size groups are runs of indices.  below[k] holds the members with
+    # fewer than k allowed elements, at first those of size below k: the
+    # indices before the first group of size k or more.
+    groups = []
+    below = [0]
+    start = 0
+    for size, run in groupby(map(int.bit_count, masks)):
+        stop = start + len(list(run))
+        groups.append((1 << stop) - (1 << start))
+        below += [(1 << start) - 1] * (size + 1 - len(below))
+        start = stop
+    below.append(full)
+    levels = range(1, len(below) - 1)
+    uniform = len(groups) == 1
+    # Keyed by a member's allowed part: the members it does not meet.
+    missed: dict[int, int] = {}
 
     def packing(uncovered: int, banned: int, limit: int) -> int:
         """Size, capped at limit, of a greedy family of members with pairwise
         disjoint allowed parts, taken in index order: each needs one more
         element of any transversal."""
+        allowed = ~banned
         count = 0
         while uncovered and count < limit:
-            i = (uncovered & -uncovered).bit_length() - 1
+            part = masks[(uncovered & -uncovered).bit_length() - 1] & allowed
+            disjoint = missed.get(part)
+            if disjoint is None:
+                disjoint = -1
+                rest = part
+                while rest:
+                    low = rest & -rest
+                    disjoint &= ~occ[low.bit_length() - 1]
+                    rest ^= low
+                missed[part] = disjoint
+            uncovered &= disjoint
             count += 1
-            for e in elems[i]:
-                if not banned >> e & 1:
-                    uncovered &= ~occ[e]
         return count
 
     greedy = _greedy_transversal(occ, full)
@@ -186,66 +241,70 @@ def tau(family: SetFamily) -> TransversalResult:
     best_mask = greedy
     nodes = 0
 
-    def search(uncovered: int, planes: list[int], chosen: int, banned: int, nchosen: int) -> None:
+    def search(uncovered: int, below: list[int], chosen: int, banned: int, nchosen: int) -> None:
         nonlocal best_size, best_mask, nodes
         nodes += 1
-        high = 0
-        for p in planes[1:]:
-            high |= p
         while True:
             if not uncovered:
                 if nchosen < best_size:
                     best_size = nchosen
                     best_mask = chosen
                 return
-            if uncovered & ~(planes[0] | high):
+            if uncovered & below[1]:
                 return
-            single = uncovered & planes[0] & ~high
+            single = uncovered & below[2]
             if not single:
                 break
             forced = 0
-            for i in _elements(single):
-                forced |= masks[i]
+            while single:
+                low = single & -single
+                forced |= masks[low.bit_length() - 1]
+                single ^= low
             forced &= ~banned
             chosen |= forced
             nchosen = chosen.bit_count()
             if nchosen >= best_size:
                 return
-            for e in _elements(forced):
-                uncovered &= ~occ[e]
+            while forced:
+                low = forced & -forced
+                uncovered &= ~occ[low.bit_length() - 1]
+                forced ^= low
         if nchosen + packing(uncovered, banned, best_size - nchosen) >= best_size:
             return
-        # Fewest allowed elements: keep the members whose count is minimal
-        # bit by bit from the top plane down.
-        fewest = uncovered
-        for p in reversed(planes):
-            if fewest & ~p:
-                fewest &= ~p
+        # Fewest allowed elements: every member has at least 2 here, so they
+        # are the first nonempty uncovered & below[k] from k = 3 up.
+        k = 3
+        while not uncovered & below[k]:
+            k += 1
+        fewest = uncovered & below[k]
         # Then the smallest mask: the lowest index within each size group.
-        branch = min(
-            masks[(low & -low).bit_length() - 1]
-            for low in (fewest & g for g in size_groups.values())
-            if low
-        )
+        if uniform:
+            branch = masks[(fewest & -fewest).bit_length() - 1]
+        else:
+            branch = min(
+                masks[(low & -low).bit_length() - 1] for low in (fewest & g for g in groups) if low
+            )
         allowed = branch & ~banned
         new_banned = banned
-        planes = planes[:]
+        below = below[:]
         while allowed:
             bit = allowed & -allowed
             e = bit.bit_length() - 1
-            search(uncovered & ~occ[e], planes, chosen | bit, new_banned, nchosen + 1)
+            search(uncovered & ~occ[e], below, chosen | bit, new_banned, nchosen + 1)
             fresh = twins[e] & ~chosen & ~new_banned
             new_banned |= fresh
             allowed &= ~new_banned
-            for f in _elements(fresh):
-                borrow = occ[f]
-                for k, p in enumerate(planes):
-                    planes[k] = p ^ borrow
-                    borrow &= ~p
-                    if not borrow:
-                        break
+            # The bans only matter to the branches still to come.
+            while fresh and allowed:
+                low = fresh & -fresh
+                hit = occ[low.bit_length() - 1]
+                fresh ^= low
+                # A member holding the banned element joins below[k] when it
+                # had exactly k allowed elements.
+                for k in levels:
+                    below[k] ^= (below[k] ^ below[k + 1]) & hit
 
-    search(full, planes, 0, 0, 0)
+    search(full, below, 0, 0, 0)
     witness = Subset(n, best_mask)
     if not is_transversal(witness, family):
         raise AssertionError("search returned a non-transversal")

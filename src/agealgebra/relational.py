@@ -14,10 +14,9 @@ types span the invariant functions of each degree.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product as iproduct
+from itertools import combinations_with_replacement, permutations, product as iproduct
 from typing import Iterable, Sequence
 
 from .setfuncs import SetFunction, product
@@ -321,68 +320,3 @@ def structure_from_dict(data: dict) -> RelStructure:
 
 def structure_from_json(text: str) -> RelStructure:
     return structure_from_dict(json.loads(text))
-
-
-# Deterministic corpora for sweeps.
-
-def _pair_table(l: int) -> list[tuple[int, int]]:
-    return list(combinations(range(l), 2))
-
-
-def graph_from_edge_mask(l: int, mask: int) -> RelStructure:
-    pairs = _pair_table(l)
-    return RelStructure.graph(l, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-
-
-def all_graph_classes(l: int) -> list[RelStructure]:
-    """One representative per isomorphism class of graphs on l vertices.
-
-    Walks all 2^C(l,2) edge masks, expanding each unseen mask's orbit under
-    the vertex permutations; the orbit minimum is the representative.
-    """
-    pairs = _pair_table(l)
-    npairs = len(pairs)
-    index = {p: i for i, p in enumerate(pairs)}
-    tables = [
-        [index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs]
-        for perm in permutations(range(l))
-    ]
-    seen = bytearray(1 << npairs)
-    reps = []
-    for mask in range(1 << npairs):
-        if seen[mask]:
-            continue
-        orbit = set()
-        for table in tables:
-            img = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                img |= 1 << table[low.bit_length() - 1]
-                rest ^= low
-            orbit.add(img)
-        for img in orbit:
-            seen[img] = 1
-        reps.append(min(orbit))
-    return [graph_from_edge_mask(l, mask) for mask in sorted(reps)]
-
-
-def random_structure(rng: random.Random, base_size: int, signature: Sequence[int]) -> RelStructure:
-    rels = []
-    for arity in signature:
-        tuples = [t for t in iproduct(range(base_size), repeat=arity) if rng.random() < 0.5]
-        rels.append(tuples)
-    return RelStructure(base_size, signature, rels)
-
-
-def random_structures(
-    seed: int, count: int, max_base: int, max_arity: int
-) -> list[RelStructure]:
-    """Deterministic corpus of random structures; signature sizes 1 or 2."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        base = rng.randint(1, max_base)
-        sig = [rng.randint(1, max_arity) for _ in range(rng.randint(1, 2))]
-        out.append(random_structure(rng, base, sig))
-    return out

@@ -12,10 +12,8 @@ from agealgebra.hitting import is_minimal_transversal, tau
 from agealgebra.incidence import check_commutation, verify_kantor, inclusion_matrix
 from agealgebra.linalg import nullspace_basis, rank
 from agealgebra.relational import (
-    all_graph_classes,
     check_profile_inequalities,
     hilbert_inequality_check,
-    random_structure,
 )
 from agealgebra.setfuncs import (
     SetFunction,
@@ -43,6 +41,7 @@ from agealgebra.words import (
     shuffle_product,
 )
 
+from test_relational import all_graph_classes, random_structure
 from test_setfuncs import check_partition_property
 
 

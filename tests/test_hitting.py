@@ -5,10 +5,11 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agealgebra.hitting import (
     NoTransversalError,
+    _columns,
     _minimal_members,
     _twin_classes,
     is_minimal_transversal,
@@ -140,10 +141,41 @@ def transposition_fixes(masks, x, y):
 
 
 def minimal_oracle(masks):
-    """Members with no proper subset in the family, by size then colex."""
+    """Members with no proper subset in the family, by size then colex.
+
+    Tries every proper submask of each member, so members stay small."""
     distinct = set(masks)
-    kept = [m for m in distinct if not any(k != m and k & m == k for k in distinct)]
+
+    def has_proper_subset(m):
+        sub = m
+        while sub:
+            sub = (sub - 1) & m
+            if sub in distinct:
+                return True
+        return False
+
+    kept = [m for m in distinct if not has_proper_subset(m)]
     return sorted(kept, key=lambda m: (m.bit_count(), m))
+
+
+def twin_oracle(masks, n):
+    """Each element's twin class: a transposition tried on pairs of equal
+    degree, against one earlier member of each class (twinhood is an
+    equivalence)."""
+    degree = [sum(m >> x & 1 for m in masks) for x in range(n)]
+    classes = []
+    for x in range(n):
+        for cls in classes:
+            if degree[cls[0]] == degree[x] and transposition_fixes(masks, x, cls[0]):
+                cls.append(x)
+                break
+        else:
+            classes.append([x])
+    twins = [0] * n
+    for cls in classes:
+        for x in cls:
+            twins[x] = sum(1 << y for y in cls)
+    return twins
 
 
 def cell_orbit(mask, cells):
@@ -199,6 +231,45 @@ def test_nested_members_of_mixed_sizes(fam):
     assert tau(fam).size == brute_tau(fam)
 
 
+@st.composite
+def grown_families(draw, small, large):
+    """Masks of members of size `small` on 24 points, and of members of size
+    `large`, most of them one of the small members grown by random points."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = [rng.sample(range(24), small) for _ in range(draw(st.integers(1, 30)))]
+    grown = []
+    for _ in range(draw(st.integers(0, 60))):
+        core = set(rng.choice(base)) if rng.random() < 0.7 else set()
+        core.update(rng.sample(sorted(set(range(24)) - core), large - len(core)))
+        grown.append(core)
+    return [sum(1 << x for x in m) for m in base + grown]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(grown_families(2, 6), grown_families(3, 4)))
+def test_minimal_members_on_24_points(masks):
+    assert _minimal_members(masks) == minimal_oracle(masks)
+
+
+@st.composite
+def column_inputs(draw):
+    n = draw(st.integers(1, 64))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_inputs())
+@example((64, [1 << 63]))
+@example((64, [1 << 63 | 1, 1 << 62, 1 << 63 | 1]))
+@example((1, [1, 1, 0]))
+@example((9, list(range(1, 200, 2))))
+def test_transposed_columns_match_the_member_bits(case):
+    n, masks = case
+    assert _columns(masks, n) == [
+        sum(1 << i for i, m in enumerate(masks) if m >> e & 1) for e in range(n)
+    ]
+
+
 def gadget_support(m, n):
     pair = gadget_lower(m, n)
     return pair.f.support().union(pair.g.support())
@@ -234,9 +305,10 @@ def test_gadget_4_4_optimum_in_few_nodes():
 
 
 def reference_tau(fam):
-    """(size, witness mask, nodes, root lower, root upper) of the old search."""
-    masks = _minimal_members(fam.masks())
-    twins = _twin_classes(masks, fam.n)
+    """(size, witness mask, nodes, root lower, root upper) of the old search,
+    set up by the oracles above, not by the library."""
+    masks = minimal_oracle(fam.masks())
+    twins = twin_oracle(masks, fam.n)
 
     def packing_bound(uncovered, banned):
         used = count = 0
@@ -325,6 +397,17 @@ def test_bitset_search_walks_the_reference_tree_on_mixed_sizes(fam):
 @settings(max_examples=100, deadline=None)
 @given(seeded_families(16, (4,), 60))
 def test_bitset_search_walks_the_reference_tree_on_uniform_families(fam):
+    assert search_record(fam) == reference_tau(fam)
+
+
+def test_bitset_search_walks_the_reference_tree_at_benchmark_scale():
+    # 250 distinct 4-sets of 32 points: about 12k nodes, so the packing
+    # table of one call is reused across many nodes.
+    rng = random.Random(32)
+    members = set()
+    while len(members) < 250:
+        members.add(tuple(sorted(rng.sample(range(32), 4))))
+    fam = family(32, [list(m) for m in members])
     assert search_record(fam) == reference_tau(fam)
 
 

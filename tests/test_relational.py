@@ -4,7 +4,7 @@ and kernel-based annihilators."""
 import json
 import random
 from functools import cache
-from itertools import permutations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,6 @@ from agealgebra.incidence import e_regular_on_invariants
 from agealgebra.relational import (
     IsoType,
     RelStructure,
-    all_graph_classes,
     canonical_form,
     check_profile_inequalities,
     disjoint_embedding_check,
@@ -23,13 +22,75 @@ from agealgebra.relational import (
     invariant_basis,
     kernel_zero_divisor,
     profile,
-    random_structures,
     structure_from_json,
     structure_to_dict,
     type_classes,
 )
 from agealgebra.setfuncs import product
 from agealgebra.subsets import Subset, ksubsets
+
+
+# Deterministic corpora of the sweeps here and in test_acceptance.py.
+
+def _pair_table(l):
+    return list(combinations(range(l), 2))
+
+
+def graph_from_edge_mask(l, mask):
+    pairs = _pair_table(l)
+    return RelStructure.graph(l, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def all_graph_classes(l):
+    """One representative per isomorphism class of graphs on l vertices.
+
+    Walks all 2^C(l,2) edge masks, expanding each unseen mask's orbit under
+    the vertex permutations; the orbit minimum is the representative.
+    """
+    pairs = _pair_table(l)
+    npairs = len(pairs)
+    index = {p: i for i, p in enumerate(pairs)}
+    tables = [
+        [index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs]
+        for perm in permutations(range(l))
+    ]
+    seen = bytearray(1 << npairs)
+    reps = []
+    for mask in range(1 << npairs):
+        if seen[mask]:
+            continue
+        orbit = set()
+        for table in tables:
+            img = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                img |= 1 << table[low.bit_length() - 1]
+                rest ^= low
+            orbit.add(img)
+        for img in orbit:
+            seen[img] = 1
+        reps.append(min(orbit))
+    return [graph_from_edge_mask(l, mask) for mask in sorted(reps)]
+
+
+def random_structure(rng, base_size, signature):
+    rels = []
+    for arity in signature:
+        tuples = [t for t in iproduct(range(base_size), repeat=arity) if rng.random() < 0.5]
+        rels.append(tuples)
+    return RelStructure(base_size, signature, rels)
+
+
+def random_structures(seed, count, max_base, max_arity):
+    """Deterministic corpus of random structures; signature sizes 1 or 2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        base = rng.randint(1, max_base)
+        sig = [rng.randint(1, max_arity) for _ in range(rng.randint(1, 2))]
+        out.append(random_structure(rng, base, sig))
+    return out
 
 
 def c4():
@@ -324,11 +385,7 @@ def test_random_structures_deterministic_and_valid():
 
 
 def test_random_ternary_structures_satisfy_growth_laws():
-    import random as _random
-
-    from agealgebra.relational import random_structure
-
-    rng = _random.Random(2024)
+    rng = random.Random(2024)
     for _ in range(100):
         s = random_structure(rng, rng.randint(1, 5), (3,))
         assert check_profile_inequalities(s).ok
