@@ -157,6 +157,10 @@ def _cmd_search(args, results: list) -> None:
         bound = lower_bound_formula(args.m, args.n)
         _claim(results, f"best tau is at least the block gadget's (m+1)(n+1)-2 = {bound}", True,
                cert.transversal.size >= bound)
+    if min(args.m, args.n) == 1:
+        exact = tau_upper_bound(args.m, args.n)[1]
+        _claim(results, f"best tau is at most tau(1,{max(args.m, args.n)}) = 2*max(m,n) = {exact}",
+               True, cert.transversal.size <= exact)
 
 
 def _cmd_bound(args, results: list) -> None:
@@ -170,14 +174,10 @@ def _cmd_bound(args, results: list) -> None:
 
 
 def _cmd_profile(args, results: list) -> None:
-    structure = args.structure
-    upto = structure.base_size if args.max_n is None else min(args.max_n, structure.base_size)
-    report = check_profile_inequalities(structure)
-    seq = list(report.values[: upto + 1])
-    _claim(results, f"profile values for degrees 0..{upto}", seq, seq)
+    report = check_profile_inequalities(args.structure, args.max_n)
+    upto = len(report.values) - 1
+    _claim(results, f"profile values for degrees 0..{upto}", report.values, report.values)
     for chk in report.checks:
-        if chk["n"] > upto or chk["n"] + chk.get("m", 1) > upto:
-            continue
         _claim(
             results,
             f"{chk['kind']} inequality at n={chk['n']}"
@@ -201,7 +201,7 @@ def _cmd_words(args, results: list) -> None:
            {str(tuple(w)): str(val) for w, val in sq.coeffs.items()})
     layered = LayeredGround(1, 2, 4)
     zero = SetFunction(layered.flat_size, 2, {})
-    _claim(results, "lead of the zero function is the bottom marker", True,
+    _claim(results, "lead of the zero function is None", True,
            lead(zero, layered) is None)
     f = code_blind_function(layered, 2, seed=args.seed, need_pure_column_support=True)
     g = code_blind_function(layered, 2, seed=args.seed + 1)
@@ -250,7 +250,9 @@ _DISPATCH = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the report as canonical JSON")
+    # No default, so a subcommand cannot reset a --json given before it.
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="emit the report as canonical JSON")
     parser = argparse.ArgumentParser(
         prog="agealg",
         description="verify transversal certificates and algebra identities",
@@ -379,7 +381,10 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
 def run(argv: list[str]) -> tuple[int, dict]:
     """Parse argv, execute the subcommand, and build the report."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    return _execute(parser, parser.parse_args(argv))
+
+
+def _execute(parser: argparse.ArgumentParser, args) -> tuple[int, dict]:
     inputs = {
         k: v for k, v in vars(args).items() if k not in ("command", "json") and v is not None
     }
@@ -413,10 +418,10 @@ def run(argv: list[str]) -> tuple[int, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    want_json = "--json" in argv
-    code, report = run(argv)
-    if want_json:
+    parser = build_parser()
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    code, report = _execute(parser, args)
+    if getattr(args, "json", False):
         print(dumps_canonical(report))
         return code
     print(f"{report['command']}  (seed {report['seed']}, {report['elapsed_ms']} ms)")

@@ -9,7 +9,7 @@ the multiplication operator.
 
 from __future__ import annotations
 
-from math import comb, lcm, prod
+from math import comb, prod
 
 from .linalg import RationalMatrix, kernel_vector, rank
 from .relational import RelStructure, invariant_basis
@@ -38,12 +38,10 @@ def verify_kantor(ground_size: int, n: int, m: int) -> bool:
 
 
 def _set_weights(f: SetFunction, subsets: list[Subset]) -> tuple[list[int], int]:
-    """The lcm D of the point weights' denominators and, per subset S, the
-    integer D**|S| times the product of the point weights f({x}) over S."""
-    points = [f.value(Subset(f.n, 1 << x)) for x in range(f.n)]
-    d = lcm(*(p.denominator for p in points))
-    nums = [p.numerator * (d // p.denominator) for p in points]
-    return [prod(nums[x] for x in s.elements()) for s in subsets], d
+    """D = f.den and, per subset S, the integer D**|S| times the product of
+    the point weights f({x}) over S: the product of their numerators."""
+    nums = [f.coeffs.get(Subset(f.n, 1 << x), 0) for x in range(f.n)]
+    return [prod(nums[x] for x in s.elements()) for s in subsets], f.den
 
 
 def check_commutation(f: SetFunction, n: int) -> bool:
@@ -53,9 +51,9 @@ def check_commutation(f: SetFunction, n: int) -> bool:
     With w the product of the point weights, the identity is checked entry
     by entry on the stored rows of M = mult_matrix(f, n): w(B) * M[Q][B]
     must be w(Q) when B is inside Q and 0 otherwise.  Both sides are
-    compared as integers: with W = D**|S| w from `_set_weights` and the
-    row M[Q] = nums / den, the test is W(B) * x * D = W(Q) * den, since
-    |Q| = |B| + 1.
+    compared as integers: with D = f.den, W = D**|S| w the product of
+    stored numerators from `_set_weights`, and the row M[Q] = nums / den,
+    the test is W(B) * x * D = W(Q) * den, since |Q| = |B| + 1.
     """
     if f.degree != 1:
         raise ValueError("commutation check needs a degree-1 weight function")

@@ -1,21 +1,22 @@
 """Homogeneous weighted set functions and their graded convolution product.
 
 A degree-m function assigns a rational to every m-subset of the ground set
-(sparsely: absent keys mean zero).  The product of a degree-m and a
-degree-n function is the degree-(m+n) function whose value at Q sums
-f(P) * g(Q minus P) over all m-subsets P of Q.  Two independent
-implementations of that sum live here: `product` convolves the supports,
-`product_by_splits` evaluates the defining sum on the candidate sets A ∪ B
-(disjoint A in supp f, B in supp g), the only sets where it can be nonzero,
-in integer numerators over the lcm of each factor's denominators.
-They are cross-checked in the tests and the second backs witness checks.
+(sparsely: absent keys mean zero), stored as integer numerators over one
+common denominator.  The product of a degree-m and a degree-n function is
+the degree-(m+n) function whose value at Q sums f(P) * g(Q minus P) over
+all m-subsets P of Q.  Two independent implementations of that sum live
+here, both on the numerators over f.den * g.den: `product` convolves the
+supports, `product_by_splits` evaluates the defining sum on the candidate
+sets A ∪ B (disjoint A in supp f, B in supp g), the only sets where it can
+be nonzero.  They are cross-checked in the tests and the second backs
+witness checks.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping
 
 from .linalg import RationalMatrix, kernel_vector
@@ -33,75 +34,81 @@ class DegreeMismatchError(ValueError):
 class SetFunction:
     """Sparse map from m-subsets of {0..n-1} to nonzero rationals.
 
-    Zero coefficients are pruned on construction, so `is_zero` is just an
-    emptiness test.  All zero functions on the same ground compare equal
-    regardless of recorded degree; nonzero functions compare by degree and
-    coefficients.
+    f(S) = coeffs[S] / den: integer numerators over one positive `den`.
+    The constructor takes `Fraction` or `int` values over an optional
+    `den` and stores the canonical form: no zero numerators,
+    gcd(den, *numerators) == 1, and den == 1 for the zero function.  So
+    `is_zero` is an emptiness test and equality compares the stored form:
+    all zero functions on the same ground compare equal regardless of
+    recorded degree; nonzero ones compare by degree, `den` and numerators.
     """
 
-    __slots__ = ("n", "degree", "coeffs")
+    __slots__ = ("n", "degree", "coeffs", "den")
 
-    def __init__(self, n: int, degree: int, coeffs: Mapping[Subset, Fraction | int] | None = None):
+    def __init__(self, n: int, degree: int, coeffs: Mapping[Subset, Fraction | int] | None = None,
+                 den: int = 1):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if n < 0:
             raise ValueError("ground size must be nonnegative")
-        clean: dict[Subset, Fraction] = {}
-        if coeffs:
-            for s, v in coeffs.items():
-                if s.n != n:
-                    raise GroundMismatchError(f"key {s!r} not over ground of size {n}")
-                if len(s) != degree:
-                    raise ValueError(f"key {s!r} has size {len(s)}, expected degree {degree}")
-                fv = Fraction(v)
-                if fv:
-                    clean[s] = fv
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        kept: dict[Subset, Fraction | int] = {}
+        for s, v in (coeffs or {}).items():
+            if s.n != n:
+                raise GroundMismatchError(f"key {s!r} not over ground of size {n}")
+            if len(s) != degree:
+                raise ValueError(f"key {s!r} has size {len(s)}, expected degree {degree}")
+            if v:
+                kept[s] = v
+        scale = lcm(*(v.denominator for v in kept.values()))
+        nums = {s: v.numerator * (scale // v.denominator) for s, v in kept.items()}
+        g = gcd(den * scale, *nums.values())
         self.n = n
         self.degree = degree
-        self.coeffs = clean
+        self.coeffs = {s: v // g for s, v in nums.items()}
+        self.den = den * scale // g
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def value(self, s: Subset) -> Fraction:
-        return self.coeffs.get(s, Fraction(0))
+        return Fraction(self.coeffs.get(s, 0), self.den)
 
     def support(self) -> SetFamily:
         return SetFamily(self.n, self.coeffs.keys())
 
-    def items(self):
-        """Coefficient pairs in colex order of the keys."""
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].mask)
+    def items(self) -> list[tuple[Subset, Fraction]]:
+        """Nonzero values in colex order of the keys."""
+        ordered = sorted(self.coeffs.items(), key=lambda kv: kv[0].mask)
+        return [(s, Fraction(v, self.den)) for s, v in ordered]
 
     def restrict(self, window: Subset) -> "SetFunction":
         """Zero out every coefficient whose key is not contained in window."""
         if window.n != self.n:
             raise GroundMismatchError("window over a different ground set")
         kept = {s: v for s, v in self.coeffs.items() if s.issubset(window)}
-        return SetFunction(self.n, self.degree, kept)
+        return SetFunction(self.n, self.degree, kept, self.den)
 
-    def _check_compatible(self, other: "SetFunction") -> None:
+    def __add__(self, other: "SetFunction") -> "SetFunction":
         if self.n != other.n:
             raise GroundMismatchError("ground-set mismatch")
         if self.degree != other.degree:
-            raise DegreeMismatchError(
-                f"cannot add degree {self.degree} to degree {other.degree}"
-            )
-
-    def __add__(self, other: "SetFunction") -> "SetFunction":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
+            raise DegreeMismatchError(f"cannot add degree {self.degree} to degree {other.degree}")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {s: v * a for s, v in self.coeffs.items()}
         for s, v in other.coeffs.items():
-            out[s] = out.get(s, Fraction(0)) + v
-        return SetFunction(self.n, self.degree, out)
+            out[s] = out.get(s, 0) + v * b
+        return SetFunction(self.n, self.degree, out, den)
 
     def __mul__(self, other):
-        scalar = Fraction(other)
-        return SetFunction(self.n, self.degree, {s: scalar * v for s, v in self.coeffs.items()})
+        c = Fraction(other)
+        out = {s: c.numerator * v for s, v in self.coeffs.items()}
+        return SetFunction(self.n, self.degree, out, self.den * c.denominator)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetFunction):
@@ -110,7 +117,7 @@ class SetFunction:
             return False
         if self.is_zero and other.is_zero:
             return True
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return (self.degree, self.den, self.coeffs) == (other.degree, other.den, other.coeffs)
 
     def __repr__(self) -> str:
         return f"SetFunction(n={self.n}, degree={self.degree}, {len(self.coeffs)} terms)"
@@ -118,33 +125,32 @@ class SetFunction:
 
 def unit(ground_size: int) -> SetFunction:
     """Multiplicative unit: 1 on the empty set."""
-    return SetFunction(ground_size, 0, {Subset(ground_size, 0): Fraction(1)})
+    return SetFunction(ground_size, 0, {Subset(ground_size, 0): 1})
 
 
 def singleton_ones(ground_size: int) -> SetFunction:
     """The degree-1 function equal to 1 on every singleton."""
     if ground_size < 1:
         raise ValueError("need a nonempty ground set")
-    return SetFunction(
-        ground_size, 1, {Subset(ground_size, 1 << i): Fraction(1) for i in range(ground_size)}
-    )
+    return SetFunction(ground_size, 1, {Subset(ground_size, 1 << i): 1 for i in range(ground_size)})
 
 
 def product(f: SetFunction, g: SetFunction) -> SetFunction:
-    """Graded convolution product, computed by convolving the supports."""
+    """Graded convolution product, computed by convolving the supports in
+    integer numerators over f.den * g.den."""
     if f.n != g.n:
         raise GroundMismatchError("ground-set mismatch in product")
     n = f.n
-    out: dict[Subset, Fraction] = {}
+    gm = [(b.mask, gb) for b, gb in g.coeffs.items()]
+    out: dict[int, int] = {}
     for a, fa in f.coeffs.items():
         am = a.mask
-        for b, gb in g.coeffs.items():
-            if am & b.mask:
-                continue
-            q = Subset(n, am | b.mask)
-            prev = out.get(q)
-            out[q] = fa * gb if prev is None else prev + fa * gb
-    return SetFunction(n, f.degree + g.degree, out)
+        for bm, gb in gm:
+            if not am & bm:
+                q = am | bm
+                out[q] = out.get(q, 0) + fa * gb
+    out_sets = {Subset(n, q): v for q, v in out.items()}
+    return SetFunction(n, f.degree + g.degree, out_sets, f.den * g.den)
 
 
 def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
@@ -154,23 +160,20 @@ def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
     B in supp g, taken in colex order, it sums f(first part) * g(second
     part) over all splits of Q.  No other set can be nonzero, since each
     term of the defining sum at Q needs f(P) != 0 and g(Q minus P) != 0.
-    The sums run on integer numerators over the lcm Df of f's denominators
-    and Dg of g's; a nonzero total t becomes the value t / (Df * Dg).
+    The sums run on the stored numerators, and a nonzero total t becomes
+    the value t / (f.den * g.den).
     """
     if f.n != g.n:
         raise GroundMismatchError("ground-set mismatch in product")
-    n = f.n
-    m = f.degree
-    df = lcm(*(v.denominator for v in f.coeffs.values()))
-    dg = lcm(*(v.denominator for v in g.coeffs.values()))
-    fm = {s.mask: v.numerator * (df // v.denominator) for s, v in f.coeffs.items()}
-    gm = {s.mask: v.numerator * (dg // v.denominator) for s, v in g.coeffs.items()}
-    out: dict[Subset, Fraction] = {}
+    n, m = f.n, f.degree
+    fm = {s.mask: v for s, v in f.coeffs.items()}
+    gm = {s.mask: v for s, v in g.coeffs.items()}
+    out: dict[Subset, int] = {}
     for qmask in sorted({am | bm for am in fm for bm in gm if not am & bm}):
         total = sum(fm[p] * gm[r] for p, r in splits(qmask, m) if p in fm and r in gm)
         if total:
-            out[Subset(n, qmask)] = Fraction(total, df * dg)
-    return SetFunction(n, f.degree + g.degree, out)
+            out[Subset(n, qmask)] = total
+    return SetFunction(n, f.degree + g.degree, out, f.den * g.den)
 
 
 class MultOperator:
@@ -203,12 +206,12 @@ def mult_matrix(f: SetFunction, source_degree: int) -> MultOperator:
     for q in ksubsets(f.n, f.degree + source_degree):
         qm = q.mask
         cells = [(col_of[qm ^ am], v) for am, v in terms if am & qm == am]
-        den = lcm(*(v.denominator for _, v in cells))
+        g = gcd(f.den, *(v for _, v in cells))
         row = [0] * len(col_of)
         for j, v in cells:
-            row[j] = v.numerator * (den // v.denominator)
+            row[j] = v // g
         nums.append(row)
-        dens.append(den)
+        dens.append(f.den // g)
     return MultOperator(f, source_degree, RationalMatrix.from_scaled(nums, dens, len(col_of)))
 
 
@@ -227,18 +230,6 @@ def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
     if not product(f, g).is_zero:
         raise AssertionError("kernel vector is not a cofactor")
     return g
-
-
-# Sign partition of the nonzero rationals.  Two blocks suffice for the
-# property needed here: any dot product of same-block sequences with both
-# factors drawn from a single block is strictly positive or strictly
-# negative, hence nonzero.
-
-def block_of(q: Fraction | int) -> int:
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("zero has no block")
-    return 1 if q > 0 else -1
 
 
 # JSON serialization.  Rationals are carried as decimal strings so integer

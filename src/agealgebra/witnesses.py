@@ -81,7 +81,7 @@ def gadget_tau1n(n: int) -> WitnessPair:
     if n < 1:
         raise ValueError("need at least one column")
     ground = 2 * n
-    coeffs: dict[Subset, Fraction] = {}
+    coeffs: dict[Subset, int] = {}
     for picks in range(1 << n):
         mask = 0
         bottoms = 0
@@ -90,7 +90,7 @@ def gadget_tau1n(n: int) -> WitnessPair:
             mask |= 1 << pair_index(half, col)
             if half == 0:
                 bottoms += 1
-        coeffs[Subset(ground, mask)] = Fraction(-1 if bottoms & 1 else 1)
+        coeffs[Subset(ground, mask)] = -1 if bottoms & 1 else 1
     return WitnessPair(singleton_ones(ground), SetFunction(ground, n, coeffs))
 
 
@@ -124,7 +124,7 @@ def _embed(f: SetFunction, ground: int, offset: int) -> SetFunction:
     if offset < 0 or offset + f.n > ground:
         raise ValueError("window does not fit in the ground set")
     return SetFunction(
-        ground, f.degree, {Subset(ground, s.mask << offset): v for s, v in f.coeffs.items()}
+        ground, f.degree, {Subset(ground, s.mask << offset): v for s, v in f.coeffs.items()}, f.den
     )
 
 
@@ -144,7 +144,7 @@ def gadget_lower(m: int, n: int) -> WitnessPair:
         raise ValueError(f"ground set exceeds {MAX_GROUND} points")
     blocks = [[1 << (2 * n * i + j) for j in range(2 * n)] for i in range(m)]
     f_masks = sorted(sum(picks) for picks in iproduct(*blocks))
-    f_coeffs = {Subset(ground, a): Fraction(1) for a in f_masks}
+    f_coeffs = {Subset(ground, a): 1 for a in f_masks}
     inner = gadget_full_support(n)
     g = SetFunction(ground, n, {})
     for i in range(m):
@@ -195,7 +195,7 @@ def verify(pair: WitnessPair) -> WitnessCertificate:
     prod = product_by_splits(f, g)
     if not prod.is_zero:
         offender = min(prod.coeffs, key=lambda s: s.mask)
-        raise NotAZeroDivisorPairError(offender, prod.coeffs[offender])
+        raise NotAZeroDivisorPairError(offender, prod.value(offender))
     return WitnessCertificate(pair, tau(f.support().union(g.support())))
 
 
@@ -271,9 +271,7 @@ def search_best(
         for _ in range(8):
             size = rng.randint(2, min(6, len(shapes)))
             chosen = rng.sample(shapes, size)
-            f = SetFunction(
-                ground_size, m, {s: Fraction(rng.choice((-2, -1, 1, 2))) for s in chosen}
-            )
+            f = SetFunction(ground_size, m, {s: rng.choice((-2, -1, 1, 2)) for s in chosen})
             if f.is_zero:
                 continue
             mate = cofactor(f, n)
@@ -317,6 +315,7 @@ def discharging_check(pair: WitnessPair, a: Subset, inner_tau: int) -> dict:
                 for p, v in f.coeffs.items()
                 if x0 in p and (p.mask ^ (1 << x0)) & ~window.mask == 0
             },
+            f.den,
         )
         g_window = g.restrict(window)
         if f_contract.is_zero or g_window.is_zero:

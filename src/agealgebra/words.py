@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
-from .setfuncs import SetFunction, block_of, product
+from .setfuncs import SetFunction, product
 from .subsets import MAX_GROUND, Subset, ksubsets
 
 
@@ -231,7 +231,9 @@ def check_invariance(layered: LayeredGround, f: SetFunction, g: SetFunction, r: 
         raise ValueError("functions are not over this layered ground")
     if not 0 <= r <= layered.chain_size:
         raise ValueError("r exceeds the chain")
-    colorings = [(h.degree, {s.mask: block_of(v) for s, v in h.coeffs.items()}) for h in (f, g)]
+    # Sign colors as +-1, since absent keys read 0; den > 0 keeps each numerator's sign.
+    colorings = [(h.degree, {s.mask: 1 if v > 0 else -1 for s, v in h.coeffs.items()})
+                 for h in (f, g)]
     cols = list(combinations(range(layered.chain_size), r))
     return all(_columns_equivalent(layered, colorings, x, cols[0]) for x in cols[1:])
 

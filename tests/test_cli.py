@@ -1,12 +1,13 @@
 """Front-end behavior: reports, exit codes, canonical JSON."""
 
 import json
+import random
 import time
 
 import pytest
 
 from agealgebra.cli import build_parser, main, run
-from agealgebra.relational import RelStructure, structure_to_dict
+from agealgebra.relational import RelStructure, check_profile_inequalities, structure_to_dict
 from agealgebra.setfuncs import dumps_canonical
 
 
@@ -87,7 +88,7 @@ def test_words_demo_claims_are_pinned():
         ("radix order puts longer words above", True),
         ("largest interleaving of (2,1)-letter and (2)-letter words", True),
         ("square of a one-letter indicator", True),
-        ("lead of the zero function is the bottom marker", True),
+        ("lead of the zero function is None", True),
     ] + [(f"leading-term property: {name}", True) for name in leading]
 
 
@@ -104,6 +105,27 @@ def test_search_gadget_claim_is_independent_of_the_search(monkeypatch):
     monkeypatch.setattr(cli, "search_best", lambda *a, **k: verify(gadget_tau1n(2)))
     code, rep = run(["search", "--m", "2", "--n", "2", "--l", "8", "--strategy", "gadget"])
     assert code == 1 and [r["pass"] for r in rep["results"]] == [True, True, False]
+
+
+@pytest.mark.parametrize("m, n, present", [(1, 3, True), (3, 1, True), (2, 2, False)])
+def test_search_linear_case_claims_the_exact_upper_bound(m, n, present):
+    code, rep = run(["search", "--m", str(m), "--n", str(n), "--l", "8"])
+    assert code == 0
+    upper = [r for r in rep["results"] if r["claim"].startswith("best tau is at most")]
+    want = {"claim": "best tau is at most tau(1,3) = 2*max(m,n) = 6",
+            "expected": True, "computed": True, "pass": True}
+    assert upper == ([want] if present else [])
+
+
+def test_search_upper_bound_claim_fails_above_two_max(monkeypatch):
+    from agealgebra import cli
+    from agealgebra.witnesses import gadget_tau1n, verify
+
+    # tau 8 from the (1,4) gadget exceeds tau(1,3) = 6
+    monkeypatch.setattr(cli, "search_best", lambda *a, **k: verify(gadget_tau1n(4)))
+    code, rep = run(["search", "--m", "1", "--n", "3", "--l", "8"])
+    assert code == 1 and [r["pass"] for r in rep["results"]] == [True, True, True, False]
+    assert rep["results"][-1]["claim"].startswith("best tau is at most")
 
 
 def test_commutation_sweep_passes():
@@ -153,8 +175,36 @@ def test_profile_command_computes_each_profile_once(tmp_path, monkeypatch):
     path.write_text(json.dumps(structure_to_dict(g)))
     code, rep = run(["profile", "--input", str(path), "--max-n", "2"])
     assert code == 0
-    assert sorted(calls) == list(range(g.base_size + 1))
+    assert sorted(calls) == [0, 1, 2]
     assert rep["results"][0]["computed"] == [1, 1, 2]
+
+
+def _random_graph(points, seed):
+    rng = random.Random(seed)
+    edges = [(a, b) for a in range(points) for b in range(a + 1, points) if rng.random() < 0.5]
+    return RelStructure.graph(points, edges)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [RelStructure.graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), _random_graph(8, 5)],
+    ids=["4-cycle", "8-point graph"],
+)
+def test_profile_max_n_report_is_the_filtered_full_report(structure, tmp_path):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(structure_to_dict(structure)))
+    full = check_profile_inequalities(structure)
+    for k in range(structure.base_size + 2):
+        upto = min(k, structure.base_size)
+        kept = [c for c in full.checks if c["n"] <= upto and c["n"] + c.get("m", 1) <= upto]
+        part = check_profile_inequalities(structure, upto)
+        assert (part.values, part.checks) == (full.values[: upto + 1], kept)
+        code, rep = run(["profile", "--input", str(path), "--max-n", str(k)])
+        assert code == 0
+        assert rep["results"][0]["computed"] == full.values[: upto + 1]
+        assert [(r["claim"], r["pass"]) for r in rep["results"][1:]] == [
+            (f"{c['kind']} inequality at n={c['n']}, m={c['m']}", c["pass"]) for c in kept
+        ]
 
 
 @pytest.mark.parametrize(
@@ -428,6 +478,15 @@ def test_main_human_output(capsys):
     assert rc == 0
     assert "claims pass" in out
     assert "[ok ]" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["two-squares", "--js"], ["two-squares", "--jso"], ["--json", "two-squares"]]
+)
+def test_abbreviated_or_leading_json_flag_prints_json(argv, capsys):
+    rc = main(argv)
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "two-squares"
 
 
 def test_main_json_output(capsys):

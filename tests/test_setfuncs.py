@@ -9,7 +9,7 @@ of every (m+n)-subset below is its oracle.
 import json
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +18,6 @@ from agealgebra.linalg import RationalMatrix, nullspace_basis
 from agealgebra.setfuncs import (
     DegreeMismatchError,
     SetFunction,
-    block_of,
     cofactor,
     dumps_canonical,
     mult_matrix,
@@ -38,20 +37,31 @@ def full_product_by_splits(f, g):
     for q in ksubsets(f.n, f.degree + g.degree):
         total = Fraction(0)
         for p, rest in splits(q.mask, f.degree):
-            fp = f.coeffs.get(Subset(f.n, p))
-            if fp is None:
-                continue
-            gr = g.coeffs.get(Subset(f.n, rest))
-            if gr is not None:
-                total += fp * gr
+            fp = f.value(Subset(f.n, p))
+            if fp:
+                total += fp * g.value(Subset(f.n, rest))
         if total:
             out[q] = total
     return SetFunction(f.n, f.degree + g.degree, out)
 
 
+def fraction_product(f, g):
+    """Oracle: the support convolution on `Fraction` values, as the nonzero
+    values of f * g keyed by set in colex order."""
+    out = {}
+    for a, fa in f.items():
+        for b, gb in g.items():
+            if a.isdisjoint(b):
+                q = a | b
+                out[q] = out.get(q, 0) + fa * gb
+    return {q: v for q, v in sorted(out.items(), key=lambda kv: kv[0].mask) if v}
+
+
 def same_function(a, b):
-    """Equal ground, degree, and coefficients in the same order."""
-    return (a.n, a.degree, list(a.coeffs.items())) == (b.n, b.degree, list(b.coeffs.items()))
+    """Equal ground, degree, denominator, and numerators in the same order."""
+    return (a.n, a.degree, a.den, list(a.coeffs.items())) == (
+        b.n, b.degree, b.den, list(b.coeffs.items())
+    )
 
 
 def sf(l, deg, terms):
@@ -75,6 +85,66 @@ def sparse_sf(draw, l, deg):
     chosen = draw(st.sets(st.sampled_from(shapes), max_size=4))
     values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     return SetFunction(l, deg, {s: draw(values) for s in chosen})
+
+
+def assert_canonical(h):
+    """Integer numerators, none zero, over a positive den coprime to them
+    all; for the zero function gcd(den) == den, so den must be 1."""
+    assert type(h.den) is int and h.den >= 1
+    assert all(type(v) is int and v for v in h.coeffs.values())
+    assert gcd(h.den, *h.coeffs.values()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_operations_return_the_canonical_stored_form(data):
+    l = data.draw(st.integers(1, 6))
+    dm = data.draw(st.integers(0, min(3, l)))
+    dn = data.draw(st.integers(0, min(3, l)))
+    values = st.one_of(
+        st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    )
+
+    def raw(deg):
+        chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
+        return {s: data.draw(values) for s in chosen}
+
+    def built(deg, terms, den):
+        h = SetFunction(l, deg, terms, den)
+        assert_canonical(h)
+        assert dict(h.items()) == {s: Fraction(v, den) for s, v in terms.items() if v}
+        return h
+
+    f = built(dm, raw(dm), data.draw(st.integers(1, 36)))
+    f2 = built(dm, raw(dm), 1)
+    h = built(dn, raw(dn), data.draw(st.integers(1, 36)))
+
+    total = f + f2
+    assert_canonical(total)
+    want = {s: f.value(s) + f2.value(s) for s in set(f.coeffs) | set(f2.coeffs)}
+    assert dict(total.items()) == {s: v for s, v in want.items() if v}
+
+    c = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=9))
+    for scaled in (c * f, f * c):
+        assert_canonical(scaled)
+        assert dict(scaled.items()) == {s: c * v for s, v in f.items() if c}
+
+    oracle = fraction_product(f, h)
+    for got in (product(f, h), product_by_splits(f, h)):
+        assert_canonical(got)
+        assert got.degree == dm + dn
+        assert got.items() == list(oracle.items())
+
+    window = Subset(l, data.draw(st.integers(0, (1 << l) - 1)))
+    kept = f.restrict(window)
+    assert_canonical(kept)
+    assert kept.items() == [(s, v) for s, v in f.items() if s.issubset(window)]
+
+    if not f.is_zero and dm + dn <= l:
+        mate = cofactor(f, dn)
+        if mate is not None:
+            assert_canonical(mate)
+            assert not mate.is_zero and fraction_product(f, mate) == {}
 
 
 def test_unit_is_neutral():
@@ -211,7 +281,7 @@ def test_mult_matrix_agrees_with_product():
 def dense_mult_matrix(f, d):
     """Oracle: every cell f(Q minus B) of the dense rows, stored by the
     general constructor."""
-    by_mask = {s.mask: v for s, v in f.coeffs.items()}
+    by_mask = {s.mask: v for s, v in f.items()}
     cols = [b.mask for b in ksubsets(f.n, d)]
     return RationalMatrix([
         [0 if b & ~q.mask else by_mask.get(q.mask ^ b, 0) for b in cols]
@@ -285,13 +355,6 @@ def test_cofactor_none_when_kernel_trivial():
 def test_cofactor_of_zero_rejected():
     with pytest.raises(ValueError):
         cofactor(SetFunction(3, 1, {}), 1)
-
-
-def test_block_of_signs():
-    assert block_of(Fraction(3, 7)) == 1
-    assert block_of(Fraction(-1, 9)) == -1
-    with pytest.raises(ValueError):
-        block_of(Fraction(0))
 
 
 def check_partition_property(max_len: int, trials: int, seed: int) -> dict:

@@ -103,7 +103,7 @@ def test_full_support_mate_hand_values():
         (2, 3): Fraction(1, 12),
     }
     mate = gadget_full_support(2)
-    assert {s.elements(): v for s, v in mate.coeffs.items()} == want
+    assert {s.elements(): v for s, v in mate.items()} == want
 
 
 def test_full_support_mate_lies_in_the_kernel_basis_span():
@@ -167,7 +167,7 @@ def test_verify_reports_the_oracles_colex_least_offender(data):
         verify(WitnessPair(f, g))
     first = min(prod.coeffs, key=lambda s: s.mask)
     assert exc.value.offending.mask == first.mask
-    assert exc.value.value == prod.coeffs[first]
+    assert exc.value.value == prod.value(first)
 
 
 def filtered_gadget_lower(m, n):
@@ -179,7 +179,7 @@ def filtered_gadget_lower(m, n):
     g = {
         Subset(ground, s.mask << (2 * n * i)): v
         for i in range(m)
-        for s, v in inner.coeffs.items()
+        for s, v in inner.items()
     }
     return WitnessPair(SetFunction(ground, m, f), SetFunction(ground, n, g))
 

@@ -252,7 +252,7 @@ def test_leading_product_equations_on_blind_pairs():
 
 def sign_flipped(g, index):
     """g with the value on its index-th subset (colex) negated, or set to 1."""
-    coeffs = dict(g.coeffs)
+    coeffs = dict(g.items())
     shapes = ksubsets(g.n, g.degree)
     s = shapes[index % len(shapes)]
     coeffs[s] = -coeffs.get(s, -1)
@@ -318,7 +318,7 @@ def test_leading_check_requires_code_constancy():
     f = code_blind_function(layered, 2, seed=1, need_pure_column_support=True)
     g = code_blind_function(layered, 2, seed=2)
     # break g on one subset: same code class, different value
-    broken = dict(g.coeffs)
+    broken = dict(g.items())
     some = next(iter(broken)) if broken else None
     if some is None:
         pytest.skip("empty support cannot be broken")
