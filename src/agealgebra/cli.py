@@ -13,6 +13,7 @@ support pairs exceed `MAX_SUPPORT_PAIRS`, and `kantor`, `commutation` and
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -422,14 +423,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     code, report = _execute(parser, args)
     if getattr(args, "json", False):
-        print(dumps_canonical(report))
-        return code
-    print(f"{report['command']}  (seed {report['seed']}, {report['elapsed_ms']} ms)")
-    for r in report["results"]:
-        mark = "ok " if r["pass"] else "FAIL"
-        print(f"  [{mark}] {r['claim']}: expected {r['expected']}, computed {r['computed']}")
-    passed = sum(1 for r in report["results"] if r["pass"])
-    print(f"{passed}/{len(report['results'])} claims pass")
+        lines = [dumps_canonical(report)]
+    else:
+        results = report["results"]
+        lines = [f"{report['command']}  (seed {report['seed']}, {report['elapsed_ms']} ms)"]
+        for r in results:
+            mark = "ok " if r["pass"] else "FAIL"
+            lines.append(
+                f"  [{mark}] {r['claim']}: expected {r['expected']}, computed {r['computed']}"
+            )
+        lines.append(f"{sum(1 for r in results if r['pass'])}/{len(results)} claims pass")
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so the flush
+        # at shutdown cannot raise again.
+        sys.stdout = open(os.devnull, "w")
+        return 1
     return code
 
 

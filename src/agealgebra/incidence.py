@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from math import comb, prod
 
-from .linalg import RationalMatrix, kernel_vector, rank
+from .linalg import IntMatrix, kernel_vector, rank
 from .relational import RelStructure, invariant_basis
 from .setfuncs import SetFunction, mult_matrix, product, singleton_ones
 from .subsets import Subset, ksubsets
 
 
-def inclusion_matrix(ground_size: int, n: int, m: int) -> RationalMatrix:
+def inclusion_matrix(ground_size: int, n: int, m: int) -> IntMatrix:
     """0/1 matrix of the containment relation, n-subsets by (n+m)-subsets."""
     if n < 0 or m < 0:
         raise ValueError("sizes must be nonnegative")
@@ -25,11 +25,7 @@ def inclusion_matrix(ground_size: int, n: int, m: int) -> RationalMatrix:
         raise ValueError("column subsets exceed the ground set")
     cols = [q.mask for q in ksubsets(ground_size, n + m)]
     rows = ksubsets(ground_size, n)
-    return RationalMatrix.from_scaled(
-        [[1 if b.mask & q == b.mask else 0 for q in cols] for b in rows],
-        [1] * len(rows),
-        len(cols),
-    )
+    return IntMatrix([[1 if b.mask & q == b.mask else 0 for q in cols] for b in rows], len(cols))
 
 
 def verify_kantor(ground_size: int, n: int, m: int) -> bool:
@@ -37,11 +33,11 @@ def verify_kantor(ground_size: int, n: int, m: int) -> bool:
     return rank(inclusion_matrix(ground_size, n, m)) == comb(ground_size, n)
 
 
-def _set_weights(f: SetFunction, subsets: list[Subset]) -> tuple[list[int], int]:
-    """D = f.den and, per subset S, the integer D**|S| times the product of
-    the point weights f({x}) over S: the product of their numerators."""
+def _set_weights(f: SetFunction, subsets: list[Subset]) -> list[int]:
+    """Per subset S, f.den**|S| times the product of the point weights
+    f({x}) over S: the product of their numerators."""
     nums = [f.coeffs.get(Subset(f.n, 1 << x), 0) for x in range(f.n)]
-    return [prod(nums[x] for x in s.elements()) for s in subsets], f.den
+    return [prod(nums[x] for x in s.elements()) for s in subsets]
 
 
 def check_commutation(f: SetFunction, n: int) -> bool:
@@ -49,11 +45,10 @@ def check_commutation(f: SetFunction, n: int) -> bool:
     weighted contraction, from degree n+1 to degree n.
 
     With w the product of the point weights, the identity is checked entry
-    by entry on the stored rows of M = mult_matrix(f, n): w(B) * M[Q][B]
-    must be w(Q) when B is inside Q and 0 otherwise.  Both sides are
-    compared as integers: with D = f.den, W = D**|S| w the product of
-    stored numerators from `_set_weights`, and the row M[Q] = nums / den,
-    the test is W(B) * x * D = W(Q) * den, since |Q| = |B| + 1.
+    by entry on M = mult_matrix(f, n): w(B) * M[Q][B] must be w(Q) when B
+    is inside Q and 0 otherwise.  Both sides are compared as integers:
+    with D = f.den, the stored rows are D * M and W = D**|S| w comes from
+    `_set_weights`, so the test is W(B) * x == W(Q), since |Q| = |B| + 1.
     """
     if f.degree != 1:
         raise ValueError("commutation check needs a degree-1 weight function")
@@ -61,12 +56,12 @@ def check_commutation(f: SetFunction, n: int) -> bool:
         raise ValueError("degree out of range for the ground set")
     m = mult_matrix(f, n).matrix
     rows, cols = ksubsets(f.n, n + 1), ksubsets(f.n, n)
-    weights, d = _set_weights(f, rows + cols)
-    pairs = [(b.mask, wb * d) for b, wb in zip(cols, weights[len(rows):])]
-    for q, wq, nums, den in zip(rows, weights, m.nums, m.dens):
-        outside, target = ~q.mask, wq * den
-        for (b, wbd), x in zip(pairs, nums):
-            if (x if b & outside else wbd * x != target):
+    weights = _set_weights(f, rows + cols)
+    pairs = [(b.mask, wb) for b, wb in zip(cols, weights[len(rows):])]
+    for q, wq, nums in zip(rows, weights, m.nums):
+        outside = ~q.mask
+        for (b, wb), x in zip(pairs, nums):
+            if (x if b & outside else wb * x != wq):
                 return False
     return True
 
@@ -81,5 +76,7 @@ def e_regular_on_invariants(structure: RelStructure, n: int) -> bool:
         raise ValueError("image degree exceeds the base")
     ones = singleton_ones(ground)
     images = [product(ones, h) for h in basis]
-    entries = [[img.value(q) for img in images] for q in ksubsets(ground, n + 1)]
-    return kernel_vector(RationalMatrix(entries)) is None
+    # Column j holds the numerators of image j, a positive multiple of it,
+    # which leaves the kernel's triviality unchanged.
+    nums = [[img.coeffs.get(q, 0) for img in images] for q in ksubsets(ground, n + 1)]
+    return kernel_vector(IntMatrix(nums, len(images))) is None

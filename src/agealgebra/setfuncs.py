@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .linalg import RationalMatrix, kernel_vector
+from .linalg import IntMatrix, kernel_vector
 from .subsets import SetFamily, Subset, ksubsets, splits
 
 
@@ -181,16 +181,15 @@ class MultOperator:
 
     Rows are the (deg f + d)-subsets and columns the d-subsets of the
     ground set, both in colex order as `ksubsets` lists them; the entry at
-    (Q, B) is f(Q minus B) when B is contained in Q and zero otherwise.
-    A coefficient vector over the columns maps to the product's
-    coefficients over the rows.
+    (Q, B) is the numerator of f(Q minus B) when B is contained in Q and
+    zero otherwise, so the matrix is f.den times the operator and has the
+    same rank and kernel.  A coefficient vector over the columns maps to
+    the product's numerators over the rows.
     """
 
-    __slots__ = ("f", "source_degree", "matrix")
+    __slots__ = ("matrix",)
 
-    def __init__(self, f: SetFunction, source_degree: int, matrix: RationalMatrix):
-        self.f = f
-        self.source_degree = source_degree
+    def __init__(self, matrix: IntMatrix):
         self.matrix = matrix
 
 
@@ -202,31 +201,30 @@ def mult_matrix(f: SetFunction, source_degree: int) -> MultOperator:
     col_of = {b.mask: j for j, b in enumerate(ksubsets(f.n, source_degree))}
     terms = [(s.mask, v) for s, v in f.coeffs.items()]
     nums: list[list[int]] = []
-    dens: list[int] = []
     for q in ksubsets(f.n, f.degree + source_degree):
         qm = q.mask
-        cells = [(col_of[qm ^ am], v) for am, v in terms if am & qm == am]
-        g = gcd(f.den, *(v for _, v in cells))
         row = [0] * len(col_of)
-        for j, v in cells:
-            row[j] = v // g
+        for am, v in terms:
+            if am & qm == am:
+                row[col_of[qm ^ am]] = v
         nums.append(row)
-        dens.append(f.den // g)
-    return MultOperator(f, source_degree, RationalMatrix.from_scaled(nums, dens, len(col_of)))
+    return MultOperator(IntMatrix(nums, len(col_of)))
 
 
 def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
     """A nonzero degree-`degree` g with f * g = 0, or None if none exists.
 
-    Takes one vector of the kernel of the multiplication matrix and
-    re-checks the product before returning.
+    Takes one vector of the kernel of the multiplication matrix, scaled so
+    g is 1 at its first nonzero set in colex order, and re-checks the
+    product before returning.
     """
     if f.is_zero:
         raise ValueError("zero function has every cofactor")
     vec = kernel_vector(mult_matrix(f, degree).matrix)
     if vec is None:
         return None
-    g = SetFunction(f.n, degree, dict(zip(ksubsets(f.n, degree), vec)))
+    lead = next(x for x in vec if x)
+    g = SetFunction(f.n, degree, dict(zip(ksubsets(f.n, degree), vec)), lead)
     if not product(f, g).is_zero:
         raise AssertionError("kernel vector is not a cofactor")
     return g

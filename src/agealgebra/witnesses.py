@@ -272,8 +272,6 @@ def search_best(
             size = rng.randint(2, min(6, len(shapes)))
             chosen = rng.sample(shapes, size)
             f = SetFunction(ground_size, m, {s: rng.choice((-2, -1, 1, 2)) for s in chosen})
-            if f.is_zero:
-                continue
             mate = cofactor(f, n)
             if mate is None:
                 continue

@@ -12,7 +12,7 @@ import importlib.util
 import os
 from collections import Counter
 
-from agealgebra.linalg import matmul, nullspace_basis, rank
+from agealgebra.linalg import IntMatrix, matmul, nullspace_basis, rank
 from agealgebra.setfuncs import mult_matrix, singleton_ones
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
@@ -40,6 +40,6 @@ def test_matrix_counters_read_rows_and_cols():
     spans._mult_matrix(st, (f, 1), {}, op)
     spans._matrix_cells(st, (op.matrix,), {}, rank(op.matrix))
     spans._nullspace_basis(st, (op.matrix,), {}, nullspace_basis(op.matrix))
-    t = op.matrix.transpose()
+    t = IntMatrix([list(col) for col in zip(*op.matrix.nums)], op.matrix.rows)
     spans._matmul(st, (t, op.matrix), {}, matmul(t, op.matrix))
     assert st == Counter(cells=3 * 24, kernel_dim=0, mults=4 * 6 * 4)

@@ -1,7 +1,10 @@
 """Front-end behavior: reports, exit codes, canonical JSON."""
 
+import io
 import json
+import os
 import random
+import sys
 import time
 
 import pytest
@@ -495,3 +498,19 @@ def test_main_json_output(capsys):
     assert rc == 0
     parsed = json.loads(out)
     assert parsed["command"] == "bound"
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["two-squares", "--json"], ["two-squares"]])
+def test_closed_pipe_exits_one_without_a_traceback(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == 1
+    sys.stdout.close()  # the devnull stream main switched to
+    assert sys.stdout.name == os.devnull
+    assert capsys.readouterr().err == ""

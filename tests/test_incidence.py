@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from agealgebra import incidence
 from agealgebra.cli import run
 from agealgebra.incidence import check_commutation, inclusion_matrix, verify_kantor
-from agealgebra.linalg import RationalMatrix, matmul, rank
+from agealgebra.linalg import IntMatrix, rank
 from agealgebra.setfuncs import MultOperator, SetFunction, cofactor, mult_matrix, singleton_ones
 from agealgebra.subsets import Subset, ksubsets
 
@@ -25,15 +25,16 @@ def weight(l, values):
 
 
 def derivation_matrix(f, n):
-    """Weighted one-step contraction from degree n+1 down to degree n: the
-    entry at (B, Q) is f(Q minus B) when B is inside Q, the transpose of
-    multiplication by f from degree n."""
+    """Weighted one-step contraction from degree n+1 down to degree n, as
+    dense Fraction rows: the entry at (B, Q) is f(Q minus B) when B is
+    inside Q, the transpose of multiplication by f from degree n."""
     assert f.degree == 1 and 0 <= n < f.n
-    return mult_matrix(f, n).matrix.transpose()
+    return [[Fraction(x, f.den) for x in col] for col in zip(*mult_matrix(f, n).matrix.nums)]
 
 
 def scaling_matrix(f, n):
-    """Diagonal rescaling of n-subsets by the product of their point weights."""
+    """Diagonal rescaling of n-subsets by the product of their point
+    weights, as dense Fraction rows."""
     assert f.degree == 1 and 0 <= n <= f.n
     points = [f.value(Subset(f.n, 1 << x)) for x in range(f.n)]
     diag = []
@@ -42,15 +43,17 @@ def scaling_matrix(f, n):
         for x in s.elements():
             w *= points[x]
         diag.append(w)
-    return RationalMatrix(
-        [[w if i == j else 0 for j in range(len(diag))] for i, w in enumerate(diag)]
-    )
+    return [[w if i == j else Fraction(0) for j in range(len(diag))] for i, w in enumerate(diag)]
+
+
+def dense_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
 
 
 def test_inclusion_matrix_shape_and_entries():
     m = inclusion_matrix(4, 1, 1)
-    assert len(m.entries) == 4 and len(m.entries[0]) == 6
-    total = sum(sum(row) for row in m.entries)
+    assert (m.rows, m.cols) == (4, 6)
+    total = sum(sum(row) for row in m.nums)
     # each pair contains two singletons
     assert total == 12
 
@@ -62,7 +65,8 @@ def test_inclusion_matrix_matches_dense_containment():
                 dense = [
                     [1 if b.issubset(q) else 0 for q in ksubsets(l, n + m)] for b in ksubsets(l, n)
                 ]
-                assert inclusion_matrix(l, n, m) == RationalMatrix(dense)
+                inc = inclusion_matrix(l, n, m)
+                assert (inc.nums, inc.cols) == (dense, comb(l, n + m))
 
 
 def test_full_row_rank_inside_the_threshold():
@@ -105,10 +109,12 @@ def test_commutation_for_random_weights_with_zeros():
 
 
 def perturbed_mult_matrix(f, degree):
-    """`mult_matrix` with its first stored entry raised by one."""
-    entries = mult_matrix(f, degree).matrix.entries
-    entries[0][0] += 1
-    return MultOperator(f, degree, RationalMatrix(entries))
+    """`mult_matrix` with its first entry raised by one: its stored
+    numerator, over f.den, by f.den."""
+    m = mult_matrix(f, degree).matrix
+    nums = [row[:] for row in m.nums]
+    nums[0][0] += f.den
+    return MultOperator(IntMatrix(nums, m.cols))
 
 
 def test_commutation_fails_on_a_perturbed_multiplication_matrix(monkeypatch):
@@ -126,16 +132,16 @@ def test_commutation_fails_on_a_perturbed_multiplication_matrix(monkeypatch):
 def test_derivation_matrix_column_sums_with_unit_weights():
     # replacing one point at a time: each 2-set feeds both its singletons
     d = derivation_matrix(singleton_ones(4), 1)
-    for col in d.transpose().entries:
+    for col in zip(*d):
         assert sum(col) == 2
 
 
 def test_scaling_matrix_is_diagonal_product():
     f = weight(3, {0: 2, 1: 3, 2: 5})
     s = scaling_matrix(f, 2)
-    diag = [s.entries[i][i] for i in range(len(s.entries))]
+    diag = [s[i][i] for i in range(len(s))]
     assert sorted(diag) == [Fraction(6), Fraction(10), Fraction(15)]
-    for i, row in enumerate(s.entries):
+    for i, row in enumerate(s):
         for j, v in enumerate(row):
             if i != j:
                 assert v == 0
@@ -147,8 +153,8 @@ def test_commutation_identity_written_out():
     f = weight(4, {0: 1, 1: -2, 2: 3, 3: Fraction(1, 2)})
     n = 1
     e = singleton_ones(4)
-    lhs = matmul(derivation_matrix(e, n), scaling_matrix(f, n + 1))
-    rhs = matmul(scaling_matrix(f, n), derivation_matrix(f, n))
+    lhs = dense_product(derivation_matrix(e, n), scaling_matrix(f, n + 1))
+    rhs = dense_product(scaling_matrix(f, n), derivation_matrix(f, n))
     assert lhs == rhs
 
 
@@ -163,6 +169,6 @@ def test_entrywise_commutation_agrees_with_dense_products(data):
     ))
     f = weight(l, dict(enumerate(values)))
     e = singleton_ones(l)
-    lhs = matmul(derivation_matrix(e, n), scaling_matrix(f, n + 1))
-    rhs = matmul(scaling_matrix(f, n), derivation_matrix(f, n))
+    lhs = dense_product(derivation_matrix(e, n), scaling_matrix(f, n + 1))
+    rhs = dense_product(scaling_matrix(f, n), derivation_matrix(f, n))
     assert check_commutation(f, n) == (lhs == rhs)

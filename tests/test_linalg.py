@@ -5,6 +5,7 @@ rescaled Bareiss elimination is checked step for step against the eager
 one, `reference_bareiss`, which rescales every row below each pivot."""
 
 from fractions import Fraction
+from math import gcd, lcm
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from agealgebra.incidence import inclusion_matrix
 from agealgebra.linalg import (
-    RationalMatrix,
+    IntMatrix,
     _bareiss_echelon,
     kernel_vector,
     matmul,
@@ -22,7 +23,33 @@ from agealgebra.linalg import (
 
 
 def M(rows):
-    return RationalMatrix([[Fraction(x) for x in row] for row in rows])
+    """The rational rows as integer rows, each scaled by the lcm of its
+    denominators; rank and kernel are those of the rational matrix."""
+    nums = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        nums.append([int(x * d) for x in row])
+    return IntMatrix(nums, len(rows[0]))
+
+
+def T(m):
+    return IntMatrix([[row[j] for row in m.nums] for j in range(m.cols)], m.rows)
+
+
+def dense_apply(rows, vec):
+    """Oracle: the rational rows times vec, in Fractions."""
+    return [sum((Fraction(x) * y for x, y in zip(row, vec)), Fraction(0)) for row in rows]
+
+
+def lead_one(vec):
+    lead = next(x for x in vec if x)
+    return [Fraction(x, lead) for x in vec]
+
+
+def assert_primitive_positive_lead(vec):
+    assert all(type(x) is int for x in vec)
+    assert gcd(*vec) == 1 and next(x for x in vec if x) > 0
 
 
 def test_rank_hand_cases():
@@ -42,16 +69,16 @@ def test_rank_with_fractions():
 
 def test_nullspace_of_wide_matrix():
     basis = nullspace_basis(M([[1, 1]]))
-    assert basis == [[Fraction(1), Fraction(-1)]]
+    assert basis == [[1, -1]]
 
 
 def test_nullspace_dimension_and_membership():
-    m = M([[1, 2, 3], [4, 5, 6]])
-    basis = nullspace_basis(m)
-    assert len(basis) == 1
-    v = basis[0]
-    assert all(x == 0 for x in m.apply(v))
-    assert next(x for x in v if x) == 1  # normalized leading coordinate
+    rows = [[1, 2, 3], [4, 5, 6]]
+    basis = nullspace_basis(M(rows))
+    assert basis == [[1, -2, 1]]
+    assert dense_apply(rows, basis[0]) == [0, 0]
+    # a rational row rescaled to integers keeps its kernel
+    assert nullspace_basis(M([[Fraction(1, 2), 1, Fraction(3, 2)], [4, 5, 6]])) == basis
 
 
 def test_nullspace_trivial_for_full_column_rank():
@@ -70,8 +97,9 @@ def test_rank_plus_nullity_random():
 def test_matmul_and_transpose():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])
-    assert matmul(a, b) == M([[2, 1], [4, 3]])
-    assert a.transpose() == M([[1, 3], [2, 4]])
+    assert matmul(a, b).nums == [[2, 1], [4, 3]]
+    assert T(a).nums == [[1, 3], [2, 4]]
+    assert matmul(a, T(a)).nums == [[5, 11], [11, 25]]
     with pytest.raises(ValueError):
         matmul(a, M([[1, 2, 3]]))
 
@@ -81,7 +109,7 @@ def test_rank_invariant_under_transpose_random():
     for _ in range(20):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = M([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)])
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(T(m))
 
 
 def dense_rank_and_nullspace(rows):
@@ -139,35 +167,39 @@ def rational_rows(draw, max_side=7):
 @settings(max_examples=150, deadline=None)
 @given(rational_rows())
 def test_rank_and_nullspace_match_dense_oracle(rows):
-    m = RationalMatrix(rows)
+    m = M(rows)
     want_rank, want_basis = dense_rank_and_nullspace(rows)
     assert rank(m) == want_rank
-    assert nullspace_basis(m) == want_basis
-    assert kernel_vector(m) == (want_basis or [None])[0]
+    basis = nullspace_basis(m)
+    assert [lead_one(v) for v in basis] == want_basis
+    for v in basis:
+        assert_primitive_positive_lead(v)
+    assert kernel_vector(m) == (basis or [None])[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(rational_rows(), st.data())
-def test_entries_equality_and_apply_round_trip(rows, data):
-    dense = [[Fraction(x) for x in row] for row in rows]
-    m = RationalMatrix(rows)
-    assert m.entries == dense
+def test_rows_kept_as_given_and_matmul_matches_dense_products(rows, data):
+    m = M(rows)
     assert (m.rows, m.cols) == (len(rows), len(rows[0]))
-    assert m == RationalMatrix(dense) == RationalMatrix(m.entries)
-    bumped = [row[:] for row in dense]
-    bumped[0][0] += Fraction(1, 2)
-    assert m != RationalMatrix(bumped)
-    vec = data.draw(st.lists(entry, min_size=m.cols, max_size=m.cols))
-    want = [sum((x * Fraction(y) for x, y in zip(row, vec)), Fraction(0)) for row in dense]
-    assert m.apply(vec) == want
-    assert all(type(x) is Fraction for x in m.apply(vec))
+    assert IntMatrix(m.nums, m.cols).nums is m.nums
+    c = data.draw(st.integers(0, 4))
+    b = IntMatrix(
+        [data.draw(st.lists(st.integers(-3, 3), min_size=c, max_size=c)) for _ in range(m.cols)], c
+    )
+    got = matmul(m, b)
+    assert (got.rows, got.cols) == (m.rows, c)
+    assert got.nums == [dense_apply(T(b).nums, row) for row in m.nums]
 
 
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
-        RationalMatrix([[1, Fraction(1, 2)], [3]])
+        IntMatrix([[1, 2], [3]], 2)
     with pytest.raises(ValueError):
-        RationalMatrix([[Fraction(1, 3)], [1, 2]])
+        IntMatrix([[1], [1, 2]], 1)
+    with pytest.raises(ValueError):
+        M([[1, Fraction(1, 2)], [3]])
+    assert (IntMatrix([], 3).rows, IntMatrix([], 3).cols) == (0, 3)
 
 
 def reference_bareiss(a, nrows, ncols):
@@ -229,8 +261,24 @@ def integer_rows(draw):
 @given(integer_rows())
 def test_lazy_bareiss_matches_eager_reference(rows):
     assert_same_echelon(rows, len(rows[0]))
-    m = RationalMatrix(rows)
+    m = IntMatrix(rows, len(rows[0]))
     assert kernel_vector(m) == (nullspace_basis(m) or [None])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rows(), st.data())
+def test_row_scaling_keeps_rank_and_primitive_kernel(rows, data):
+    c = len(rows[0])
+    factor = st.integers(-5, 5).filter(bool)
+    factors = data.draw(st.lists(factor, min_size=len(rows), max_size=len(rows)))
+    m = IntMatrix(rows, c)
+    scaled = IntMatrix([[k * x for x in row] for k, row in zip(factors, rows)], c)
+    basis = nullspace_basis(m)
+    assert rank(scaled) == rank(m)
+    assert nullspace_basis(scaled) == basis
+    for v in basis:
+        assert_primitive_positive_lead(v)
+        assert dense_apply(rows, v) == [0] * len(rows)
 
 
 def test_lazy_bareiss_matches_eager_reference_on_inclusion_matrices():
@@ -243,5 +291,7 @@ def test_lazy_bareiss_matches_eager_reference_on_inclusion_matrices():
 
 def test_kernel_vector_hand_cases():
     assert kernel_vector(M([[1, 0], [0, 1]])) is None
-    assert kernel_vector(M([[1, 2, 3], [2, 4, 6]])) == [1, Fraction(-1, 2), 0]
+    assert kernel_vector(M([[1, 2, 3], [2, 4, 6]])) == [2, -1, 0]
+    assert kernel_vector(M([[0, 2, -4]])) == [1, 0, 0]
+    assert kernel_vector(M([[3, 1, 0], [0, 0, 1]])) == [1, -3, 0]
     assert kernel_vector(M([[0, 1]])) == [1, 0]
