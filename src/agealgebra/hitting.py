@@ -12,12 +12,16 @@ e moves the members of occ[e] down one count, so the members with no,
 exactly one and fewest allowed elements are each an AND or two.  A node
 branches on an uncovered member with the fewest allowed elements, ties
 going to the smallest mask (the lowest index of each size group, then the
-smallest of those), and prunes with a greedy incumbent from above and a
-disjoint-subfamily packing bound from below.  The packing looks up the
-members that a member's allowed part misses in a table keyed by that part,
-which lives for one `tau` call.  Determinism: members are scanned in index
-order and elements in increasing index order, so the reported witness
-never depends on hash order.
+smallest of those).  It tries that member's allowed elements busiest
+first: by falling degree among the uncovered members, ties going to the
+lowest index.  It prunes with a greedy incumbent from above and a
+disjoint-subfamily packing bound from below: the packing takes members with
+pairwise disjoint allowed parts, fewest allowed elements first (the lowest
+index of the first nonempty uncovered & below[k]), since a tight member
+rules out fewer of the others.  It looks up the members that a member's
+allowed part misses in a table keyed by that part, which lives for one
+`tau` call.  Determinism: every one of these orders breaks its ties by
+index, so the reported witness never depends on hash order.
 
 Symmetry (orbital branching, Ostrowski, Linderoth, Rossi & Smriglio, Math.
 Prog. 2011): elements x and y are twins when the transposition (x y) maps
@@ -213,14 +217,19 @@ def tau(family: SetFamily) -> TransversalResult:
     # Keyed by a member's allowed part: the members it does not meet.
     missed: dict[int, int] = {}
 
-    def packing(uncovered: int, banned: int, limit: int) -> int:
+    def packing(uncovered: int, below: list[int], banned: int, limit: int) -> int:
         """Size, capped at limit, of a greedy family of members with pairwise
-        disjoint allowed parts, taken in index order: each needs one more
-        element of any transversal."""
+        disjoint allowed parts, fewest allowed elements first, ties going to
+        the lowest index: each needs one more element of any transversal."""
         allowed = ~banned
         count = 0
+        k = 1
         while uncovered and count < limit:
-            part = masks[(uncovered & -uncovered).bit_length() - 1] & allowed
+            # Taking members only removes others, so k never goes back down.
+            while not uncovered & below[k]:
+                k += 1
+            fewest = uncovered & below[k]
+            part = masks[(fewest & -fewest).bit_length() - 1] & allowed
             disjoint = missed.get(part)
             if disjoint is None:
                 disjoint = -1
@@ -236,7 +245,7 @@ def tau(family: SetFamily) -> TransversalResult:
 
     greedy = _greedy_transversal(occ, full)
     root_upper = greedy.bit_count()
-    root_lower = packing(full, 0, len(masks))
+    root_lower = packing(full, below, 0, len(masks))
     best_size = root_upper
     best_mask = greedy
     nodes = 0
@@ -269,7 +278,7 @@ def tau(family: SetFamily) -> TransversalResult:
                 low = forced & -forced
                 uncovered &= ~occ[low.bit_length() - 1]
                 forced ^= low
-        if nchosen + packing(uncovered, banned, best_size - nchosen) >= best_size:
+        if nchosen + packing(uncovered, below, banned, best_size - nchosen) >= best_size:
             return
         # Fewest allowed elements: every member has at least 2 here, so they
         # are the first nonempty uncovered & below[k] from k = 3 up.
@@ -285,11 +294,23 @@ def tau(family: SetFamily) -> TransversalResult:
                 masks[(low & -low).bit_length() - 1] for low in (fewest & g for g in groups) if low
             )
         allowed = branch & ~banned
+        # Its elements by falling degree among the uncovered members, ties
+        # going to the lowest index.
+        order = []
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            e = low.bit_length() - 1
+            order.append((-(occ[e] & uncovered).bit_count(), e))
+            rest ^= low
+        order.sort()
         new_banned = banned
         below = below[:]
-        while allowed:
-            bit = allowed & -allowed
-            e = bit.bit_length() - 1
+        for _, e in order:
+            bit = 1 << e
+            # Skip the elements that an earlier branch's twin ban removed.
+            if not allowed & bit:
+                continue
             search(uncovered & ~occ[e], below, chosen | bit, new_banned, nchosen + 1)
             fresh = twins[e] & ~chosen & ~new_banned
             new_banned |= fresh

@@ -299,9 +299,29 @@ def test_gadget_4_4_optimum_in_few_nodes():
     assert res.nodes_expanded <= 1000
 
 
+def benchmark_scale_family():
+    """250 distinct 4-sets of 32 points, the shape of the benchmark's random
+    tau families."""
+    rng = random.Random(32)
+    members = set()
+    while len(members) < 250:
+        members.add(tuple(sorted(rng.sample(range(32), 4))))
+    return family(32, [list(m) for m in members])
+
+
+def test_benchmark_scale_family_optimum_in_few_nodes():
+    # 4,407 nodes.  Packing in index order, or branching in index order,
+    # takes it above 7,300.
+    fam = benchmark_scale_family()
+    res = tau(fam)
+    assert is_transversal(res.witness, fam) and len(res.witness) == res.size
+    assert res.nodes_expanded <= 6000
+
+
 # The list-of-masks search that the bitset search replaced.  Both branch on
-# the same member, bound with the same packing and ban the same twins, so
-# they must agree on the witness and on the node count, not just the size.
+# the same member, try its elements in the same order, bound with the same
+# packing and ban the same twins, so they must agree on the witness and on
+# the node count, not just the size.
 
 
 def reference_tau(fam):
@@ -309,10 +329,12 @@ def reference_tau(fam):
     set up by the oracles above, not by the library."""
     masks = minimal_oracle(fam.masks())
     twins = twin_oracle(masks, fam.n)
+    index = {m: i for i, m in enumerate(masks)}
 
     def packing_bound(uncovered, banned):
+        """Greedy disjoint packing, fewest allowed elements first."""
         used = count = 0
-        for m in uncovered:
+        for m in sorted(uncovered, key=lambda m: ((m & ~banned).bit_count(), index[m])):
             a = m & ~banned
             if not a & used:
                 count += 1
@@ -354,13 +376,15 @@ def reference_tau(fam):
         if nchosen + packing_bound(uncovered, banned) >= state["size"]:
             return
         branch = min(uncovered, key=lambda m: ((m & ~banned).bit_count(), m))
-        allowed = branch & ~banned
+        allowed = [e for e in range(fam.n) if branch >> e & 1 and not banned >> e & 1]
+        degree = {e: sum(m >> e & 1 for m in uncovered) for e in allowed}
         new_banned = banned
-        while allowed:
-            bit = allowed & -allowed
+        for e in sorted(allowed, key=lambda e: (-degree[e], e)):
+            if new_banned >> e & 1:
+                continue
+            bit = 1 << e
             search([m for m in uncovered if not m & bit], chosen | bit, new_banned, nchosen + 1)
-            new_banned |= twins[bit.bit_length() - 1] & ~chosen
-            allowed &= ~new_banned
+            new_banned |= twins[e] & ~chosen
 
     root_upper = state["size"]
     search(masks, 0, 0, 0)
@@ -401,13 +425,9 @@ def test_bitset_search_walks_the_reference_tree_on_uniform_families(fam):
 
 
 def test_bitset_search_walks_the_reference_tree_at_benchmark_scale():
-    # 250 distinct 4-sets of 32 points: about 12k nodes, so the packing
-    # table of one call is reused across many nodes.
-    rng = random.Random(32)
-    members = set()
-    while len(members) < 250:
-        members.add(tuple(sorted(rng.sample(range(32), 4))))
-    fam = family(32, [list(m) for m in members])
+    # About 4.4k nodes, so the packing table of one call is reused across
+    # many nodes.
+    fam = benchmark_scale_family()
     assert search_record(fam) == reference_tau(fam)
 
 
