@@ -154,6 +154,10 @@ def _cmd_search(args, results: list) -> None:
         cert.transversal.size,
         cert.transversal.size,
     )
+    # Missing at most min(m,n) - 1 points, that many points meet every
+    # m-set and every n-set.
+    cap = args.l - min(args.m, args.n) + 1
+    _claim(results, f"best tau is at most l-min(m,n)+1 = {cap}", True, cert.transversal.size <= cap)
     if _search_embeds_gadget(args):
         bound = lower_bound_formula(args.m, args.n)
         _claim(results, f"best tau is at least the block gadget's (m+1)(n+1)-2 = {bound}", True,

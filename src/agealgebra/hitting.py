@@ -23,6 +23,19 @@ allowed part misses in a table keyed by that part, which lives for one
 `tau` call.  Determinism: every one of these orders breaks its ties by
 index, so the reported witness never depends on hash order.
 
+One each (a bound rule in the style of the d-Hitting-Set rules, Abu-Khzam,
+JCSS 2010): at a node where the packing misses pruning by exactly one, a
+strictly better transversal adds at most as many elements as the packing
+has parts.  The parts are disjoint and each needs one, so such a
+transversal takes exactly one allowed element from each part and nothing
+else.  A member that meets one part and no other must then hold that part's
+element, so each part narrows to the elements all such members hold, until
+no part narrows.  An empty part, or an uncovered member meeting no part,
+shows the node holds no better transversal, and it is pruned.  This is
+exact: the pruned subtrees would never have replaced the incumbent, so the
+witness and the root bounds are those of the search without the rule, and
+the rule only removes nodes.
+
 Symmetry (orbital branching, Ostrowski, Linderoth, Rossi & Smriglio, Math.
 Prog. 2011): elements x and y are twins when the transposition (x y) maps
 the minimal members onto themselves, that is when {M - x : x in M, y not
@@ -125,11 +138,6 @@ def _minimal(masks: list[int], n: int) -> tuple[list[int], list[int]]:
     return masks, _columns(masks, n)
 
 
-def _minimal_members(masks: list[int]) -> list[int]:
-    """Drop any member that contains another; hitting the rest hits it too."""
-    return _minimal(masks, max(masks, default=0).bit_length())[0]
-
-
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -160,11 +168,6 @@ def _twins(masks: list[int], occ: list[int]) -> list[int]:
             same_degree.append(x)
         class_mask[rep[x]] |= bx
     return [class_mask[r] for r in rep]
-
-
-def _twin_classes(masks: list[int], ground_size: int) -> list[int]:
-    """Twin class masks of the minimal members `masks` on ground_size points."""
-    return _twins(masks, _columns(masks, ground_size))
 
 
 def _greedy_transversal(occ: list[int], full: int) -> int:
@@ -216,11 +219,14 @@ def tau(family: SetFamily) -> TransversalResult:
     uniform = len(groups) == 1
     # Keyed by a member's allowed part: the members it does not meet.
     missed: dict[int, int] = {}
+    # The allowed parts that the last packing took.
+    parts: list[int] = []
 
     def packing(uncovered: int, below: list[int], banned: int, limit: int) -> int:
         """Size, capped at limit, of a greedy family of members with pairwise
         disjoint allowed parts, fewest allowed elements first, ties going to
         the lowest index: each needs one more element of any transversal."""
+        parts.clear()
         allowed = ~banned
         count = 0
         k = 1
@@ -239,9 +245,46 @@ def tau(family: SetFamily) -> TransversalResult:
                     disjoint &= ~occ[low.bit_length() - 1]
                     rest ^= low
                 missed[part] = disjoint
+            parts.append(part)
             uncovered &= disjoint
             count += 1
         return count
+
+    def one_each(uncovered: int) -> bool:
+        """Whether no choice of one element from each part of the last packing,
+        which ran until it covered `uncovered`, hits every uncovered member."""
+        hits = [uncovered & ~missed[part] for part in parts]
+        while True:
+            once = twice = 0
+            for hit in hits:
+                twice |= once & hit
+                once |= hit
+            if uncovered & ~once:
+                return True
+            alone = once & ~twice
+            narrowed = False
+            for i, part in enumerate(parts):
+                # The members meeting part i alone must hold its chosen element.
+                need = hits[i] & alone
+                if not need:
+                    continue
+                kept = met = 0
+                rest = part
+                while rest:
+                    low = rest & -rest
+                    column = occ[low.bit_length() - 1]
+                    if not need & ~column:
+                        kept |= low
+                        met |= column
+                    rest ^= low
+                if kept != part:
+                    if not kept:
+                        return True
+                    parts[i] = kept
+                    hits[i] = met & uncovered
+                    narrowed = True
+            if not narrowed:
+                return False
 
     greedy = _greedy_transversal(occ, full)
     root_upper = greedy.bit_count()
@@ -278,7 +321,9 @@ def tau(family: SetFamily) -> TransversalResult:
                 low = forced & -forced
                 uncovered &= ~occ[low.bit_length() - 1]
                 forced ^= low
-        if nchosen + packing(uncovered, below, banned, best_size - nchosen) >= best_size:
+        # One short of pruning, the packing ran until it covered everything.
+        short = best_size - nchosen - packing(uncovered, below, banned, best_size - nchosen)
+        if short <= 0 or short == 1 and one_each(uncovered):
             return
         # Fewest allowed elements: every member has at least 2 here, so they
         # are the first nonempty uncovered & below[k] from k = 3 up.

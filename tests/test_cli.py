@@ -107,14 +107,14 @@ def test_search_gadget_claim_is_independent_of_the_search(monkeypatch):
     # a best certificate below (m+1)(n+1)-2 = 7 fails the claim
     monkeypatch.setattr(cli, "search_best", lambda *a, **k: verify(gadget_tau1n(2)))
     code, rep = run(["search", "--m", "2", "--n", "2", "--l", "8", "--strategy", "gadget"])
-    assert code == 1 and [r["pass"] for r in rep["results"]] == [True, True, False]
+    assert code == 1 and [r["pass"] for r in rep["results"]] == [True, True, True, False]
 
 
 @pytest.mark.parametrize("m, n, present", [(1, 3, True), (3, 1, True), (2, 2, False)])
 def test_search_linear_case_claims_the_exact_upper_bound(m, n, present):
     code, rep = run(["search", "--m", str(m), "--n", str(n), "--l", "8"])
     assert code == 0
-    upper = [r for r in rep["results"] if r["claim"].startswith("best tau is at most")]
+    upper = [r for r in rep["results"] if r["claim"].startswith("best tau is at most tau(1,")]
     want = {"claim": "best tau is at most tau(1,3) = 2*max(m,n) = 6",
             "expected": True, "computed": True, "pass": True}
     assert upper == ([want] if present else [])
@@ -127,8 +127,29 @@ def test_search_upper_bound_claim_fails_above_two_max(monkeypatch):
     # tau 8 from the (1,4) gadget exceeds tau(1,3) = 6
     monkeypatch.setattr(cli, "search_best", lambda *a, **k: verify(gadget_tau1n(4)))
     code, rep = run(["search", "--m", "1", "--n", "3", "--l", "8"])
-    assert code == 1 and [r["pass"] for r in rep["results"]] == [True, True, True, False]
+    assert code == 1 and [r["pass"] for r in rep["results"]] == [True, True, True, True, False]
     assert rep["results"][-1]["claim"].startswith("best tau is at most")
+
+
+def test_search_cap_claim_fails_when_tau_overshoots(monkeypatch):
+    from agealgebra import witnesses
+    from agealgebra.hitting import TransversalResult
+    from agealgebra.subsets import Subset
+
+    code, rep = run(["search", "--m", "2", "--n", "3", "--l", "10"])
+    cap = {"claim": "best tau is at most l-min(m,n)+1 = 9",
+           "expected": True, "computed": True, "pass": True}
+    assert code == 0 and cap in rep["results"]
+
+    # A tau that takes the whole ground overshoots l - min(m,n) + 1.
+    def whole_ground(family):
+        everything = (1 << family.n) - 1
+        return TransversalResult(family.n, Subset(family.n, everything), 1, 0, family.n)
+
+    monkeypatch.setattr(witnesses, "tau", whole_ground)
+    code, rep = run(["search", "--m", "2", "--n", "3", "--l", "10"])
+    assert code == 1 and [r["pass"] for r in rep["results"]] == [True, True, False]
+    assert rep["results"][2]["claim"] == cap["claim"]
 
 
 def test_commutation_sweep_passes():

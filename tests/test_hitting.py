@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from agealgebra.hitting import (
     NoTransversalError,
     _columns,
-    _minimal_members,
-    _twin_classes,
+    _minimal,
+    _twins,
     is_minimal_transversal,
     is_transversal,
     tau,
@@ -205,8 +205,8 @@ def test_tau_with_planted_twins_matches_brute_force(case):
     res = tau(fam)
     assert res.size == brute_tau(fam)
     assert is_transversal(res.witness, fam) and len(res.witness) == res.size
-    masks = _minimal_members(fam.masks())
-    twins = _twin_classes(masks, fam.n)
+    masks = _minimal(fam.masks(), fam.n)[0]
+    twins = _twins(masks, _columns(masks, fam.n))
     for x in range(fam.n):
         for y in range(fam.n):
             assert bool(twins[x] >> y & 1) == transposition_fixes(masks, x, y)
@@ -227,7 +227,7 @@ def nested_families(draw):
 @settings(max_examples=150, deadline=None)
 @given(nested_families())
 def test_nested_members_of_mixed_sizes(fam):
-    assert _minimal_members(fam.masks()) == minimal_oracle(fam.masks())
+    assert _minimal(fam.masks(), fam.n)[0] == minimal_oracle(fam.masks())
     assert tau(fam).size == brute_tau(fam)
 
 
@@ -248,7 +248,7 @@ def grown_families(draw, small, large):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(grown_families(2, 6), grown_families(3, 4)))
 def test_minimal_members_on_24_points(masks):
-    assert _minimal_members(masks) == minimal_oracle(masks)
+    assert _minimal(masks, 24)[0] == minimal_oracle(masks)
 
 
 @st.composite
@@ -279,7 +279,8 @@ def gadget_support(m, n):
 def test_gadget_twin_classes_are_the_blocks(m, n):
     fam = gadget_support(m, n)
     width = 2 * n
-    twins = _twin_classes(_minimal_members(fam.masks()), fam.n)
+    masks = _minimal(fam.masks(), fam.n)[0]
+    twins = _twins(masks, _columns(masks, fam.n))
     assert twins == [((1 << width) - 1) << (x - x % width) for x in range(fam.n)]
 
 
@@ -289,14 +290,25 @@ def test_gadget_twin_class_is_the_ground_when_the_support_is_complete(m, n):
     # the 8 points, across blocks from f and inside them from g.
     fam = gadget_support(m, n)
     full = (1 << fam.n) - 1
-    assert _twin_classes(_minimal_members(fam.masks()), fam.n) == [full] * fam.n
+    masks = _minimal(fam.masks(), fam.n)[0]
+    assert _twins(masks, _columns(masks, fam.n)) == [full] * fam.n
 
 
 def test_gadget_4_4_optimum_in_few_nodes():
     fam = gadget_support(4, 4)
     res = tau(fam)
     assert res.size == 23 and is_transversal(res.witness, fam)
-    assert res.nodes_expanded <= 1000
+    assert res.nodes_expanded <= 80
+
+
+@pytest.mark.parametrize("n, most", [(3, 16), (4, 21), (5, 26), (6, 31)])
+def test_two_row_gadgets_in_few_nodes(n, most):
+    # The busiest-first branch order grew these trees (31 -> 37 nodes at
+    # (2,6)); refuting the one-short nodes takes them back below the sizes
+    # they had before it: 15, 19, 23 and 27 nodes.
+    res = tau(gadget_support(2, n))
+    assert res.size == 3 * n + 1
+    assert res.nodes_expanded <= most
 
 
 def benchmark_scale_family():
@@ -310,36 +322,65 @@ def benchmark_scale_family():
 
 
 def test_benchmark_scale_family_optimum_in_few_nodes():
-    # 4,407 nodes.  Packing in index order, or branching in index order,
-    # takes it above 7,300.
+    # 1,552 nodes; 4,407 without the one-each refutation.  Packing in index
+    # order, or branching in index order, takes it above 7,300 without it.
     fam = benchmark_scale_family()
     res = tau(fam)
     assert is_transversal(res.witness, fam) and len(res.witness) == res.size
-    assert res.nodes_expanded <= 6000
+    assert res.nodes_expanded <= 2500
 
 
 # The list-of-masks search that the bitset search replaced.  Both branch on
 # the same member, try its elements in the same order, bound with the same
-# packing and ban the same twins, so they must agree on the witness and on
-# the node count, not just the size.
+# packing, refute the same one-short nodes and ban the same twins, so they
+# must agree on the witness and on the node count, not just the size.
 
 
-def reference_tau(fam):
+def one_each_refutes(uncovered, parts):
+    """Whether narrowing each part to the elements that every member meeting
+    it and no other part holds, until nothing narrows, empties a part or
+    leaves a member meeting no part."""
+    parts = list(parts)
+    while True:
+        meets = [[i for i, part in enumerate(parts) if m & part] for m in uncovered]
+        if [] in meets:
+            return True
+        narrowed = False
+        for i, part in enumerate(parts):
+            kept = part
+            for m, where in zip(uncovered, meets):
+                if where == [i]:
+                    kept &= m
+            if kept != part:
+                if not kept:
+                    return True
+                parts[i] = kept
+                narrowed = True
+        if not narrowed:
+            return False
+
+
+def packing_bound(uncovered, banned, index):
+    """Size and allowed parts of the greedy disjoint packing, fewest allowed
+    elements first, ties going to the lowest index."""
+    parts = []
+    used = 0
+    for m in sorted(uncovered, key=lambda m: ((m & ~banned).bit_count(), index[m])):
+        a = m & ~banned
+        if not a & used:
+            parts.append(a)
+            used |= a
+    return len(parts), parts
+
+
+def reference_tau(fam, one_each=True):
     """(size, witness mask, nodes, root lower, root upper) of the old search,
-    set up by the oracles above, not by the library."""
+    set up by the oracles above, not by the library.  With one_each, a node
+    whose packing bound falls one short of pruning is pruned when
+    one_each_refutes its packing's parts."""
     masks = minimal_oracle(fam.masks())
     twins = twin_oracle(masks, fam.n)
     index = {m: i for i, m in enumerate(masks)}
-
-    def packing_bound(uncovered, banned):
-        """Greedy disjoint packing, fewest allowed elements first."""
-        used = count = 0
-        for m in sorted(uncovered, key=lambda m: ((m & ~banned).bit_count(), index[m])):
-            a = m & ~banned
-            if not a & used:
-                count += 1
-                used |= a
-        return count
 
     chosen, uncovered = 0, list(masks)
     while uncovered:
@@ -373,7 +414,9 @@ def reference_tau(fam):
             if nchosen >= state["size"]:
                 return
             uncovered = [m for m in uncovered if not m & chosen]
-        if nchosen + packing_bound(uncovered, banned) >= state["size"]:
+        count, parts = packing_bound(uncovered, banned, index)
+        short = state["size"] - nchosen - count
+        if short <= 0 or one_each and short == 1 and one_each_refutes(uncovered, parts):
             return
         branch = min(uncovered, key=lambda m: ((m & ~banned).bit_count(), m))
         allowed = [e for e in range(fam.n) if branch >> e & 1 and not banned >> e & 1]
@@ -388,7 +431,7 @@ def reference_tau(fam):
 
     root_upper = state["size"]
     search(masks, 0, 0, 0)
-    return state["size"], state["mask"], state["nodes"], packing_bound(masks, 0), root_upper
+    return state["size"], state["mask"], state["nodes"], packing_bound(masks, 0, index)[0], root_upper
 
 
 def search_record(fam):
@@ -425,7 +468,7 @@ def test_bitset_search_walks_the_reference_tree_on_uniform_families(fam):
 
 
 def test_bitset_search_walks_the_reference_tree_at_benchmark_scale():
-    # About 4.4k nodes, so the packing table of one call is reused across
+    # About 1.6k nodes, so the packing table of one call is reused across
     # many nodes.
     fam = benchmark_scale_family()
     assert search_record(fam) == reference_tau(fam)
@@ -435,3 +478,44 @@ def test_bitset_search_walks_the_reference_tree_at_benchmark_scale():
 def test_bitset_search_walks_the_reference_tree_on_gadgets(m, n):
     fam = gadget_support(m, n)
     assert search_record(fam) == reference_tau(fam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(celled_families().map(lambda case: case[1]), nested_families(),
+                 seeded_families(16, (3, 4), 60)))
+def test_one_each_keeps_the_answer_and_never_adds_nodes(fam):
+    size, witness, nodes, lower, upper = search_record(fam)
+    plain = reference_tau(fam, one_each=False)
+    assert (size, witness, lower, upper) == (plain[0], plain[1], plain[3], plain[4])
+    assert nodes <= plain[2]
+
+
+@st.composite
+def packed_nodes(draw):
+    """Up to 8 members on 8 points that keep an allowed element outside a
+    random banned set, and the allowed parts of their maximal packing."""
+    members = draw(st.lists(st.integers(1, 255), min_size=1, max_size=8, unique=True))
+    banned = draw(st.integers(0, 255))
+    uncovered = [m for m in members if m & ~banned]
+    index = {m: i for i, m in enumerate(uncovered)}
+    return uncovered, packing_bound(uncovered, banned, index)[1]
+
+
+# {0, 4} and {1, 5} meet only the part {0, 1}, and need both of its points.
+NEEDS_TWO_FROM_ONE_PART = ([0b11, 0b1100, 0b10001, 0b100010], [0b11, 0b1100])
+
+
+def test_one_each_refutes_a_part_asked_for_two_points():
+    assert one_each_refutes(*NEEDS_TWO_FROM_ONE_PART)
+    assert not one_each_refutes([0b11, 0b1100, 0b10001, 0b100100], [0b11, 0b1100])
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_nodes())
+@example(NEEDS_TWO_FROM_ONE_PART)
+def test_one_each_refutes_only_nodes_without_a_one_each_transversal(node):
+    uncovered, parts = node
+    if one_each_refutes(uncovered, parts):
+        for pick in product(*([1 << e for e in range(8) if part >> e & 1] for part in parts)):
+            chosen = sum(pick)
+            assert not all(chosen & m for m in uncovered)
