@@ -6,8 +6,10 @@ failure (the failing claim is still reported), 2 on usage errors, which are
 caught before any work; they include `gadget` and `tau1n` inputs whose
 support pairs exceed `MAX_SUPPORT_PAIRS`, and `kantor`, `commutation` and
 `search` inputs whose matrix cells exceed `MAX_KANTOR_CELLS`,
-`MAX_COMMUTATION_CELLS` or `MAX_SEARCH_CELLS`, and `bound` degrees above
-`MAX_GROUND`.
+`MAX_COMMUTATION_CELLS` or `MAX_SEARCH_CELLS`, a `search --strategy gadget`
+whose block gadget does not fit the ground, `bound` degrees above
+`MAX_GROUND`, and `profile` files that do not hold a structure with integer
+sizes and entries.
 """
 
 from __future__ import annotations
@@ -360,6 +362,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         )
     if cmd == "search" and not (1 <= min(args.m, args.n) and args.m + args.n <= args.l <= MAX_GROUND):
         parser.error(f"search needs --m >= 1, --n >= 1 and m+n <= l <= {MAX_GROUND}")
+    if cmd == "search" and args.strategy == "gadget" and 2 * args.m * args.n > args.l:
+        parser.error("search --strategy gadget needs the block gadget's 2*m*n <= l points")
     if cmd == "commutation" and not (0 <= args.n < args.l <= MAX_GROUND and args.trials >= 0):
         parser.error(f"commutation needs 0 <= n < l <= {MAX_GROUND} and --trials >= 0")
     cap = {

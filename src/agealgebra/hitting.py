@@ -10,18 +10,18 @@ minimal ones.  The uncovered members are one int, and choosing e leaves
 is kept in unary: below[k] holds the members with fewer than k, and banning
 e moves the members of occ[e] down one count, so the members with no,
 exactly one and fewest allowed elements are each an AND or two.  A node
-branches on an uncovered member with the fewest allowed elements, ties
-going to the smallest mask (the lowest index of each size group, then the
-smallest of those).  It tries that member's allowed elements busiest
-first: by falling degree among the uncovered members, ties going to the
-lowest index.  It prunes with a greedy incumbent from above and a
-disjoint-subfamily packing bound from below: the packing takes members with
-pairwise disjoint allowed parts, fewest allowed elements first (the lowest
-index of the first nonempty uncovered & below[k]), since a tight member
-rules out fewer of the others.  It looks up the members that a member's
-allowed part misses in a table keyed by that part, which lives for one
-`tau` call.  Determinism: every one of these orders breaks its ties by
-index, so the reported witness never depends on hash order.
+branches on the uncovered member with the fewest allowed elements that has
+the lowest index (the lowest index of the first nonempty uncovered &
+below[k]).  It tries that member's allowed elements busiest first: by
+falling degree among the uncovered members, ties going to the lowest index.
+It prunes with a greedy incumbent from above and a disjoint-subfamily
+packing bound from below: the packing takes members with pairwise disjoint
+allowed parts in the same order, fewest allowed elements first and then the
+lowest index, since a tight member rules out fewer of the others.  It looks
+up the members that a member's allowed part misses in a table keyed by that
+part, which lives for one `tau` call.  Determinism: every one of these
+orders breaks its ties by index, so the reported witness never depends on
+hash order.
 
 One each (a bound rule in the style of the d-Hitting-Set rules, Abu-Khzam,
 JCSS 2010): at a node where the packing misses pruning by exactly one, a
@@ -203,20 +203,16 @@ def tau(family: SetFamily) -> TransversalResult:
     masks, occ = _minimal(raw, n)
     twins = _twins(masks, occ)
     full = (1 << len(masks)) - 1
-    # The size groups are runs of indices.  below[k] holds the members with
-    # fewer than k allowed elements, at first those of size below k: the
-    # indices before the first group of size k or more.
-    groups = []
+    # The members of one size are a run of indices.  below[k] holds the
+    # members with fewer than k allowed elements, at first those of size
+    # below k: the indices before the first run of size k or more.
     below = [0]
     start = 0
     for size, run in groupby(map(int.bit_count, masks)):
-        stop = start + len(list(run))
-        groups.append((1 << stop) - (1 << start))
         below += [(1 << start) - 1] * (size + 1 - len(below))
-        start = stop
+        start += len(list(run))
     below.append(full)
     levels = range(1, len(below) - 1)
-    uniform = len(groups) == 1
     # Keyed by a member's allowed part: the members it does not meet.
     missed: dict[int, int] = {}
     # The allowed parts that the last packing took.
@@ -325,20 +321,14 @@ def tau(family: SetFamily) -> TransversalResult:
         short = best_size - nchosen - packing(uncovered, below, banned, best_size - nchosen)
         if short <= 0 or short == 1 and one_each(uncovered):
             return
-        # Fewest allowed elements: every member has at least 2 here, so they
-        # are the first nonempty uncovered & below[k] from k = 3 up.
+        # Fewest allowed elements, then the lowest index: every member has at
+        # least 2 here, so they are the first nonempty uncovered & below[k]
+        # from k = 3 up.
         k = 3
         while not uncovered & below[k]:
             k += 1
         fewest = uncovered & below[k]
-        # Then the smallest mask: the lowest index within each size group.
-        if uniform:
-            branch = masks[(fewest & -fewest).bit_length() - 1]
-        else:
-            branch = min(
-                masks[(low & -low).bit_length() - 1] for low in (fewest & g for g in groups) if low
-            )
-        allowed = branch & ~banned
+        allowed = masks[(fewest & -fewest).bit_length() - 1] & ~banned
         # Its elements by falling degree among the uncovered members, ties
         # going to the lowest index.
         order = []

@@ -3,17 +3,16 @@
 The unweighted inclusion matrix between n-subsets and (n+m)-subsets has
 full row rank C(l, n) whenever 2n + m <= l.  The weighted analogues built
 from a degree-1 function share that behaviour as soon as the function has
-at least 2n+1 nonzero values, which is checked here through the kernel of
-the multiplication operator.
+at least 2n+1 nonzero values; `check_commutation` checks, entry by entry,
+the rescaling identity that carries the rank over.
 """
 
 from __future__ import annotations
 
 from math import comb, prod
 
-from .linalg import IntMatrix, kernel_vector, rank
-from .relational import RelStructure, invariant_basis
-from .setfuncs import SetFunction, mult_matrix, product, singleton_ones
+from .linalg import IntMatrix, rank
+from .setfuncs import SetFunction, mult_matrix
 from .subsets import Subset, ksubsets
 
 
@@ -65,18 +64,3 @@ def check_commutation(f: SetFunction, n: int) -> bool:
                 return False
     return True
 
-
-def e_regular_on_invariants(structure: RelStructure, n: int) -> bool:
-    """True iff multiplying by the all-ones degree-1 function is injective
-    on the span of the isomorphism-invariant indicator functions.
-    """
-    basis = invariant_basis(structure, n)
-    ground = structure.base_size
-    if n + 1 > ground:
-        raise ValueError("image degree exceeds the base")
-    ones = singleton_ones(ground)
-    images = [product(ones, h) for h in basis]
-    # Column j holds the numerators of image j, a positive multiple of it,
-    # which leaves the kernel's triviality unchanged.
-    nums = [[img.coeffs.get(q, 0) for img in images] for q in ksubsets(ground, n + 1)]
-    return kernel_vector(IntMatrix(nums, len(images))) is None

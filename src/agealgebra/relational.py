@@ -7,8 +7,7 @@ colour cell in its own block of positions.  It is exact for bases of at
 most 8 points; a single cell still costs l! orders.  Results sit in a
 bounded LRU cache keyed by the structure, which makes profile sweeps over
 thousands of restrictions cheap.  The profile of a structure counts
-isomorphism types of its n-point restrictions; indicator functions of those
-types span the invariant functions of each degree.
+isomorphism types of its n-point restrictions.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product as iproduct
+from itertools import permutations, product as iproduct
 from typing import Iterable, Sequence
 
-from .setfuncs import SetFunction, product
 from .subsets import Subset, ksubsets
 
 MAX_CANON_BASE = 8
@@ -59,31 +57,8 @@ class RelStructure:
         self.signature = sig
         self.relations = tuple(rels)
 
-    @classmethod
-    def graph(cls, base_size: int, edges: Iterable[tuple[int, int]]) -> "RelStructure":
-        """Simple graph as one symmetric binary relation."""
-        tuples = []
-        for a, b in edges:
-            if a == b:
-                raise ValueError("no loops in a simple graph")
-            tuples.append((a, b))
-            tuples.append((b, a))
-        return cls(base_size, (2,), (tuples,))
-
     def encode(self) -> tuple:
         return tuple(tuple(sorted(rel)) for rel in self.relations)
-
-    def apply_permutation(self, perm: Sequence[int]) -> "RelStructure":
-        if sorted(perm) != list(range(self.base_size)):
-            raise ValueError("not a permutation of the base")
-        return RelStructure(
-            self.base_size,
-            self.signature,
-            [
-                [tuple(perm[x] for x in t) for t in rel]
-                for rel in self.relations
-            ],
-        )
 
     def restriction(self, points: Subset) -> "RelStructure":
         """Induced substructure, re-indexed to 0..|points|-1 in point order."""
@@ -206,14 +181,6 @@ def profile(r: RelStructure, n: int) -> int:
     return len(type_classes(r, n))
 
 
-def invariant_basis(r: RelStructure, n: int) -> list[SetFunction]:
-    """Indicators of the realized types, ordered by first colex occurrence."""
-    return [
-        SetFunction(r.base_size, n, dict.fromkeys(points, 1))
-        for points in type_classes(r, n).values()
-    ]
-
-
 @dataclass
 class ProfileReport:
     base_size: int
@@ -258,65 +225,22 @@ def check_profile_inequalities(r: RelStructure, upto: int | None = None) -> Prof
     return ProfileReport(l, values, checks)
 
 
-def disjoint_embedding_check(r: RelStructure, k: int) -> bool:
-    """True iff every restriction of at most k points has a disjoint
-    isomorphic copy elsewhere in the structure."""
-    if 2 * k > r.base_size:
-        raise ValueError("need 2k points in the base")
-    for size in range(k + 1):
-        for points in type_classes(r, size).values():
-            masks = [p.mask for p in points]
-            if any(all(a & b for b in masks) for a in masks):
-                return False
-    return True
+# JSON input: {base_size, signature, relations}, tuples as index lists.
 
-
-def kernel_zero_divisor(r: RelStructure, f_set: Subset) -> SetFunction:
-    """Square-zero invariant indicator built from the type of one subset.
-
-    Requires that no two disjoint subsets share that type; then the
-    indicator f of the type satisfies f * f = 0, which is re-verified.
-    """
-    t = canonical_form(r.restriction(f_set))
-    realizations = type_classes(r, len(f_set))[t]
-    # Self-pairs included: the empty type's one realization is disjoint
-    # from itself.
-    for a, b in combinations_with_replacement(realizations, 2):
-        if a.isdisjoint(b):
-            raise ValueError("type admits disjoint embedding; f² ≠ 0 not guaranteed")
-    f = SetFunction(r.base_size, len(f_set), dict.fromkeys(realizations, 1))
-    if not product(f, f).is_zero:
-        raise AssertionError("indicator square is nonzero despite no disjoint pair")
-    return f
-
-
-def hilbert_inequality_check(h: Sequence[int], upto: int) -> bool:
-    """Superadditivity-minus-one of a candidate Hilbert sequence:
-    h[n] + h[m] - 1 <= h[n+m] for all n + m <= upto."""
-    if upto >= len(h):
-        raise ValueError("sequence too short for the requested range")
-    for n in range(upto + 1):
-        for m in range(upto + 1 - n):
-            if h[n] + h[m] - 1 > h[n + m]:
-                return False
-    return True
-
-
-# Serialization: {base_size, signature, relations}, tuples as index lists.
-
-def structure_to_dict(r: RelStructure) -> dict:
-    return {
-        "base_size": r.base_size,
-        "signature": list(r.signature),
-        "relations": [[list(t) for t in sorted(rel)] for rel in r.relations],
-    }
+def _json_int(value) -> int:
+    """value itself when it is a JSON integer (a bool is not one)."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
 
 
 def structure_from_dict(data: dict) -> RelStructure:
+    """The structure a JSON object describes; the base size, the arities and
+    the tuple entries must be integers."""
     return RelStructure(
-        int(data["base_size"]),
-        [int(a) for a in data["signature"]],
-        [[tuple(t) for t in rel] for rel in data["relations"]],
+        _json_int(data["base_size"]),
+        [_json_int(a) for a in data["signature"]],
+        [[tuple(map(_json_int, t)) for t in rel] for rel in data["relations"]],
     )
 
 

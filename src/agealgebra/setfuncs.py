@@ -84,13 +84,6 @@ class SetFunction:
         ordered = sorted(self.coeffs.items(), key=lambda kv: kv[0].mask)
         return [(s, Fraction(v, self.den)) for s, v in ordered]
 
-    def restrict(self, window: Subset) -> "SetFunction":
-        """Zero out every coefficient whose key is not contained in window."""
-        if window.n != self.n:
-            raise GroundMismatchError("window over a different ground set")
-        kept = {s: v for s, v in self.coeffs.items() if s.issubset(window)}
-        return SetFunction(self.n, self.degree, kept, self.den)
-
     def __add__(self, other: "SetFunction") -> "SetFunction":
         if self.n != other.n:
             raise GroundMismatchError("ground-set mismatch")
@@ -121,11 +114,6 @@ class SetFunction:
 
     def __repr__(self) -> str:
         return f"SetFunction(n={self.n}, degree={self.degree}, {len(self.coeffs)} terms)"
-
-
-def unit(ground_size: int) -> SetFunction:
-    """Multiplicative unit: 1 on the empty set."""
-    return SetFunction(ground_size, 0, {Subset(ground_size, 0): 1})
 
 
 def singleton_ones(ground_size: int) -> SetFunction:
@@ -228,32 +216,6 @@ def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
     if not product(f, g).is_zero:
         raise AssertionError("kernel vector is not a cofactor")
     return g
-
-
-# JSON serialization.  Rationals are carried as decimal strings so integer
-# overflow in other tooling is never a concern.
-
-def set_function_to_dict(f: SetFunction) -> dict:
-    return {
-        "ground_size": f.n,
-        "degree": f.degree,
-        "terms": [
-            {"set": list(s.elements()), "num": str(v.numerator), "den": str(v.denominator)}
-            for s, v in f.items()
-        ],
-    }
-
-
-def set_function_from_dict(data: dict) -> SetFunction:
-    n = int(data["ground_size"])
-    degree = int(data["degree"])
-    coeffs: dict[Subset, Fraction] = {}
-    for term in data["terms"]:
-        s = Subset.from_indices(n, term["set"])
-        if s in coeffs:
-            raise ValueError("duplicate term in serialized function")
-        coeffs[s] = Fraction(int(term["num"]), int(term["den"]))
-    return SetFunction(n, degree, coeffs)
 
 
 def dumps_canonical(obj) -> str:

@@ -63,22 +63,10 @@ class Subset:
     def __lt__(self, other: "Subset") -> bool:
         return self.mask < other.mask
 
-    def _merge_ground(self, other: "Subset") -> int:
+    def __or__(self, other: "Subset") -> "Subset":
         if self.n != other.n:
             raise ValueError("ground-set mismatch between subsets")
-        return self.n
-
-    def __or__(self, other: "Subset") -> "Subset":
-        return Subset(self._merge_ground(other), self.mask | other.mask)
-
-    def __and__(self, other: "Subset") -> "Subset":
-        return Subset(self._merge_ground(other), self.mask & other.mask)
-
-    def __sub__(self, other: "Subset") -> "Subset":
-        return Subset(self._merge_ground(other), self.mask & ~other.mask)
-
-    def issubset(self, other: "Subset") -> bool:
-        return self.mask & ~other.mask == 0
+        return Subset(self.n, self.mask | other.mask)
 
     def isdisjoint(self, other: "Subset") -> bool:
         return self.mask & other.mask == 0

@@ -26,15 +26,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, gcd
 
-from .hitting import TransversalResult, is_transversal, tau
-from .setfuncs import (
-    SetFunction,
-    cofactor,
-    product,
-    product_by_splits,
-    set_function_to_dict,
-    singleton_ones,
-)
+from .hitting import TransversalResult, tau
+from .setfuncs import SetFunction, cofactor, product, product_by_splits, singleton_ones
 from .subsets import MAX_GROUND, Subset, ksubsets
 
 
@@ -53,14 +46,6 @@ class WitnessPair:
 
     f: SetFunction
     g: SetFunction
-
-    @property
-    def m(self) -> int:
-        return self.f.degree
-
-    @property
-    def n(self) -> int:
-        return self.g.degree
 
 
 @dataclass(frozen=True)
@@ -199,15 +184,6 @@ def verify(pair: WitnessPair) -> WitnessCertificate:
     return WitnessCertificate(pair, tau(f.support().union(g.support())))
 
 
-def certificate_to_dict(cert: WitnessCertificate) -> dict:
-    return {
-        "f": set_function_to_dict(cert.pair.f),
-        "g": set_function_to_dict(cert.pair.g),
-        "tau": cert.transversal.size,
-        "tau_witness": list(cert.transversal.witness.elements()),
-    }
-
-
 # Symbolic upper bound.  The recurrence gives an integer combination of
 # Ramsey numbers for colorings of r-tuples with 5**s colors; the numbers
 # are never evaluated, only rendered.
@@ -279,84 +255,3 @@ def search_best(
     if not candidates:
         return None
     return max(candidates, key=lambda c: c.transversal.size)
-
-
-# Checkable set-system forms of the two auxiliary reduction arguments.
-
-def discharging_check(pair: WitnessPair, a: Subset, inner_tau: int) -> dict:
-    """From a transversal A of supp(f), build a transversal B of supp(g)
-    adding at most inner_tau fresh elements, and re-check every step.
-
-    Either A plus a least-overlap member of supp(f) already works, or the
-    pair is contracted through one shared element and a transversal of the
-    contracted supports is grafted on.
-    """
-    f, g = pair.f, pair.g
-    if not is_transversal(a, f.support()):
-        raise ValueError("A must be a transversal of supp(f)")
-    p0 = min(f.coeffs, key=lambda p: (len(p & a), p.mask))
-    if is_transversal(a | p0, g.support()):
-        b = a | p0
-        case = "augment"
-    else:
-        shared = p0 & a
-        if len(shared) == 0:
-            raise AssertionError("transversal misses a support member")
-        x0 = min(shared.elements())
-        keep = (~a.mask & ((1 << f.n) - 1)) | (shared.mask & ~(1 << x0))
-        window = Subset(f.n, keep)
-        f_contract = SetFunction(
-            f.n,
-            f.degree - 1,
-            {
-                Subset(f.n, p.mask ^ (1 << x0)): v
-                for p, v in f.coeffs.items()
-                if x0 in p and (p.mask ^ (1 << x0)) & ~window.mask == 0
-            },
-            f.den,
-        )
-        g_window = g.restrict(window)
-        if f_contract.is_zero or g_window.is_zero:
-            raise AssertionError("contracted pair degenerated")
-        if not product(f_contract, g_window).is_zero:
-            raise AssertionError("contracted pair is not a zero-divisor pair")
-        sub = tau(f_contract.support().union(g_window.support()))
-        if sub.size > inner_tau:
-            raise AssertionError("contracted transversal exceeds the inner bound")
-        b = a | sub.witness
-        case = "contract"
-    if not is_transversal(b, g.support()):
-        raise AssertionError("constructed B misses supp(g)")
-    added = len(b - a)
-    if added > max(pair.m - 1, inner_tau):
-        raise AssertionError("B adds more elements than the bound allows")
-    return {"case": case, "b": b, "added": added}
-
-
-def max_disjoint_packing(sets: list[Subset]) -> int:
-    """Exact maximum number of pairwise disjoint members (small inputs)."""
-    masks = sorted({s.mask for s in sets})
-
-    def go(i: int, used: int) -> int:
-        best = 0
-        for j in range(i, len(masks)):
-            if not masks[j] & used:
-                best = max(best, 1 + go(j + 1, used | masks[j]))
-        return best
-
-    return go(0, 0)
-
-
-def disjoint_family_check(pair: WitnessPair, fan_out: int, inner_tau: int) -> bool:
-    """When the pair's transversality beats n + m*(fan_out-1) + inner_tau,
-    every member of supp(g) must leave fan_out pairwise disjoint members
-    of supp(f) untouched.  Raises if the hypothesis itself fails."""
-    f, g = pair.f, pair.g
-    t = tau(f.support().union(g.support())).size
-    if not t > pair.n + pair.m * (fan_out - 1) + inner_tau:
-        raise ValueError("transversality hypothesis not met")
-    for member in g.coeffs:
-        clear = [p for p in f.coeffs if p.isdisjoint(member)]
-        if max_disjoint_packing(clear) < fan_out:
-            return False
-    return True

@@ -6,9 +6,9 @@ read along the chain.  The radix order on words (length first, then
 letterwise) combined with a cardinality-descending order on F-parts turns
 codes into the leading-term device: the lead of a product of two suitably
 invariant functions is the max shuffle of their leads, and in particular
-the product cannot vanish.  `leading_product_check(f, g, layered)` and
-`check_invariance(layered, f, g, r)` read the sign colors of the pair from
-f and g themselves; the lead of the zero function is None.
+the product cannot vanish.  `leading_product_check(f, g, layered)` reads
+the sign colors of the pair from f and g themselves; the lead of the zero
+function is None.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .setfuncs import SetFunction, product
 from .subsets import MAX_GROUND, Subset, ksubsets
@@ -68,9 +68,6 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-EMPTY_WORD = Word()
-
-
 def shuffle(u: Word, positions: Iterable[int], v: Word) -> Word:
     """The word of length |u|+|v| carrying u at the given positions, in
     order, and v at the remaining positions."""
@@ -111,15 +108,6 @@ def max_shuffle(u: Word, v: Word) -> Word:
             out.append(v.letters[j])
             j += 1
     return Word(out + list(u.letters[i:]) + list(v.letters[j:]))
-
-
-def subwords(w: Word) -> set[Word]:
-    """All scattered subwords, the empty word and w itself included."""
-    out = set()
-    for k in range(len(w) + 1):
-        for pos in combinations(range(len(w)), k):
-            out.add(Word(w.letters[p] for p in pos))
-    return out
 
 
 class CodedSet:
@@ -174,11 +162,6 @@ class LayeredGround:
     def flat_size(self) -> int:
         return self.f_size + self.v_size * self.chain_size
 
-    def flat_of(self, v: int, c: int) -> int:
-        if not 0 <= v < self.v_size or not 0 <= c < self.chain_size:
-            raise ValueError("grid point outside V x C")
-        return self.f_size + c * self.v_size + v
-
     def column_letter(self, q_mask: int, c: int) -> int:
         return q_mask >> (self.f_size + c * self.v_size) & ((1 << self.v_size) - 1)
 
@@ -199,43 +182,6 @@ def code(q: Subset, layered: LayeredGround) -> CodedSet:
 def lead(f: SetFunction, layered: LayeredGround) -> CodedSet | None:
     """Largest code in the support; None for the zero function."""
     return max((code(s, layered) for s in f.coeffs), key=CodedSet.sort_key, default=None)
-
-
-def _columns_equivalent(
-    layered: LayeredGround,
-    colorings: list[tuple[int, dict[int, int]]],
-    x: tuple[int, ...],
-    x0: tuple[int, ...],
-) -> bool:
-    mapping = {i: i for i in range(layered.f_size)}
-    for c, c0 in zip(x, x0):
-        for v in range(layered.v_size):
-            mapping[layered.flat_of(v, c)] = layered.flat_of(v, c0)
-    dom = sorted(mapping)
-    for deg, colors in colorings:
-        for combo in combinations(dom, deg):
-            mask = 0
-            img = 0
-            for i in combo:
-                mask |= 1 << i
-                img |= 1 << mapping[i]
-            if colors.get(mask, 0) != colors.get(img, 0):
-                return False
-    return True
-
-
-def check_invariance(layered: LayeredGround, f: SetFunction, g: SetFunction, r: int) -> bool:
-    """True iff all r-subsets of the chain look alike through the induced
-    order-isomorphism maps, which must keep the signs of both f and g."""
-    if f.n != layered.flat_size or g.n != layered.flat_size:
-        raise ValueError("functions are not over this layered ground")
-    if not 0 <= r <= layered.chain_size:
-        raise ValueError("r exceeds the chain")
-    # Sign colors as +-1, since absent keys read 0; den > 0 keeps each numerator's sign.
-    colorings = [(h.degree, {s.mask: 1 if v > 0 else -1 for s, v in h.coeffs.items()})
-                 for h in (f, g)]
-    cols = list(combinations(range(layered.chain_size), r))
-    return all(_columns_equivalent(layered, colorings, x, cols[0]) for x in cols[1:])
 
 
 def code_classes(layered: LayeredGround, degree: int) -> dict[CodedSet, list[Subset]]:
@@ -367,9 +313,6 @@ class WordFunction:
             out[w] = out.get(w, Fraction(0)) + v
         return WordFunction(out)
 
-    def lead_word(self) -> Word | None:
-        return max(self.coeffs, key=Word.sort_key, default=None)
-
     def __repr__(self) -> str:
         return f"WordFunction({len(self.coeffs)} terms)"
 
@@ -388,31 +331,6 @@ def shuffle_product(f: WordFunction, g: WordFunction) -> WordFunction:
                 w = shuffle(u, pos, v)
                 out[w] = out.get(w, Fraction(0)) + c
     return WordFunction(out)
-
-
-def final_segment_ideal_check(
-    down_closed: Callable[[Word], bool], f: WordFunction, g: WordFunction
-) -> bool:
-    """If supp(f) avoids the down-closed set, so must supp(f * g).
-
-    The predicate is first checked to be subword-closed on every word in
-    sight (supports plus all their scattered subwords); a violation there
-    is an error, not a False.  A premise that already fails makes the
-    implication vacuously true.
-    """
-    prod = shuffle_product(f, g)
-    universe: set[Word] = set()
-    for fn in (f, g, prod):
-        for w in fn.coeffs:
-            universe |= subwords(w)
-    for w in universe:
-        if down_closed(w):
-            for s in subwords(w):
-                if not down_closed(s):
-                    raise ValueError("predicate not closed under subwords on the tested universe")
-    if any(down_closed(w) for w in f.coeffs):
-        return True
-    return not any(down_closed(w) for w in prod.coeffs)
 
 
 def code_blind_function(

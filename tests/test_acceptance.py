@@ -11,10 +11,7 @@ from agealgebra.cli import run as cli_run
 from agealgebra.hitting import is_minimal_transversal, tau
 from agealgebra.incidence import check_commutation, verify_kantor, inclusion_matrix
 from agealgebra.linalg import nullspace_basis, rank
-from agealgebra.relational import (
-    check_profile_inequalities,
-    hilbert_inequality_check,
-)
+from agealgebra.relational import check_profile_inequalities
 from agealgebra.setfuncs import (
     SetFunction,
     mult_matrix,
@@ -33,7 +30,6 @@ from agealgebra.words import (
     LayeredGround,
     Word,
     WordFunction,
-    check_invariance,
     code_blind_function,
     leading_product_check,
     max_shuffle,
@@ -41,8 +37,9 @@ from agealgebra.words import (
     shuffle_product,
 )
 
-from test_relational import all_graph_classes, random_structure
+from test_relational import all_graph_classes, hilbert_inequality_check, random_structure
 from test_setfuncs import check_partition_property
+from test_words import check_invariance, lead_word
 
 
 def report(num: int, label: str, ok: bool, elapsed: float) -> None:
@@ -193,7 +190,7 @@ def test_criterion_08_shuffle_monotonicity_and_products():
         f, g = draw(), draw()
         prod = shuffle_product(f, g)
         ok = ok and not prod.is_zero
-        ok = ok and prod.lead_word() == max_shuffle(f.lead_word(), g.lead_word())
+        ok = ok and lead_word(prod) == max_shuffle(lead_word(f), lead_word(g))
     elapsed = time.monotonic() - t0
     report(8, "shuffles grow strictly; 200 random products stay nonzero", ok and elapsed < 30, elapsed)
 

@@ -10,8 +10,10 @@ import time
 import pytest
 
 from agealgebra.cli import build_parser, main, run
-from agealgebra.relational import RelStructure, check_profile_inequalities, structure_to_dict
+from agealgebra.relational import check_profile_inequalities
 from agealgebra.setfuncs import dumps_canonical
+
+from test_relational import graph, structure_to_dict
 
 
 def claims(report):
@@ -167,7 +169,7 @@ def test_search_deterministic_given_seed():
 
 
 def test_profile_command_reads_structure_file(tmp_path):
-    g = RelStructure.graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    g = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(structure_to_dict(g)))
     code, rep = run(["profile", "--input", str(path)])
@@ -176,7 +178,7 @@ def test_profile_command_reads_structure_file(tmp_path):
 
 
 def test_profile_command_max_n_truncates(tmp_path):
-    g = RelStructure.graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    g = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(structure_to_dict(g)))
     _, rep = run(["profile", "--input", str(path), "--max-n", "2"])
@@ -194,7 +196,7 @@ def test_profile_command_computes_each_profile_once(tmp_path, monkeypatch):
         return original(r, n)
 
     monkeypatch.setattr(relational, "profile", counting)
-    g = RelStructure.graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    g = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(structure_to_dict(g)))
     code, rep = run(["profile", "--input", str(path), "--max-n", "2"])
@@ -206,12 +208,12 @@ def test_profile_command_computes_each_profile_once(tmp_path, monkeypatch):
 def _random_graph(points, seed):
     rng = random.Random(seed)
     edges = [(a, b) for a in range(points) for b in range(a + 1, points) if rng.random() < 0.5]
-    return RelStructure.graph(points, edges)
+    return graph(points, edges)
 
 
 @pytest.mark.parametrize(
     "structure",
-    [RelStructure.graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), _random_graph(8, 5)],
+    [graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), _random_graph(8, 5)],
     ids=["4-cycle", "8-point graph"],
 )
 def test_profile_max_n_report_is_the_filtered_full_report(structure, tmp_path):
@@ -325,6 +327,7 @@ def test_internal_failure_reported_with_exit_one(monkeypatch):
 USAGE_ERRORS = {
     "search ground over 64": ["search", "--m", "1", "--n", "2", "--l", "100"],
     "search zero degree": ["search", "--m", "0", "--n", "2", "--l", "6"],
+    "search gadget does not fit": ["search", "--m", "3", "--n", "1", "--l", "4", "--strategy", "gadget"],
     "commutation ground over 64": ["commutation", "--l", "70", "--n", "2"],
     "commutation degree fills ground": ["commutation", "--l", "5", "--n", "5"],
     "commutation negative trials": ["commutation", "--l", "5", "--n", "2", "--trials", "-3"],
@@ -359,6 +362,19 @@ def test_usage_errors_exit_two_before_any_work(argv, capsys):
         ("list.json", "[1, 2]", "TypeError"),
         ("large.json", json.dumps({"base_size": 9, "signature": [2], "relations": [[]]}),
          "at most 8 points"),
+        ("fractional.json",
+         json.dumps({"base_size": 4.7, "signature": [2], "relations": [[[0, 1.9], [True, 0]]]}),
+         "4.7 is not an integer"),
+        ("fractional-entry.json",
+         json.dumps({"base_size": 4, "signature": [2], "relations": [[[0, 1.9]]]}),
+         "1.9 is not an integer"),
+        ("boolean-entry.json",
+         json.dumps({"base_size": 4, "signature": [2], "relations": [[[True, 0]]]}),
+         "True is not an integer"),
+        ("string-size.json", json.dumps({"base_size": "4", "signature": [2], "relations": [[]]}),
+         "'4' is not an integer"),
+        ("fractional-arity.json", json.dumps({"base_size": 4, "signature": [2.0], "relations": [[]]}),
+         "2.0 is not an integer"),
     ],
 )
 def test_profile_bad_input_exits_two(tmp_path, name, text, message, capsys):

@@ -418,7 +418,7 @@ def reference_tau(fam, one_each=True):
         short = state["size"] - nchosen - count
         if short <= 0 or one_each and short == 1 and one_each_refutes(uncovered, parts):
             return
-        branch = min(uncovered, key=lambda m: ((m & ~banned).bit_count(), m))
+        branch = min(uncovered, key=lambda m: ((m & ~banned).bit_count(), index[m]))
         allowed = [e for e in range(fam.n) if branch >> e & 1 and not banned >> e & 1]
         degree = {e: sum(m >> e & 1 for m in uncovered) for e in allowed}
         new_banned = banned

@@ -63,7 +63,7 @@ def test_inclusion_matrix_matches_dense_containment():
         for n in range(l + 1):
             for m in range(l - n + 1):
                 dense = [
-                    [1 if b.issubset(q) else 0 for q in ksubsets(l, n + m)] for b in ksubsets(l, n)
+                    [1 if set(b) <= set(q) else 0 for q in ksubsets(l, n + m)] for b in ksubsets(l, n)
                 ]
                 inc = inclusion_matrix(l, n, m)
                 assert (inc.nums, inc.cols) == (dense, comb(l, n + m))

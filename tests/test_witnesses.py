@@ -22,14 +22,10 @@ from agealgebra.subsets import SetFamily, Subset, ksubsets
 from agealgebra.witnesses import (
     NotAZeroDivisorPairError,
     WitnessPair,
-    certificate_to_dict,
-    disjoint_family_check,
-    discharging_check,
     gadget_full_support,
     gadget_lower,
     gadget_tau1n,
     lower_bound_formula,
-    max_disjoint_packing,
     pair_index,
     search_best,
     tau_upper_bound,
@@ -37,7 +33,102 @@ from agealgebra.witnesses import (
     verify,
 )
 
-from test_setfuncs import full_product_by_splits, same_function, sparse_sf
+from test_setfuncs import (
+    full_product_by_splits,
+    restrict,
+    same_function,
+    set_function_to_dict,
+    sparse_sf,
+)
+
+
+def certificate_to_dict(cert):
+    return {
+        "f": set_function_to_dict(cert.pair.f),
+        "g": set_function_to_dict(cert.pair.g),
+        "tau": cert.transversal.size,
+        "tau_witness": list(cert.transversal.witness.elements()),
+    }
+
+
+# Checkable set-system forms of the two auxiliary reduction arguments.
+
+def discharging_check(pair, a, inner_tau):
+    """From a transversal A of supp(f), build a transversal B of supp(g)
+    adding at most inner_tau fresh elements, and re-check every step.
+
+    Either A plus a least-overlap member of supp(f) already works, or the
+    pair is contracted through one shared element and a transversal of the
+    contracted supports is grafted on.
+    """
+    f, g = pair.f, pair.g
+    if not is_transversal(a, f.support()):
+        raise ValueError("A must be a transversal of supp(f)")
+    p0 = min(f.coeffs, key=lambda p: ((p.mask & a.mask).bit_count(), p.mask))
+    if is_transversal(a | p0, g.support()):
+        b = a | p0
+        case = "augment"
+    else:
+        shared = p0.mask & a.mask
+        if not shared:
+            raise AssertionError("transversal misses a support member")
+        x0 = (shared & -shared).bit_length() - 1
+        keep = (~a.mask & ((1 << f.n) - 1)) | (shared & ~(1 << x0))
+        f_contract = SetFunction(
+            f.n,
+            f.degree - 1,
+            {
+                Subset(f.n, p.mask ^ (1 << x0)): v
+                for p, v in f.coeffs.items()
+                if x0 in p and (p.mask ^ (1 << x0)) & ~keep == 0
+            },
+            f.den,
+        )
+        g_window = restrict(g, Subset(f.n, keep))
+        if f_contract.is_zero or g_window.is_zero:
+            raise AssertionError("contracted pair degenerated")
+        if not product(f_contract, g_window).is_zero:
+            raise AssertionError("contracted pair is not a zero-divisor pair")
+        sub = tau(f_contract.support().union(g_window.support()))
+        if sub.size > inner_tau:
+            raise AssertionError("contracted transversal exceeds the inner bound")
+        b = a | sub.witness
+        case = "contract"
+    if not is_transversal(b, g.support()):
+        raise AssertionError("constructed B misses supp(g)")
+    added = (b.mask & ~a.mask).bit_count()
+    if added > max(f.degree - 1, inner_tau):
+        raise AssertionError("B adds more elements than the bound allows")
+    return {"case": case, "b": b, "added": added}
+
+
+def max_disjoint_packing(sets):
+    """Exact maximum number of pairwise disjoint members (small inputs)."""
+    masks = sorted({s.mask for s in sets})
+
+    def go(i, used):
+        best = 0
+        for j in range(i, len(masks)):
+            if not masks[j] & used:
+                best = max(best, 1 + go(j + 1, used | masks[j]))
+        return best
+
+    return go(0, 0)
+
+
+def disjoint_family_check(pair, fan_out, inner_tau):
+    """When the pair's transversality beats n + m*(fan_out-1) + inner_tau,
+    every member of supp(g) must leave fan_out pairwise disjoint members
+    of supp(f) untouched.  Raises if the hypothesis itself fails."""
+    f, g = pair.f, pair.g
+    t = tau(f.support().union(g.support())).size
+    if not t > g.degree + f.degree * (fan_out - 1) + inner_tau:
+        raise ValueError("transversality hypothesis not met")
+    for member in g.coeffs:
+        clear = [p for p in f.coeffs if p.isdisjoint(member)]
+        if max_disjoint_packing(clear) < fan_out:
+            return False
+    return True
 
 
 def test_pair_index_layout():
@@ -75,8 +166,8 @@ def test_half_split_equations_survive_point_deletion():
     l = 2 * n
     for x in range(l):
         w = Subset(l, ((1 << l) - 1) ^ (1 << x))
-        fw = pair.f.restrict(w)
-        gw = pair.g.restrict(w)
+        fw = restrict(pair.f, w)
+        gw = restrict(pair.g, w)
         assert product(fw, gw).is_zero
         assert not gw.is_zero
         thin = tau(fw.support().union(gw.support())).size
@@ -268,7 +359,7 @@ def test_discharging_on_two_squares_minimum_transversal():
     out = discharging_check(pair, a, inner_tau=4)
     assert out["case"] in ("augment", "contract")
     assert is_transversal(out["b"], pair.g.support())
-    assert out["added"] <= max(pair.m - 1, 4)
+    assert out["added"] <= max(pair.f.degree - 1, 4)
 
 
 def test_disjoint_family_fan_out_tight_for_half_split():

@@ -10,25 +10,100 @@ from agealgebra.setfuncs import SetFunction, product
 from agealgebra.subsets import Subset, ksubsets
 from agealgebra.words import (
     CodedSet,
-    EMPTY_WORD,
     HypothesisError,
     LayeredGround,
     Word,
     WordFunction,
-    check_invariance,
     code,
     code_blind_function,
     code_classes,
     code_determined,
-    final_segment_ideal_check,
     lead,
     leading_product_check,
     max_shuffle,
     shuffle,
     shuffle_product,
-    subwords,
     word_indicator,
 )
+
+EMPTY_WORD = Word()
+
+
+def subwords(w):
+    """All scattered subwords, the empty word and w itself included."""
+    out = set()
+    for k in range(len(w) + 1):
+        for pos in combinations(range(len(w)), k):
+            out.add(Word(w.letters[p] for p in pos))
+    return out
+
+
+def lead_word(f):
+    """The radix-largest word of a word function's support, None for zero."""
+    return max(f.coeffs, key=Word.sort_key, default=None)
+
+
+def flat_of(layered, v, c):
+    """Flat index of grid point (v, c): F first, then the columns in order."""
+    if not 0 <= v < layered.v_size or not 0 <= c < layered.chain_size:
+        raise ValueError("grid point outside V x C")
+    return layered.f_size + c * layered.v_size + v
+
+
+def _columns_equivalent(layered, colorings, x, x0):
+    mapping = {i: i for i in range(layered.f_size)}
+    for c, c0 in zip(x, x0):
+        for v in range(layered.v_size):
+            mapping[flat_of(layered, v, c)] = flat_of(layered, v, c0)
+    dom = sorted(mapping)
+    for deg, colors in colorings:
+        for combo in combinations(dom, deg):
+            mask = 0
+            img = 0
+            for i in combo:
+                mask |= 1 << i
+                img |= 1 << mapping[i]
+            if colors.get(mask, 0) != colors.get(img, 0):
+                return False
+    return True
+
+
+def check_invariance(layered, f, g, r):
+    """True iff all r-subsets of the chain look alike through the induced
+    order-isomorphism maps, which must keep the signs of both f and g."""
+    if f.n != layered.flat_size or g.n != layered.flat_size:
+        raise ValueError("functions are not over this layered ground")
+    if not 0 <= r <= layered.chain_size:
+        raise ValueError("r exceeds the chain")
+    # Sign colors as +-1, since absent keys read 0; den > 0 keeps each numerator's sign.
+    colorings = [(h.degree, {s.mask: 1 if v > 0 else -1 for s, v in h.coeffs.items()})
+                 for h in (f, g)]
+    cols = list(combinations(range(layered.chain_size), r))
+    return all(_columns_equivalent(layered, colorings, x, cols[0]) for x in cols[1:])
+
+
+def final_segment_ideal_check(down_closed, f, g):
+    """If supp(f) avoids the down-closed set, so must supp(f * g).
+
+    The predicate is first checked to be subword-closed on every word in
+    sight (supports plus all their scattered subwords); a violation there
+    is an error, not a False.  A premise that already fails makes the
+    implication vacuously true.
+    """
+    prod = shuffle_product(f, g)
+    universe = set()
+    for fn in (f, g, prod):
+        for w in fn.coeffs:
+            universe |= subwords(w)
+    for w in universe:
+        if down_closed(w):
+            for s in subwords(w):
+                if not down_closed(s):
+                    raise ValueError("predicate not closed under subwords on the tested universe")
+    if any(down_closed(w) for w in f.coeffs):
+        return True
+    return not any(down_closed(w) for w in prod.coeffs)
+
 
 words_2letter = st.lists(st.sampled_from([1, 2]), min_size=0, max_size=5).map(Word)
 words_upto6 = st.lists(st.integers(1, 7), min_size=0, max_size=6).map(Word)
@@ -149,7 +224,7 @@ def test_subwords_of_two_letter_word():
 
 def test_code_splits_fixed_part_from_column_traces():
     layered = LayeredGround(2, 2, 3)
-    points = [0, layered.flat_of(0, 0), layered.flat_of(0, 2), layered.flat_of(1, 2)]
+    points = [0, flat_of(layered, 0, 0), flat_of(layered, 0, 2), flat_of(layered, 1, 2)]
     q = Subset.from_indices(layered.flat_size, points)
     c = code(q, layered)
     assert c.f_mask == 0b01
@@ -167,14 +242,14 @@ def test_code_order_puts_larger_fixed_parts_first():
 def test_lead_of_zero_function_is_bottom():
     layered = LayeredGround(1, 1, 3)
     assert lead(SetFunction(layered.flat_size, 1, {}), layered) is None
-    assert WordFunction().lead_word() is None
+    assert lead_word(WordFunction()) is None
 
 
 def test_flat_layout_is_column_major():
     layered = LayeredGround(1, 2, 3)
-    assert [layered.flat_of(v, c) for c in range(3) for v in range(2)] == [1, 2, 3, 4, 5, 6]
+    assert [flat_of(layered, v, c) for c in range(3) for v in range(2)] == [1, 2, 3, 4, 5, 6]
     with pytest.raises(ValueError):
-        layered.flat_of(2, 0)
+        flat_of(layered, 2, 0)
 
 
 def test_code_blind_functions_are_code_determined():
@@ -351,7 +426,7 @@ def test_shuffle_product_lead_is_max_shuffle_of_leads():
         f, g = WordFunction(terms_f), WordFunction(terms_g)
         prod = shuffle_product(f, g)
         assert not prod.is_zero
-        assert prod.lead_word() == max_shuffle(f.lead_word(), g.lead_word())
+        assert lead_word(prod) == max_shuffle(lead_word(f), lead_word(g))
 
 
 def test_final_segment_avoidance_is_preserved():
