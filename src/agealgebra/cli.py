@@ -19,7 +19,6 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 from math import comb
 
 from .hitting import is_minimal_transversal, tau
@@ -63,8 +62,6 @@ MAX_SEARCH_CELLS = 10_000_000
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
     if isinstance(value, Subset):
         return sorted(value.elements())
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
@@ -230,7 +227,9 @@ def _cmd_commutation(args, results: list) -> None:
     for _ in range(args.trials):
         coeffs = {}
         for x in range(args.l):
-            val = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            # Six times the weight a/b for a in -3..3, b in 1..3: the
+            # identity is homogeneous in the weights.
+            val = rng.randint(-3, 3) * 6 // rng.randint(1, 3)
             if val:
                 coeffs[Subset(args.l, 1 << x)] = val
         ok = ok and check_commutation(SetFunction(args.l, 1, coeffs), args.n)
@@ -381,7 +380,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 args.structure = structure_from_json(fh.read())
-        except (OSError, ValueError, KeyError, TypeError) as ex:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as ex:
             parser.error(f"cannot read a structure from {args.input}: {type(ex).__name__}: {ex}")
         if args.structure.base_size > MAX_CANON_BASE:
             parser.error(f"profile needs a base of at most {MAX_CANON_BASE} points")

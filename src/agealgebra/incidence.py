@@ -33,10 +33,9 @@ def verify_kantor(ground_size: int, n: int, m: int) -> bool:
 
 
 def _set_weights(f: SetFunction, subsets: list[Subset]) -> list[int]:
-    """Per subset S, f.den**|S| times the product of the point weights
-    f({x}) over S: the product of their numerators."""
-    nums = [f.coeffs.get(Subset(f.n, 1 << x), 0) for x in range(f.n)]
-    return [prod(nums[x] for x in s.elements()) for s in subsets]
+    """Per subset S, the product of the point weights f({x}) over S."""
+    point = [f.value(Subset(f.n, 1 << x)) for x in range(f.n)]
+    return [prod(point[x] for x in s.elements()) for s in subsets]
 
 
 def check_commutation(f: SetFunction, n: int) -> bool:
@@ -45,9 +44,7 @@ def check_commutation(f: SetFunction, n: int) -> bool:
 
     With w the product of the point weights, the identity is checked entry
     by entry on M = mult_matrix(f, n): w(B) * M[Q][B] must be w(Q) when B
-    is inside Q and 0 otherwise.  Both sides are compared as integers:
-    with D = f.den, the stored rows are D * M and W = D**|S| w comes from
-    `_set_weights`, so the test is W(B) * x == W(Q), since |Q| = |B| + 1.
+    is inside Q and 0 otherwise.
     """
     if f.degree != 1:
         raise ValueError("commutation check needs a degree-1 weight function")

@@ -1,9 +1,7 @@
 """Exact rank and kernel over the rationals on integer rows.
 
-Every matrix here has integer entries.  A caller with rational rows stores
-an integer multiple of each (multiplication by f stores f's numerators),
-since scaling a row by a nonzero number changes neither the rank nor the
-right kernel.  Rank and kernel eliminate the rows with fraction-free
+Every matrix here has integer entries, as set functions have integer
+values.  Rank and kernel eliminate the rows with fraction-free
 (Bareiss) elimination: intermediate entries stay minors of the matrix
 instead of blowing up as unreduced fractions.  The rescaling Bareiss
 applies to every row below a pivot is done lazily: a row remembers the

@@ -187,14 +187,6 @@ class ProfileReport:
     values: list[int]
     checks: list[dict]
 
-    @property
-    def violations(self) -> list[dict]:
-        return [c for c in self.checks if not c["pass"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def check_profile_inequalities(r: RelStructure, upto: int | None = None) -> ProfileReport:
     """Both profile growth laws at every applicable (n, m) with n + m <= upto.
@@ -203,7 +195,7 @@ def check_profile_inequalities(r: RelStructure, upto: int | None = None) -> Prof
     Monotone law: profile(n) <= profile(n+m) whenever 2n+m <= base.
     Only degrees up to upto (at most, and by default, the base size) are
     computed.  Every check is recorded with its pass flag; a violation
-    would mean the implementation is broken, and `violations` lists them.
+    would mean the implementation is broken.
     """
     l = r.base_size
     upto = l if upto is None else min(upto, l)

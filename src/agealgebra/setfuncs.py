@@ -1,22 +1,20 @@
 """Homogeneous weighted set functions and their graded convolution product.
 
-A degree-m function assigns a rational to every m-subset of the ground set
-(sparsely: absent keys mean zero), stored as integer numerators over one
-common denominator.  The product of a degree-m and a degree-n function is
-the degree-(m+n) function whose value at Q sums f(P) * g(Q minus P) over
-all m-subsets P of Q.  Two independent implementations of that sum live
-here, both on the numerators over f.den * g.den: `product` convolves the
-supports, `product_by_splits` evaluates the defining sum on the candidate
-sets A ∪ B (disjoint A in supp f, B in supp g), the only sets where it can
-be nonzero.  They are cross-checked in the tests and the second backs
-witness checks.
+A degree-m function assigns an integer to every m-subset of the ground set
+(sparsely: absent keys mean zero).  Integers suffice: supports and zero
+products, all the library asks about, do not change when a function is
+multiplied by a nonzero integer.  The product of a degree-m and a degree-n
+function is the degree-(m+n) function whose value at Q sums
+f(P) * g(Q minus P) over all m-subsets P of Q.  Two independent
+implementations of that sum live here: `product` convolves the supports,
+`product_by_splits` evaluates the defining sum on the candidate sets A ∪ B
+(disjoint A in supp f, B in supp g), the only sets where it can be nonzero.
+They are cross-checked in the tests and the second backs witness checks.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from math import gcd, lcm
 from typing import Mapping
 
 from .linalg import IntMatrix, kernel_vector
@@ -32,74 +30,57 @@ class DegreeMismatchError(ValueError):
 
 
 class SetFunction:
-    """Sparse map from m-subsets of {0..n-1} to nonzero rationals.
+    """Sparse map from m-subsets of {0..n-1} to nonzero integers.
 
-    f(S) = coeffs[S] / den: integer numerators over one positive `den`.
-    The constructor takes `Fraction` or `int` values over an optional
-    `den` and stores the canonical form: no zero numerators,
-    gcd(den, *numerators) == 1, and den == 1 for the zero function.  So
-    `is_zero` is an emptiness test and equality compares the stored form:
-    all zero functions on the same ground compare equal regardless of
-    recorded degree; nonzero ones compare by degree, `den` and numerators.
+    The constructor drops zero values and raises TypeError on any value that
+    is not an `int` (a `bool` included), so `is_zero` is an emptiness test.
+    All zero functions on the same ground compare equal regardless of
+    recorded degree; nonzero ones compare by degree and values.
     """
 
-    __slots__ = ("n", "degree", "coeffs", "den")
+    __slots__ = ("n", "degree", "coeffs")
 
-    def __init__(self, n: int, degree: int, coeffs: Mapping[Subset, Fraction | int] | None = None,
-                 den: int = 1):
+    def __init__(self, n: int, degree: int, coeffs: Mapping[Subset, int] | None = None):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if n < 0:
             raise ValueError("ground size must be nonnegative")
-        if den < 1:
-            raise ValueError("denominator must be positive")
-        kept: dict[Subset, Fraction | int] = {}
+        kept: dict[Subset, int] = {}
         for s, v in (coeffs or {}).items():
             if s.n != n:
                 raise GroundMismatchError(f"key {s!r} not over ground of size {n}")
             if len(s) != degree:
                 raise ValueError(f"key {s!r} has size {len(s)}, expected degree {degree}")
+            if type(v) is not int:
+                raise TypeError(f"value at {s!r} is {type(v).__name__}, not int")
             if v:
                 kept[s] = v
-        scale = lcm(*(v.denominator for v in kept.values()))
-        nums = {s: v.numerator * (scale // v.denominator) for s, v in kept.items()}
-        g = gcd(den * scale, *nums.values())
         self.n = n
         self.degree = degree
-        self.coeffs = {s: v // g for s, v in nums.items()}
-        self.den = den * scale // g
+        self.coeffs = kept
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def value(self, s: Subset) -> Fraction:
-        return Fraction(self.coeffs.get(s, 0), self.den)
+    def value(self, s: Subset) -> int:
+        return self.coeffs.get(s, 0)
 
     def support(self) -> SetFamily:
         return SetFamily(self.n, self.coeffs.keys())
-
-    def items(self) -> list[tuple[Subset, Fraction]]:
-        """Nonzero values in colex order of the keys."""
-        ordered = sorted(self.coeffs.items(), key=lambda kv: kv[0].mask)
-        return [(s, Fraction(v, self.den)) for s, v in ordered]
 
     def __add__(self, other: "SetFunction") -> "SetFunction":
         if self.n != other.n:
             raise GroundMismatchError("ground-set mismatch")
         if self.degree != other.degree:
             raise DegreeMismatchError(f"cannot add degree {self.degree} to degree {other.degree}")
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = {s: v * a for s, v in self.coeffs.items()}
+        out = dict(self.coeffs)
         for s, v in other.coeffs.items():
-            out[s] = out.get(s, 0) + v * b
-        return SetFunction(self.n, self.degree, out, den)
+            out[s] = out.get(s, 0) + v
+        return SetFunction(self.n, self.degree, out)
 
-    def __mul__(self, other):
-        c = Fraction(other)
-        out = {s: c.numerator * v for s, v in self.coeffs.items()}
-        return SetFunction(self.n, self.degree, out, self.den * c.denominator)
+    def __mul__(self, other: int) -> "SetFunction":
+        return SetFunction(self.n, self.degree, {s: other * v for s, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -110,7 +91,7 @@ class SetFunction:
             return False
         if self.is_zero and other.is_zero:
             return True
-        return (self.degree, self.den, self.coeffs) == (other.degree, other.den, other.coeffs)
+        return (self.degree, self.coeffs) == (other.degree, other.coeffs)
 
     def __repr__(self) -> str:
         return f"SetFunction(n={self.n}, degree={self.degree}, {len(self.coeffs)} terms)"
@@ -124,8 +105,7 @@ def singleton_ones(ground_size: int) -> SetFunction:
 
 
 def product(f: SetFunction, g: SetFunction) -> SetFunction:
-    """Graded convolution product, computed by convolving the supports in
-    integer numerators over f.den * g.den."""
+    """Graded convolution product, computed by convolving the supports."""
     if f.n != g.n:
         raise GroundMismatchError("ground-set mismatch in product")
     n = f.n
@@ -138,7 +118,7 @@ def product(f: SetFunction, g: SetFunction) -> SetFunction:
                 q = am | bm
                 out[q] = out.get(q, 0) + fa * gb
     out_sets = {Subset(n, q): v for q, v in out.items()}
-    return SetFunction(n, f.degree + g.degree, out_sets, f.den * g.den)
+    return SetFunction(n, f.degree + g.degree, out_sets)
 
 
 def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
@@ -148,8 +128,6 @@ def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
     B in supp g, taken in colex order, it sums f(first part) * g(second
     part) over all splits of Q.  No other set can be nonzero, since each
     term of the defining sum at Q needs f(P) != 0 and g(Q minus P) != 0.
-    The sums run on the stored numerators, and a nonzero total t becomes
-    the value t / (f.den * g.den).
     """
     if f.n != g.n:
         raise GroundMismatchError("ground-set mismatch in product")
@@ -161,7 +139,7 @@ def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
         total = sum(fm[p] * gm[r] for p, r in splits(qmask, m) if p in fm and r in gm)
         if total:
             out[Subset(n, qmask)] = total
-    return SetFunction(n, f.degree + g.degree, out, f.den * g.den)
+    return SetFunction(n, f.degree + g.degree, out)
 
 
 class MultOperator:
@@ -169,10 +147,9 @@ class MultOperator:
 
     Rows are the (deg f + d)-subsets and columns the d-subsets of the
     ground set, both in colex order as `ksubsets` lists them; the entry at
-    (Q, B) is the numerator of f(Q minus B) when B is contained in Q and
-    zero otherwise, so the matrix is f.den times the operator and has the
-    same rank and kernel.  A coefficient vector over the columns maps to
-    the product's numerators over the rows.
+    (Q, B) is f(Q minus B) when B is contained in Q and zero otherwise.  A
+    coefficient vector over the columns maps to the product's values over
+    the rows.
     """
 
     __slots__ = ("matrix",)
@@ -202,17 +179,16 @@ def mult_matrix(f: SetFunction, source_degree: int) -> MultOperator:
 def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
     """A nonzero degree-`degree` g with f * g = 0, or None if none exists.
 
-    Takes one vector of the kernel of the multiplication matrix, scaled so
-    g is 1 at its first nonzero set in colex order, and re-checks the
-    product before returning.
+    g is the primitive kernel vector of the multiplication matrix, positive
+    at its first nonzero set in colex order; the product is re-checked
+    before returning.
     """
     if f.is_zero:
         raise ValueError("zero function has every cofactor")
     vec = kernel_vector(mult_matrix(f, degree).matrix)
     if vec is None:
         return None
-    lead = next(x for x in vec if x)
-    g = SetFunction(f.n, degree, dict(zip(ksubsets(f.n, degree), vec)), lead)
+    g = SetFunction(f.n, degree, dict(zip(ksubsets(f.n, degree), vec)))
     if not product(f, g).is_zero:
         raise AssertionError("kernel vector is not a cofactor")
     return g

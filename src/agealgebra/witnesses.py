@@ -5,7 +5,8 @@ Constructions:
     needs all 2n elements to hit, matching the exact value tau(1,n) = 2n.
   * gadget_full_support: a mate for the all-ones degree-1 function that is
     nonzero on every n-subset of a 2n-point ground set, in closed form
-    g(S) = 1 / prod_{y in S, t not in S} (t - y).
+    g(S) = L / prod_{y in S, t not in S} (t - y) with L the lcm of the
+    products, so every value is an integer.
   * gadget_lower: the block direct sum realizing the general lower bound
     (m+1)(n+1) - 2 on a ground set of 2nm points.
   * two_squares: the degree-(2,2) pair on 8 points with transversality 7.
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
-from math import comb, gcd
+from math import comb, gcd, lcm, prod
 
 from .hitting import TransversalResult, tau
 from .setfuncs import SetFunction, cofactor, product, product_by_splits, singleton_ones
@@ -32,7 +32,7 @@ from .subsets import MAX_GROUND, Subset, ksubsets
 
 
 class NotAZeroDivisorPairError(ValueError):
-    def __init__(self, offending: Subset, value: Fraction):
+    def __init__(self, offending: Subset, value: int):
         self.offending = offending
         self.value = value
         super().__init__(
@@ -82,23 +82,19 @@ def gadget_tau1n(n: int) -> WitnessPair:
 def gadget_full_support(n: int) -> SetFunction:
     """A degree-n mate for the all-ones function, nonzero on every n-subset.
 
-    g(S) = 1 / prod_{y in S, t not in S} (t - y) on the points 0..2n-1.
-    For an (n+1)-set Q with complement C, g(Q - x) is, up to a factor free
-    of x, prod_{c in C} (c - x) / prod_{y in Q - x} (x - y); summed over x in
-    Q that is the n-th divided difference over Q of a polynomial of degree
-    n - 1, hence zero.  The points are distinct, so no value vanishes.
+    g(S) = L / prod_{y in S, t not in S} (t - y) on the points 0..2n-1,
+    where L is the lcm of the products.  For an (n+1)-set Q with complement
+    C, g(Q - x) is, up to a factor free of x, prod_{c in C} (c - x) /
+    prod_{y in Q - x} (x - y); summed over x in Q that is the n-th divided
+    difference over Q of a polynomial of degree n - 1, hence zero.  The
+    points are distinct, so no value vanishes.
     """
     if n < 1:
         raise ValueError("need at least one column")
     ground = 2 * n
-    coeffs: dict[Subset, Fraction] = {}
-    for s in ksubsets(ground, n):
-        den = 1
-        for y in s:
-            for t in s.complement():
-                den *= t - y
-        coeffs[s] = Fraction(1, den)
-    g = SetFunction(ground, n, coeffs)
+    dens = {s: prod(t - y for y in s for t in s.complement()) for s in ksubsets(ground, n)}
+    scale = lcm(*dens.values())
+    g = SetFunction(ground, n, {s: scale // d for s, d in dens.items()})
     if not product(singleton_ones(ground), g).is_zero:
         raise AssertionError("closed-form mate is not killed by the all-ones function")
     return g
@@ -109,7 +105,7 @@ def _embed(f: SetFunction, ground: int, offset: int) -> SetFunction:
     if offset < 0 or offset + f.n > ground:
         raise ValueError("window does not fit in the ground set")
     return SetFunction(
-        ground, f.degree, {Subset(ground, s.mask << offset): v for s, v in f.coeffs.items()}, f.den
+        ground, f.degree, {Subset(ground, s.mask << offset): v for s, v in f.coeffs.items()}
     )
 
 
@@ -142,7 +138,7 @@ def lower_bound_formula(m: int, n: int) -> int:
 
 
 def two_squares() -> WitnessPair:
-    """The 8-point pair of degree (2, 2): sides at -1/2 and diagonals at 1
+    """The 8-point pair of degree (2, 2): sides at -1 and diagonals at 2
     inside each square, against the indicator of cross pairs.
 
     Every pair of points lands in one support or the other, so the
@@ -151,14 +147,14 @@ def two_squares() -> WitnessPair:
     """
     ground = 8
     squares = [(0, 1, 2, 3), (4, 5, 6, 7)]
-    f_coeffs: dict[Subset, Fraction] = {}
+    f_coeffs: dict[Subset, int] = {}
     for a, b, c, d in squares:
         for side in ((a, b), (b, c), (c, d), (d, a)):
-            f_coeffs[Subset.from_indices(ground, side)] = Fraction(-1, 2)
+            f_coeffs[Subset.from_indices(ground, side)] = -1
         for diag in ((a, c), (b, d)):
-            f_coeffs[Subset.from_indices(ground, diag)] = Fraction(1)
+            f_coeffs[Subset.from_indices(ground, diag)] = 2
     g_coeffs = {
-        Subset.from_indices(ground, (x, y)): Fraction(1)
+        Subset.from_indices(ground, (x, y)): 1
         for x in squares[0]
         for y in squares[1]
     }
@@ -177,10 +173,10 @@ def verify(pair: WitnessPair) -> WitnessCertificate:
     f, g = pair.f, pair.g
     if f.is_zero or g.is_zero:
         raise ValueError("witness functions must be nonzero")
-    prod = product_by_splits(f, g)
-    if not prod.is_zero:
-        offender = min(prod.coeffs, key=lambda s: s.mask)
-        raise NotAZeroDivisorPairError(offender, prod.value(offender))
+    fg = product_by_splits(f, g)
+    if not fg.is_zero:
+        offender = min(fg.coeffs, key=lambda s: s.mask)
+        raise NotAZeroDivisorPairError(offender, fg.value(offender))
     return WitnessCertificate(pair, tau(f.support().union(g.support())))
 
 

@@ -8,14 +8,14 @@ codes into the leading-term device: the lead of a product of two suitably
 invariant functions is the max shuffle of their leads, and in particular
 the product cannot vanish.  `leading_product_check(f, g, layered)` reads
 the sign colors of the pair from f and g themselves; the lead of the zero
-function is None.
+function is None.  Word functions hold integer values, as set functions
+do: scaling by a nonzero integer changes no lead.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -218,10 +218,6 @@ class LeadingReport:
     lead_product: CodedSet | None
     checks: dict[str, bool]
 
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
 
 def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround) -> LeadingReport:
     """Verify the leading-term equations on a concrete invariant pair.
@@ -282,25 +278,29 @@ def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround
 
 
 class WordFunction:
-    """Finitely supported rational function on words."""
+    """Finitely supported integer function on words.
+
+    Zero values are dropped; a value that is not an `int` (a `bool`
+    included) raises TypeError.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[Word, Fraction | int] | None = None):
-        clean: dict[Word, Fraction] = {}
-        if coeffs:
-            for w, v in coeffs.items():
-                fv = Fraction(v)
-                if fv:
-                    clean[w] = fv
+    def __init__(self, coeffs: Mapping[Word, int] | None = None):
+        clean: dict[Word, int] = {}
+        for w, v in (coeffs or {}).items():
+            if type(v) is not int:
+                raise TypeError(f"value at {w!r} is {type(v).__name__}, not int")
+            if v:
+                clean[w] = v
         self.coeffs = clean
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def value(self, w: Word) -> Fraction:
-        return self.coeffs.get(w, Fraction(0))
+    def value(self, w: Word) -> int:
+        return self.coeffs.get(w, 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WordFunction):
@@ -310,26 +310,26 @@ class WordFunction:
     def __add__(self, other: "WordFunction") -> "WordFunction":
         out = dict(self.coeffs)
         for w, v in other.coeffs.items():
-            out[w] = out.get(w, Fraction(0)) + v
+            out[w] = out.get(w, 0) + v
         return WordFunction(out)
 
     def __repr__(self) -> str:
         return f"WordFunction({len(self.coeffs)} terms)"
 
 
-def word_indicator(w: Word, value=1) -> WordFunction:
-    return WordFunction({w: Fraction(value)})
+def word_indicator(w: Word, value: int = 1) -> WordFunction:
+    return WordFunction({w: value})
 
 
 def shuffle_product(f: WordFunction, g: WordFunction) -> WordFunction:
     """Sum of f(u) g(v) over every interleaving of every support pair."""
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, int] = {}
     for u, fu in f.coeffs.items():
         for v, gv in g.coeffs.items():
             c = fu * gv
             for pos in combinations(range(len(u) + len(v)), len(u)):
                 w = shuffle(u, pos, v)
-                out[w] = out.get(w, Fraction(0)) + c
+                out[w] = out.get(w, 0) + c
     return WordFunction(out)
 
 
@@ -343,14 +343,14 @@ def code_blind_function(
     equations)."""
     rng = random.Random(seed)
     classes = code_classes(layered, degree)
-    values = {c: Fraction(rng.choice((-1, 0, 0, 1))) for c in classes}
+    values = {c: rng.choice((-1, 0, 0, 1)) for c in classes}
     coeffs = dict(sorted((s, v) for c, v in values.items() if v for s in classes[c]))
 
     def force_class(pure_columns: bool) -> None:
         target = next((c for c in classes if not pure_columns or c.f_mask == 0), None)
         if target is None:
             raise ValueError("no subset matches the forced class")
-        coeffs.update(dict.fromkeys(classes[target], Fraction(1)))
+        coeffs.update(dict.fromkeys(classes[target], 1))
 
     if need_pure_column_support and not any(c.f_mask == 0 and v for c, v in values.items()):
         force_class(True)

@@ -3,7 +3,6 @@ stated time budgets.  Each test prints a single PASS/FAIL line."""
 
 import random
 import time
-from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb
 
@@ -72,10 +71,9 @@ def test_criterion_02_weighted_rank_killing():
             for _ in range(20):
                 support_size = rng.randint(2 * n + 1, l)
                 points = rng.sample(range(l), support_size)
+                # 12 times a weight v/d with d in 1..4: scaling keeps the kernel
                 coeffs = {
-                    Subset(l, 1 << x): Fraction(
-                        rng.choice([v for v in range(-5, 6) if v]), rng.randint(1, 4)
-                    )
+                    Subset(l, 1 << x): rng.choice([v for v in range(-5, 6) if v]) * 12 // rng.randint(1, 4)
                     for x in points
                 }
                 f = SetFunction(l, 1, coeffs)
@@ -138,7 +136,7 @@ def test_criterion_06_derivation_scaling_commutation():
         for x in range(l):
             v = rng.randint(-3, 3)
             if v:
-                coeffs[Subset(l, 1 << x)] = Fraction(v, rng.randint(1, 3))
+                coeffs[Subset(l, 1 << x)] = v * 6 // rng.randint(1, 3)  # 6 times v/d
         ok = ok and check_commutation(SetFunction(l, 1, coeffs), n)
     elapsed = time.monotonic() - t0
     report(6, "derivation against scaling, 50 random weights", ok and elapsed < 5, elapsed)
@@ -149,13 +147,14 @@ def test_criterion_07_profile_growth_corpus():
     ok = True
     for l in range(1, 7):
         for g in all_graph_classes(l):
-            ok = ok and check_profile_inequalities(g).ok
+            ok = ok and all(c["pass"] for c in check_profile_inequalities(g).checks)
     rng = random.Random(4242)
     for _ in range(100):
         base = rng.randint(1, 6)
         nsyms = rng.randint(1, 2)
         sig = tuple(rng.randint(1, 2) for _ in range(nsyms))
-        ok = ok and check_profile_inequalities(random_structure(rng, base, sig)).ok
+        rep = check_profile_inequalities(random_structure(rng, base, sig))
+        ok = ok and all(c["pass"] for c in rep.checks)
     elapsed = time.monotonic() - t0
     report(7, "growth laws on every small graph plus 100 random structures", ok and elapsed < 120, elapsed)
 
@@ -184,7 +183,7 @@ def test_criterion_08_shuffle_monotonicity_and_products():
             terms = {}
             for _ in range(rng.randint(1, 3)):
                 w = Word(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 5)))
-                terms[w] = Fraction(rng.choice((-2, -1, 1, 2)))
+                terms[w] = rng.choice((-2, -1, 1, 2))
             return WordFunction(terms)
 
         f, g = draw(), draw()
@@ -215,7 +214,7 @@ def test_criterion_09_invariant_structure_corpus():
                             if flag:
                                 ok = ok and all(flags[: r + 1])
                         rep = leading_product_check(f, g, layered)
-                        ok = ok and rep.ok and rep.lead_product is not None
+                        ok = ok and all(rep.checks.values()) and rep.lead_product is not None
                         checked += 1
     elapsed = time.monotonic() - t0
     report(9, f"leading equations on {checked} blind invariant pairs", ok and elapsed < 30, elapsed)

@@ -252,13 +252,11 @@ def test_zero_product_claims_are_computed(argv, monkeypatch):
     assert failed and all("multiplies to zero" in r["claim"] for r in failed)
     for r in failed:
         degree = len(r["computed"]["set"])
-        assert r["computed"] == {"set": list(range(degree)), "value": {"num": "3", "den": "1"}}
+        assert r["computed"] == {"set": list(range(degree)), "value": 3}
     assert not any("internal failure" in c for c in claims(rep))
 
 
 def test_failing_pair_names_its_colex_first_nonzero_set(monkeypatch, capsys):
-    from fractions import Fraction
-
     from agealgebra import cli
     from agealgebra.setfuncs import SetFunction, product
     from agealgebra.subsets import Subset
@@ -267,15 +265,15 @@ def test_failing_pair_names_its_colex_first_nonzero_set(monkeypatch, capsys):
     def sf(terms):
         return SetFunction(4, 1, {Subset.from_indices(4, [i]): v for i, v in terms.items()})
 
-    # {0, 1} cancels (1/3 * 3/14 - 2/7 * 1/4 = 0); {0, 2} is first nonzero
-    f = sf({0: Fraction(1, 3), 1: Fraction(-2, 7)})
-    g = sf({0: Fraction(1, 4), 1: Fraction(3, 14), 2: Fraction(5, 6)})
+    # {0, 1} cancels (7 * 18 - 6 * 21 = 0); {0, 2} is first nonzero
+    f = sf({0: 7, 1: -6})
+    g = sf({0: 21, 1: 18, 2: 70})
     pair = WitnessPair(f, g)
     with pytest.raises(NotAZeroDivisorPairError) as exc:
         verify(pair)
     offender, value = exc.value.offending, exc.value.value
     assert offender == Subset.from_indices(4, [0, 2])
-    assert type(value) is Fraction and (value.numerator, value.denominator) == (5, 18)
+    assert type(value) is int and value == 490
     assert value == product(f, g).value(offender)
 
     monkeypatch.setattr(cli, "gadget_lower", lambda m, n: pair)
@@ -283,7 +281,7 @@ def test_failing_pair_names_its_colex_first_nonzero_set(monkeypatch, capsys):
     rep = json.loads(capsys.readouterr().out)
     failed = [r for r in rep["results"] if not r["pass"]]
     assert [r["claim"] for r in failed] == ["block gadget (1,1) multiplies to zero"]
-    assert failed[0]["computed"] == {"set": [0, 2], "value": {"num": "5", "den": "18"}}
+    assert failed[0]["computed"] == {"set": [0, 2], "value": 490}
 
 
 def test_gadget_multiplies_the_pair_once(monkeypatch):
@@ -375,6 +373,7 @@ def test_usage_errors_exit_two_before_any_work(argv, capsys):
          "'4' is not an integer"),
         ("fractional-arity.json", json.dumps({"base_size": 4, "signature": [2.0], "relations": [[]]}),
          "2.0 is not an integer"),
+        ("nested.json", "[" * 100_000 + "]" * 100_000, "RecursionError"),
     ],
 )
 def test_profile_bad_input_exits_two(tmp_path, name, text, message, capsys):

@@ -5,7 +5,6 @@ one-step derivation and S the diagonal point-weight scaling, is kept here
 as the dense oracle of the entrywise `check_commutation`."""
 
 import random
-from fractions import Fraction
 from math import comb
 
 from hypothesis import given, settings, strategies as st
@@ -20,34 +19,34 @@ from agealgebra.subsets import Subset, ksubsets
 
 def weight(l, values):
     return SetFunction(
-        l, 1, {Subset.from_indices(l, [i]): Fraction(v) for i, v in values.items() if v}
+        l, 1, {Subset.from_indices(l, [i]): v for i, v in values.items() if v}
     )
 
 
 def derivation_matrix(f, n):
     """Weighted one-step contraction from degree n+1 down to degree n, as
-    dense Fraction rows: the entry at (B, Q) is f(Q minus B) when B is
-    inside Q, the transpose of multiplication by f from degree n."""
+    dense rows: the entry at (B, Q) is f(Q minus B) when B is inside Q,
+    the transpose of multiplication by f from degree n."""
     assert f.degree == 1 and 0 <= n < f.n
-    return [[Fraction(x, f.den) for x in col] for col in zip(*mult_matrix(f, n).matrix.nums)]
+    return [list(col) for col in zip(*mult_matrix(f, n).matrix.nums)]
 
 
 def scaling_matrix(f, n):
     """Diagonal rescaling of n-subsets by the product of their point
-    weights, as dense Fraction rows."""
+    weights, as dense rows."""
     assert f.degree == 1 and 0 <= n <= f.n
     points = [f.value(Subset(f.n, 1 << x)) for x in range(f.n)]
     diag = []
     for s in ksubsets(f.n, n):
-        w = Fraction(1)
+        w = 1
         for x in s.elements():
             w *= points[x]
         diag.append(w)
-    return [[w if i == j else Fraction(0) for j in range(len(diag))] for i, w in enumerate(diag)]
+    return [[w if i == j else 0 for j in range(len(diag))] for i, w in enumerate(diag)]
 
 
 def dense_product(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def test_inclusion_matrix_shape_and_entries():
@@ -109,16 +108,15 @@ def test_commutation_for_random_weights_with_zeros():
 
 
 def perturbed_mult_matrix(f, degree):
-    """`mult_matrix` with its first entry raised by one: its stored
-    numerator, over f.den, by f.den."""
+    """`mult_matrix` with its first entry raised by one."""
     m = mult_matrix(f, degree).matrix
     nums = [row[:] for row in m.nums]
-    nums[0][0] += f.den
+    nums[0][0] += 1
     return MultOperator(IntMatrix(nums, m.cols))
 
 
 def test_commutation_fails_on_a_perturbed_multiplication_matrix(monkeypatch):
-    f = weight(5, {0: 1, 1: -2, 2: 3, 3: Fraction(1, 2), 4: 5})
+    f = weight(5, {0: 2, 1: -4, 2: 6, 3: 1, 4: 10})
     assert check_commutation(f, 2)
     code, rep = run(["commutation", "--l", "5", "--n", "2", "--trials", "3"])
     assert code == 0 and all(r["pass"] for r in rep["results"])
@@ -140,7 +138,7 @@ def test_scaling_matrix_is_diagonal_product():
     f = weight(3, {0: 2, 1: 3, 2: 5})
     s = scaling_matrix(f, 2)
     diag = [s[i][i] for i in range(len(s))]
-    assert sorted(diag) == [Fraction(6), Fraction(10), Fraction(15)]
+    assert sorted(diag) == [6, 10, 15]
     for i, row in enumerate(s):
         for j, v in enumerate(row):
             if i != j:
@@ -150,7 +148,7 @@ def test_scaling_matrix_is_diagonal_product():
 def test_commutation_identity_written_out():
     # both composites send a set Q to prod of its point weights when the
     # smaller set sits inside Q, independently of the path taken
-    f = weight(4, {0: 1, 1: -2, 2: 3, 3: Fraction(1, 2)})
+    f = weight(4, {0: 2, 1: -4, 2: 6, 3: 1})
     n = 1
     e = singleton_ones(4)
     lhs = dense_product(derivation_matrix(e, n), scaling_matrix(f, n + 1))
@@ -163,10 +161,7 @@ def test_commutation_identity_written_out():
 def test_entrywise_commutation_agrees_with_dense_products(data):
     l = data.draw(st.integers(1, 6))
     n = data.draw(st.integers(0, l - 1))
-    values = data.draw(st.lists(
-        st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=4)),
-        min_size=l, max_size=l,
-    ))
+    values = data.draw(st.lists(st.integers(-8, 8), min_size=l, max_size=l))
     f = weight(l, dict(enumerate(values)))
     e = singleton_ones(l)
     lhs = dense_product(derivation_matrix(e, n), scaling_matrix(f, n + 1))

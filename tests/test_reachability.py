@@ -9,11 +9,12 @@ name and attribute that `bench/spans.py` and `bench/workloads.py` mention
 and the function names in `bench/spans.py`'s `LAYERS`.  A reached
 function reaches every name and attribute in its body; a reached class
 reaches its decorators, bases, class-level statements and dunder methods,
-and a named method of it once that name is read as an attribute; a
-module-level assignment is reached with its target name.  Names are
-matched across modules, so a member that shares its name with any
-attribute read on a reached path counts as reached.  The test reads
-`bench/` and does not change it.
+and a named method or property of it once that name is read as an
+attribute (`x.name`; a bare variable `name` does not count); a
+module-level assignment is reached with its target name, read either
+way.  Names are matched across modules and objects, so a method whose name
+is read as an attribute of some other object still passes.  The test
+reads `bench/` and does not change it.
 """
 
 import ast
@@ -31,15 +32,20 @@ def parse(path):
 
 
 def mentioned(nodes):
-    """The names and attribute names read anywhere under the nodes."""
+    """The names read anywhere under the nodes: `x` as "x", `a.x` as ".x"."""
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+                out.add("." + sub.attr)
     return out
+
+
+def reaches(name, owner, names):
+    """A method is reached by an attribute read, anything else by either."""
+    return "." + name in names or (not owner and name in names)
 
 
 def is_dunder(name):
@@ -86,7 +92,7 @@ def unreached():
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 for target in targets:
-                    for name in mentioned([target]):
+                    for name in {n.lstrip(".") for n in mentioned([target])}:
                         defs.append((f"{module}.{name}", name, [stmt], None, False))
             else:
                 roots.append(stmt)
@@ -96,7 +102,7 @@ def unreached():
     while grew:
         grew = False
         for qual, name, nodes, owner, _ in defs:
-            if qual in reached or name not in names or (owner and owner not in reached):
+            if qual in reached or not reaches(name, owner, names) or (owner and owner not in reached):
                 continue
             reached.add(qual)
             names |= mentioned(nodes)
@@ -106,3 +112,20 @@ def unreached():
 
 def test_every_library_definition_is_reached_from_the_cli_or_the_benchmark():
     assert unreached() == []
+
+
+def test_no_library_module_imports_fractions():
+    """Set functions hold integers, so the library needs no `Fraction`."""
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        for node in ast.walk(parse(os.path.join(SRC, fname))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [fname for m in modules if m.split(".")[0] == "fractions"]
+    assert found == []

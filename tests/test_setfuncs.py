@@ -3,13 +3,16 @@
 The product is checked two ways throughout: the support-pair sum and the
 defining sum over ordered splits of each target set.  The library evaluates
 that sum only on unions of disjoint support members; the full enumeration
-of every (m+n)-subset below is its oracle.
+of every (m+n)-subset below is its oracle.  The library holds integers
+only; the oracles also take `Fraction` values, which reach the library
+scaled by the lcm of their denominators.
 """
 
 import json
 import random
+from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,7 @@ from agealgebra.setfuncs import (
     singleton_ones,
 )
 from agealgebra.subsets import Subset, ksubsets, splits
+from agealgebra.words import Word, WordFunction
 
 
 def unit(ground_size):
@@ -36,10 +40,10 @@ def unit(ground_size):
 def restrict(f, window):
     """f with every value outside the window's subsets set to zero."""
     kept = {s: v for s, v in f.coeffs.items() if not s.mask & ~window.mask}
-    return SetFunction(f.n, f.degree, kept, f.den)
+    return SetFunction(f.n, f.degree, kept)
 
 
-# JSON form of a set function.  Rationals are carried as decimal strings so
+# JSON form of a set function.  Values are carried as decimal strings so
 # integer overflow in other tooling is never a concern.
 
 def set_function_to_dict(f):
@@ -47,8 +51,8 @@ def set_function_to_dict(f):
         "ground_size": f.n,
         "degree": f.degree,
         "terms": [
-            {"set": list(s.elements()), "num": str(v.numerator), "den": str(v.denominator)}
-            for s, v in f.items()
+            {"set": list(s.elements()), "value": str(v)}
+            for s, v in sorted(f.coeffs.items(), key=lambda kv: kv[0].mask)
         ],
     }
 
@@ -60,47 +64,55 @@ def set_function_from_dict(data):
         s = Subset.from_indices(n, term["set"])
         if s in coeffs:
             raise ValueError("duplicate term in serialized function")
-        coeffs[s] = Fraction(int(term["num"]), int(term["den"]))
+        coeffs[s] = int(term["value"])
     return SetFunction(n, int(data["degree"]), coeffs)
 
 
+# The oracles below read only `n`, `degree` and `coeffs`, so they take a
+# `SetFunction` or a `RationalFunction` with `Fraction` values alike.
+RationalFunction = namedtuple("RationalFunction", "n degree coeffs")
+
+
 def full_product_by_splits(f, g):
-    """The defining sum on every (m+n)-subset Q in colex order."""
+    """Oracle: the defining sum on every (m+n)-subset Q in colex order, as
+    the nonzero values of f * g keyed by set."""
     out = {}
     for q in ksubsets(f.n, f.degree + g.degree):
-        total = Fraction(0)
+        total = 0
         for p, rest in splits(q.mask, f.degree):
-            fp = f.value(Subset(f.n, p))
+            fp = f.coeffs.get(Subset(f.n, p))
             if fp:
-                total += fp * g.value(Subset(f.n, rest))
+                total += fp * g.coeffs.get(Subset(f.n, rest), 0)
         if total:
             out[q] = total
-    return SetFunction(f.n, f.degree + g.degree, out)
+    return out
 
 
 def fraction_product(f, g):
-    """Oracle: the support convolution on `Fraction` values, as the nonzero
-    values of f * g keyed by set in colex order."""
+    """Oracle: the support convolution, as the nonzero values of f * g
+    keyed by set in colex order."""
     out = {}
-    for a, fa in f.items():
-        for b, gb in g.items():
+    for a, fa in f.coeffs.items():
+        for b, gb in g.coeffs.items():
             if a.isdisjoint(b):
                 q = a | b
                 out[q] = out.get(q, 0) + fa * gb
     return {q: v for q, v in sorted(out.items(), key=lambda kv: kv[0].mask) if v}
 
 
-def same_function(a, b):
-    """Equal ground, degree, denominator, and numerators in the same order."""
-    return (a.n, a.degree, a.den, list(a.coeffs.items())) == (
-        b.n, b.degree, b.den, list(b.coeffs.items())
-    )
+def same_values(h, want):
+    """h holds exactly the values of `want`, in the same (colex) order."""
+    return list(h.coeffs.items()) == list(want.items())
+
+
+def scaled_to_int(r):
+    """The integer function r * L, with L the lcm of r's denominators, and L."""
+    scale = lcm(*(v.denominator for v in r.coeffs.values()))
+    return SetFunction(r.n, r.degree, {s: int(v * scale) for s, v in r.coeffs.items()}), scale
 
 
 def sf(l, deg, terms):
-    return SetFunction(
-        l, deg, {Subset.from_indices(l, ix): Fraction(v) for ix, v in terms.items()}
-    )
+    return SetFunction(l, deg, {Subset.from_indices(l, ix): v for ix, v in terms.items()})
 
 
 def random_sf(draw, l, deg):
@@ -109,23 +121,19 @@ def random_sf(draw, l, deg):
     for s in shapes:
         v = draw(st.integers(-3, 3))
         if v:
-            coeffs[s] = Fraction(v)
+            coeffs[s] = v
     return SetFunction(l, deg, coeffs)
 
 
 def sparse_sf(draw, l, deg):
     shapes = ksubsets(l, deg)
     chosen = draw(st.sets(st.sampled_from(shapes), max_size=4))
-    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    return SetFunction(l, deg, {s: draw(values) for s in chosen})
+    return SetFunction(l, deg, {s: draw(st.integers(-12, 12)) for s in chosen})
 
 
-def assert_canonical(h):
-    """Integer numerators, none zero, over a positive den coprime to them
-    all; for the zero function gcd(den) == den, so den must be 1."""
-    assert type(h.den) is int and h.den >= 1
+def assert_int_values(h):
+    """Every stored value is a nonzero int."""
     assert all(type(v) is int and v for v in h.coeffs.values())
-    assert gcd(h.den, *h.coeffs.values()) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,50 +142,53 @@ def test_operations_return_the_canonical_stored_form(data):
     l = data.draw(st.integers(1, 6))
     dm = data.draw(st.integers(0, min(3, l)))
     dn = data.draw(st.integers(0, min(3, l)))
-    values = st.one_of(
-        st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=12)
-    )
+    values = st.integers(-12, 12)
 
-    def raw(deg):
+    def built(deg):
         chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
-        return {s: data.draw(values) for s in chosen}
-
-    def built(deg, terms, den):
-        h = SetFunction(l, deg, terms, den)
-        assert_canonical(h)
-        assert dict(h.items()) == {s: Fraction(v, den) for s, v in terms.items() if v}
+        terms = {s: data.draw(values) for s in chosen}
+        h = SetFunction(l, deg, terms)
+        assert_int_values(h)
+        assert h.coeffs == {s: v for s, v in terms.items() if v}
         return h
 
-    f = built(dm, raw(dm), data.draw(st.integers(1, 36)))
-    f2 = built(dm, raw(dm), 1)
-    h = built(dn, raw(dn), data.draw(st.integers(1, 36)))
+    f, f2, h = built(dm), built(dm), built(dn)
 
     total = f + f2
-    assert_canonical(total)
+    assert_int_values(total)
     want = {s: f.value(s) + f2.value(s) for s in set(f.coeffs) | set(f2.coeffs)}
-    assert dict(total.items()) == {s: v for s, v in want.items() if v}
+    assert total.coeffs == {s: v for s, v in want.items() if v}
 
-    c = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=9))
+    c = data.draw(st.integers(-5, 5))
     for scaled in (c * f, f * c):
-        assert_canonical(scaled)
-        assert dict(scaled.items()) == {s: c * v for s, v in f.items() if c}
+        assert_int_values(scaled)
+        assert scaled.coeffs == {s: c * v for s, v in f.coeffs.items() if c}
 
     oracle = fraction_product(f, h)
     for got in (product(f, h), product_by_splits(f, h)):
-        assert_canonical(got)
+        assert_int_values(got)
         assert got.degree == dm + dn
-        assert got.items() == list(oracle.items())
+        assert got.coeffs == oracle
+    assert same_values(product_by_splits(f, h), oracle)
 
     window = Subset(l, data.draw(st.integers(0, (1 << l) - 1)))
     kept = restrict(f, window)
-    assert_canonical(kept)
-    assert kept.items() == [(s, v) for s, v in f.items() if s.mask & window.mask == s.mask]
+    assert_int_values(kept)
+    assert kept.coeffs == {s: v for s, v in f.coeffs.items() if s.mask & window.mask == s.mask}
 
     if not f.is_zero and dm + dn <= l:
         mate = cofactor(f, dn)
         if mate is not None:
-            assert_canonical(mate)
+            assert_int_values(mate)
             assert not mate.is_zero and fraction_product(f, mate) == {}
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(2), 1.0, True, False])
+def test_non_int_values_are_refused(value):
+    with pytest.raises(TypeError):
+        SetFunction(3, 1, {Subset(3, 1): value})
+    with pytest.raises(TypeError):
+        WordFunction({Word([1]): value})
 
 
 def test_unit_is_neutral():
@@ -201,7 +212,7 @@ def test_zero_coefficients_pruned_and_degree_checked():
     f = sf(3, 1, {(0,): 0, (1,): 1})
     assert len(f.support()) == 1
     with pytest.raises(ValueError):
-        SetFunction(3, 1, {Subset.from_indices(3, [0, 1]): Fraction(1)})
+        SetFunction(3, 1, {Subset.from_indices(3, [0, 1]): 1})
 
 
 def test_addition_requires_matching_degree():
@@ -211,7 +222,7 @@ def test_addition_requires_matching_degree():
 
 def test_product_against_split_sum():
     f = sf(5, 1, {(0,): 1, (2,): -2, (4,): 3})
-    g = sf(5, 2, {(1, 2): 1, (0, 3): Fraction(1, 2)})
+    g = sf(5, 2, {(1, 2): 2, (0, 3): 1})
     assert product(f, g) == product_by_splits(f, g)
 
 
@@ -236,7 +247,27 @@ def test_candidate_split_sum_matches_full_enumeration(data):
     dn = data.draw(st.integers(0, l))
     f = data.draw(st.sampled_from((random_sf, sparse_sf)))(data.draw, l, dm)
     g = data.draw(st.sampled_from((random_sf, sparse_sf)))(data.draw, l, dn)
-    assert same_function(product_by_splits(f, g), full_product_by_splits(f, g))
+    assert same_values(product_by_splits(f, g), full_product_by_splits(f, g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_products_equal_the_fraction_oracle_times_both_scales(data):
+    l = data.draw(st.integers(1, 6))
+    dm = data.draw(st.integers(0, min(3, l)))
+    dn = data.draw(st.integers(0, min(3, l)))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool)
+
+    def rational(deg):
+        chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
+        return RationalFunction(l, deg, {s: data.draw(values) for s in chosen})
+
+    fr, gr = rational(dm), rational(dn)
+    (f, scale_f), (g, scale_g) = scaled_to_int(fr), scaled_to_int(gr)
+    want = {q: v * scale_f * scale_g for q, v in fraction_product(fr, gr).items()}
+    assert same_values(product_by_splits(f, g), want)
+    assert product(f, g).coeffs == want
+    assert full_product_by_splits(fr, gr) == fraction_product(fr, gr)
 
 
 # Primes just below 10**6, so any coefficients drawn with distinct ones
@@ -257,21 +288,23 @@ def test_split_sum_exact_over_coprime_denominators(data):
     numerators = st.integers(-10**6, 10**6).filter(bool)
 
     def coprime_sf(deg):
+        """An integer function scaled from values over distinct large primes."""
         chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
-        return SetFunction(l, deg, {s: Fraction(data.draw(numerators), next(dens)) for s in chosen})
+        r = RationalFunction(l, deg, {s: Fraction(data.draw(numerators), next(dens)) for s in chosen})
+        return scaled_to_int(r)[0]
 
     f, g = coprime_sf(dm), coprime_sf(dn)
     got = product_by_splits(f, g)
-    assert same_function(got, full_product_by_splits(f, g))
+    assert same_values(got, full_product_by_splits(f, g))
     assert got == product(f, g)
-    scalars = st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**6)
+    scalars = st.integers(-10**9, 10**9)
     c, d = data.draw(scalars), data.draw(scalars)
     assert product_by_splits(c * f, d * g) == c * d * got
 
 
 def test_candidate_split_sum_edge_cases():
     e = singleton_ones(4)
-    f = sf(6, 2, {(0, 1): 2, (2, 5): Fraction(-1, 3), (1, 4): 1})
+    f = sf(6, 2, {(0, 1): 6, (2, 5): -1, (1, 4): 3})
     g = sf(6, 3, {(2, 3, 4): 1, (0, 3, 5): -2})
     mate = cofactor(e, 2)
     cases = [
@@ -286,7 +319,7 @@ def test_candidate_split_sum_edge_cases():
     ]
     for a, b in cases:
         got = product_by_splits(a, b)
-        assert same_function(got, full_product_by_splits(a, b))
+        assert same_values(got, full_product_by_splits(a, b))
         assert got == product(a, b)
     assert not product_by_splits(e, e).is_zero and product_by_splits(e, mate).is_zero
 
@@ -308,53 +341,50 @@ def test_mult_matrix_agrees_with_product():
     g = sf(4, 1, {(1,): 1, (2,): 5})
     op = mult_matrix(f, 1)
     vec = [g.value(b) for b in ksubsets(4, 1)]
-    image = [sum(x * y for x, y in zip(row, vec)) / f.den for row in op.matrix.nums]
+    image = [sum(x * y for x, y in zip(row, vec)) for row in op.matrix.nums]
     assert SetFunction(4, 2, dict(zip(ksubsets(4, 2), image))) == product(f, g)
 
 
 def dense_mult_matrix(f, d):
-    """Oracle: every cell f(Q minus B) of the dense rows, as Fractions."""
-    by_mask = {s.mask: v for s, v in f.items()}
+    """Oracle: every cell f(Q minus B) of the dense rows."""
+    by_mask = {s.mask: v for s, v in f.coeffs.items()}
     cols = [b.mask for b in ksubsets(f.n, d)]
     return [
-        [Fraction(0) if b & ~q.mask else by_mask.get(q.mask ^ b, Fraction(0)) for b in cols]
+        [0 if b & ~q.mask else by_mask.get(q.mask ^ b, 0) for b in cols]
         for q in ksubsets(f.n, f.degree + d)
     ]
 
 
 @st.composite
-def fractional_sf_and_source_degree(draw):
+def int_sf_and_source_degree(draw):
     l = draw(st.integers(1, 7))
     deg = draw(st.integers(0, min(3, l)))
     d = draw(st.integers(0, l - deg))
     shapes = ksubsets(l, deg)
     chosen = draw(st.sets(st.sampled_from(shapes), min_size=1, max_size=min(6, len(shapes))))
-    values = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    return SetFunction(l, deg, {s: draw(values) for s in chosen}), d
+    return SetFunction(l, deg, {s: draw(st.integers(-6, 6)) for s in chosen}), d
 
 
 @settings(max_examples=120, deadline=None)
-@given(fractional_sf_and_source_degree())
+@given(int_sf_and_source_degree())
 def test_mult_matrix_matches_dense_oracle(case):
     f, d = case
     got, want = mult_matrix(f, d).matrix, dense_mult_matrix(f, d)
     assert (got.rows, got.cols) == (len(want), len(ksubsets(f.n, d)))
-    # the stored rows are f's numerators: f.den times the dense operator
-    assert got.nums == [[x * f.den for x in row] for row in want]
+    assert got.nums == want
     assert all(type(x) is int for row in got.nums for x in row)
 
 
 def test_mult_matrix_keeps_rows_without_support():
-    f = sf(5, 1, {(0,): Fraction(1, 2), (1,): Fraction(-2, 3)})
+    f = sf(5, 1, {(0,): 3, (1,): -4})
     got = mult_matrix(f, 2).matrix
-    want = dense_mult_matrix(f, 2)
-    assert f.den == 6 and got.nums == [[6 * x for x in row] for row in want]
+    assert got.nums == dense_mult_matrix(f, 2)
     assert any(not any(row) for row in got.nums)
     assert {x for row in got.nums for x in row} == {0, 3, -4}
 
 
 @settings(max_examples=100, deadline=None)
-@given(fractional_sf_and_source_degree())
+@given(int_sf_and_source_degree())
 def test_cofactor_is_the_first_basis_vector(case):
     f, d = case
     if f.is_zero:
@@ -364,10 +394,10 @@ def test_cofactor_is_the_first_basis_vector(case):
     if not basis:
         assert got is None
         return
-    lead = next(x for x in basis[0] if x)
-    want = {s: Fraction(x, lead) for s, x in zip(ksubsets(f.n, d), basis[0]) if x}
-    assert got == SetFunction(f.n, d, want)
-    assert got.items()[0][1] == 1  # first nonzero value in colex order
+    assert got == SetFunction(f.n, d, dict(zip(ksubsets(f.n, d), basis[0])))
+    # primitive, and positive at its first nonzero set in colex order
+    assert gcd(*got.coeffs.values()) == 1
+    assert got.coeffs[min(got.coeffs, key=lambda s: s.mask)] > 0
 
 
 def test_mult_matrix_of_unit_is_identity():
@@ -429,7 +459,7 @@ def test_same_block_dot_products_stay_nonzero():
 
 
 def test_json_round_trip_and_canonical_bytes():
-    f = sf(5, 2, {(0, 1): Fraction(-7, 3), (2, 4): 5})
+    f = sf(5, 2, {(0, 1): -7, (2, 4): 10**30})
     s = dumps_canonical(set_function_to_dict(f))
     assert set_function_from_dict(json.loads(s)) == f
     assert json.dumps(json.loads(s), sort_keys=True, separators=(",", ":")) == s
