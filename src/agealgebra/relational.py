@@ -1,13 +1,14 @@
 """Finite relational structures, isomorphism types, and profiles.
 
-Canonicalization refines an isomorphism-invariant colouring of the points
-(the refinement step of McKay and Piperno's individualization-refinement)
-and then minimizes the relabelled encoding over the orders that keep each
-colour cell in its own block of positions.  It is exact for bases of at
-most 8 points; a single cell still costs l! orders.  Results sit in a
-bounded LRU cache keyed by the structure, which makes profile sweeps over
-thousands of restrictions cheap.  The profile of a structure counts
-isomorphism types of its n-point restrictions.
+Canonicalization is individualization-refinement (McKay and Piperno,
+*Practical graph isomorphism II*, 2014): refine an isomorphism-invariant
+ordered colouring of the points, branch by giving one point of a cell a
+colour of its own, and keep the least relabelled encoding over the leaves,
+skipping points whose swap with an already tried one is an automorphism.
+It is exact for bases of at most 8 points.  Results sit in a bounded LRU
+cache keyed by the structure, which makes profile sweeps over thousands of
+restrictions cheap.  The profile of a structure counts isomorphism types
+of its n-point restrictions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product as iproduct
 from typing import Iterable, Sequence
 
 from .subsets import Subset, ksubsets
@@ -60,22 +60,6 @@ class RelStructure:
     def encode(self) -> tuple:
         return tuple(tuple(sorted(rel)) for rel in self.relations)
 
-    def restriction(self, points: Subset) -> "RelStructure":
-        """Induced substructure, re-indexed to 0..|points|-1 in point order."""
-        if points.n != self.base_size:
-            raise ValueError("point set is not over this base")
-        order = {p: i for i, p in enumerate(points.elements())}
-        keep = points.mask
-        rels = []
-        for rel in self.relations:
-            kept = [
-                tuple(order[x] for x in t)
-                for t in rel
-                if all(keep >> x & 1 for x in t)
-            ]
-            rels.append(kept)
-        return RelStructure(len(points), self.signature, rels)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelStructure):
             return NotImplemented
@@ -98,9 +82,9 @@ class IsoType:
     """Canonical encoding of a structure; equal types mean isomorphic structures.
 
     The encoding is the least relabelled encoding (each relation's tuples,
-    sorted) over the orders that send the i-th refined colour cell onto the
-    i-th block of consecutive positions.  Isomorphic structures have the
-    same cells and hence the same candidate encodings.
+    sorted) over the leaves of `canonical_form`'s search tree.  The tree
+    is built without reference to labels, so isomorphic structures have
+    the same leaf encodings.
     """
 
     base_size: int
@@ -108,71 +92,126 @@ class IsoType:
     encoding: tuple
 
 
-def _colour_cells(r: RelStructure) -> list[list[int]]:
-    """Points grouped by colour refinement, cells in colour order.
+def _occurrences(r: RelStructure) -> list[list[tuple]]:
+    """Per point x, the triples (relation index, position of x, tuple)."""
+    occurrences: list[list[tuple]] = [[] for _ in range(r.base_size)]
+    for ri, rel in enumerate(r.relations):
+        for t in rel:
+            for pos, x in enumerate(t):
+                occurrences[x].append((ri, pos, t))
+    return occurrences
 
-    Starting from one colour, each round gives a point x the pair of its
-    colour and the sorted multiset of (relation index, position of x,
-    colours of the tuple) over every occurrence of x in a tuple.  New
-    colours are ranked by sorting these keys, never by point labels, so
-    the cells and their order are isomorphism invariant.  Rounds stop
-    when none splits a cell.
+
+def _refine(occurrences: list[list[tuple]], colour: list[int]) -> list[int]:
+    """The coarsest stable refinement of an ordered colouring, as ranks.
+
+    Each round gives a point x the pair of its colour and the sorted
+    multiset of (relation index, position of x, colours of the tuple) over
+    the occurrences of x that `occurrences[x]` lists.  New colours are
+    ranked by sorting these keys, never by point labels, so the result is
+    isomorphism invariant and keeps the order of the cells it splits.
+    Rounds stop when none splits a cell or every cell is a single point.
     """
-    l = r.base_size
-    colour = [0] * l
-    count = min(l, 1)
+    count = len(set(colour))
     while True:
-        occurrences: list[list[tuple]] = [[] for _ in range(l)]
-        for ri, rel in enumerate(r.relations):
-            for t in rel:
-                colours = tuple(colour[x] for x in t)
-                for pos, x in enumerate(t):
-                    occurrences[x].append((ri, pos, colours))
-        keys = [(colour[x], tuple(sorted(occurrences[x]))) for x in range(l)]
+        get = colour.__getitem__
+        keys = [
+            (colour[x], tuple(sorted([(ri, pos, tuple(map(get, t))) for ri, pos, t in occ])))
+            for x, occ in enumerate(occurrences)
+        ]
         ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
         colour = [ranks[key] for key in keys]
-        if len(ranks) == count:
-            break
+        if len(ranks) in (count, len(colour)):
+            return colour
         count = len(ranks)
-    cells: list[list[int]] = [[] for _ in range(count)]
-    for x in range(l):
-        cells[colour[x]].append(x)
-    return cells
+
+
+def _twins(r: RelStructure, occurrences: list[list[tuple]], colour: list[int]) -> list[int]:
+    """twin[x]: the least point y such that swapping x and y is an
+    automorphism of r (x itself when there is none).
+
+    Such swaps compose to swaps, so twins form classes, and x is tested
+    only against the least point of each earlier class of its colour in
+    the refined `colour`, which automorphisms keep.  A swap moves only the
+    tuples through x or y, which `occurrences` lists.
+    """
+    twin = list(range(r.base_size))
+    for x in range(r.base_size):
+        for y in range(x):
+            if twin[y] != y or colour[y] != colour[x]:
+                continue
+            swap = {x: y, y: x}
+            if all(
+                tuple([swap.get(z, z) for z in t]) in r.relations[ri]
+                for ri, _, t in occurrences[x] + occurrences[y]
+            ):
+                twin[x] = y
+                break
+    return twin
 
 
 @lru_cache(maxsize=CANON_CACHE_SIZE)
 def canonical_form(r: RelStructure) -> IsoType:
-    """Isomorphism type of r; cached, see `canonical_form.cache_info()`."""
-    if r.base_size > MAX_CANON_BASE:
+    """Isomorphism type of r; cached, see `canonical_form.cache_info()`.
+
+    Individualization-refinement: a node refines its colouring; a discrete
+    one is a leaf, read as the labelling x -> colour[x]; otherwise the node
+    branches on its first cell of two or more points, giving each point
+    in turn a colour of its own just before its cell-mates.  The tree is
+    built without reference to labels, so the least leaf encoding over it
+    is canonical.  A point whose twin was already tried in the same cell is
+    skipped: the swap fixes the individualized points, so it maps one
+    subtree onto the other with equal encodings.
+    """
+    l = r.base_size
+    if l > MAX_CANON_BASE:
         raise ValueError("base too large for exhaustive canonicalization")
-    perm = [0] * r.base_size
+    occurrences = _occurrences(r)
+    twin = None
     best = None
-    for orders in iproduct(*(permutations(cell) for cell in _colour_cells(r))):
-        pos = 0
-        for order in orders:
-            for x in order:
-                perm[x] = pos
-                pos += 1
-        enc = tuple(
-            tuple(sorted(tuple(perm[x] for x in t) for t in rel))
-            for rel in r.relations
-        )
-        if best is None or enc < best:
-            best = enc
-    return IsoType(r.base_size, r.signature, best)
+
+    def search(colour: list[int]) -> None:
+        nonlocal twin, best
+        colour = _refine(occurrences, colour)
+        cell = min((c for c in colour if colour.count(c) > 1), default=None)
+        if cell is None:
+            enc = tuple(tuple(sorted([tuple([colour[x] for x in t]) for t in rel])) for rel in r.relations)
+            best = enc if best is None else min(best, enc)
+            return
+        if twin is None:  # the first branch is the root's
+            twin = _twins(r, occurrences, colour)
+        tried = set()
+        for x in range(l):
+            if colour[x] == cell and twin[x] not in tried:
+                tried.add(twin[x])
+                search([2 * c + (y != x) for y, c in enumerate(colour)])
+
+    search([0] * l)
+    return IsoType(l, r.signature, best)
 
 
 def type_classes(r: RelStructure, n: int) -> dict[IsoType, list[Subset]]:
     """The n-subsets grouped by the isomorphism type of their restriction.
 
     Types come in order of first colex occurrence, and each class lists
-    its subsets in colex order.
+    its subsets in colex order.  A restriction keeps the tuples whose
+    point mask lies inside the subset, re-indexed to 0..n-1 in point
+    order; they come from a checked structure, so they are not checked
+    again.
     """
     if not 0 <= n <= r.base_size:
         raise ValueError("degree out of range")
+    tagged = [[(sum({1 << x for x in t}), t) for t in rel] for rel in r.relations]
     classes: dict[IsoType, list[Subset]] = {}
     for points in ksubsets(r.base_size, n):
-        classes.setdefault(canonical_form(r.restriction(points)), []).append(points)
+        keep = points.mask
+        index = dict(zip(points.elements(), range(n)))
+        sub = object.__new__(RelStructure)
+        sub.base_size, sub.signature = n, r.signature
+        sub.relations = tuple(
+            frozenset([tuple([index[x] for x in t]) for m, t in rel if m | keep == keep]) for rel in tagged
+        )
+        classes.setdefault(canonical_form(sub), []).append(points)
     return classes
 
 

@@ -44,6 +44,23 @@ def apply_permutation(r, perm):
     )
 
 
+def restriction(r, points):
+    """Induced substructure, re-indexed to 0..|points|-1 in point order."""
+    if points.n != r.base_size:
+        raise ValueError("point set is not over this base")
+    order = {p: i for i, p in enumerate(points.elements())}
+    keep = points.mask
+    rels = []
+    for rel in r.relations:
+        kept = [
+            tuple(order[x] for x in t)
+            for t in rel
+            if all(keep >> x & 1 for x in t)
+        ]
+        rels.append(kept)
+    return RelStructure(len(points), r.signature, rels)
+
+
 def structure_to_dict(r):
     """The JSON object that `agealg profile --input` reads."""
     return {
@@ -95,7 +112,7 @@ def kernel_zero_divisor(r, f_set):
     Requires that no two disjoint subsets share that type; then the
     indicator f of the type satisfies f * f = 0, which is re-verified.
     """
-    t = canonical_form(r.restriction(f_set))
+    t = canonical_form(restriction(r, f_set))
     realizations = type_classes(r, len(f_set))[t]
     # Self-pairs included: the empty type's one realization is disjoint
     # from itself.
@@ -187,6 +204,41 @@ def c4():
     return graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
+def cycle(l):
+    return graph(l, [(i, (i + 1) % l) for i in range(l)])
+
+
+def complete(l):
+    return graph(l, list(combinations(range(l), 2)))
+
+
+def complete_bipartite(m, n):
+    return graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+
+
+def cube():
+    """The 3-cube: points are 3-bit words, edges join words one bit apart."""
+    return graph(8, [(a, a ^ b) for a in range(8) for b in (1, 2, 4) if a < a ^ b])
+
+
+# Profile sequences pinned from the exhaustive minimum over in-cell orders
+# that individualization-refinement replaced, where each 8-point
+# vertex-transitive graph took about a second.
+GOLDEN_PROFILES = {
+    "C8": (cycle(8), [1, 1, 2, 3, 5, 5, 4, 1, 1]),
+    "cube": (cube(), [1, 1, 2, 3, 6, 3, 3, 1, 1]),
+    "K4,4": (complete_bipartite(4, 4), [1, 1, 2, 2, 3, 2, 2, 1, 1]),
+    "K8": (complete(8), [1] * 9),
+    "empty8": (graph(8, []), [1] * 9),
+    # the 5-point graph of CI's reproducibility step: the path 0-1-2-3-4
+    # with the chord 1-3
+    "ci-graph": (graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]), [1, 1, 2, 4, 3, 1]),
+    "digraph-seed1": (random_structure(random.Random(1), 8, (2,)), [1, 2, 9, 37, 63, 55, 28, 8, 1]),
+    "digraph-seed2": (random_structure(random.Random(2), 8, (2,)), [1, 2, 9, 37, 66, 55, 28, 8, 1]),
+    "ternary-seed3": (random_structure(random.Random(3), 7, (3,)), [1, 2, 19, 35, 35, 21, 7, 1]),
+}
+
+
 @cache
 def brute_encoding(r):
     """Oracle: the least relabelled encoding over all l! permutations."""
@@ -198,9 +250,41 @@ def brute_encoding(r):
 
 def brute_profile_sequence(r):
     return [
-        len({brute_encoding(r.restriction(points)) for points in ksubsets(r.base_size, n)})
+        len({brute_encoding(restriction(r, points)) for points in ksubsets(r.base_size, n)})
         for n in range(r.base_size + 1)
     ]
+
+
+@st.composite
+def twin_rich_structures(draw, max_base=6):
+    """A structure on at most max_base points whose tuples mostly see a
+    point only through its part, so points of one part tend to be twins:
+    a union of cliques or a complete multipartite graph, loops on whole
+    parts, unary marks on whole parts and on up to two single points, and
+    a ternary relation chosen by the parts of its entries; relabelled."""
+    l = draw(st.integers(1, max_base))
+    part = draw(st.lists(st.integers(0, 2), min_size=l, max_size=l))
+    within = draw(st.booleans())
+    looped = draw(st.sets(st.integers(0, 2)))
+    marked = draw(st.sets(st.integers(0, 2)))
+    singles = draw(st.sets(st.integers(0, l - 1), max_size=2))
+    triples = draw(st.sets(st.tuples(*[st.integers(0, 2)] * 3), max_size=4))
+    edges = [
+        (a, b)
+        for a in range(l)
+        for b in range(l)
+        if (part[a] in looped if a == b else (part[a] == part[b]) == within)
+    ]
+    marks = [(a,) for a in range(l) if part[a] in marked or a in singles]
+    ternary = [t for t in iproduct(range(l), repeat=3) if tuple(part[x] for x in t) in triples]
+    r = RelStructure(l, (2, 1, 3), [edges, marks, ternary])
+    return apply_permutation(r, draw(st.permutations(range(l))))
+
+
+def swap_is_automorphism(r, x, y):
+    perm = list(range(r.base_size))
+    perm[x], perm[y] = y, x
+    return apply_permutation(r, perm) == r
 
 
 @st.composite
@@ -219,19 +303,27 @@ def structure_pairs(draw):
         ])
 
     a = fresh()
-    kind = draw(st.sampled_from(("relabel", "toggle", "fresh")))
-    perm = list(range(l))
+    return a, partner(rng, a, draw(st.sampled_from(PARTNER_KINDS)), fresh)
+
+
+PARTNER_KINDS = ("relabel", "toggle", "fresh")
+
+
+def partner(rng, a, kind, fresh):
+    """A relabelled copy of a, that copy with one tuple toggled (when a has
+    points), or fresh()."""
+    perm = list(range(a.base_size))
     rng.shuffle(perm)
     b = apply_permutation(a, perm)
-    if kind == "toggle" and l:
-        i = rng.randrange(len(sig))
-        t = tuple(rng.randrange(l) for _ in range(sig[i]))
+    if kind == "toggle" and a.base_size:
+        i = rng.randrange(len(a.signature))
+        t = tuple(rng.randrange(a.base_size) for _ in range(a.signature[i]))
         rels = [set(rel) for rel in b.relations]
         rels[i] ^= {t}
-        b = RelStructure(l, sig, rels)
+        b = RelStructure(a.base_size, a.signature, rels)
     elif kind == "fresh":
         b = fresh()
-    return a, b
+    return b
 
 
 def test_graph_constructor_symmetrizes_and_rejects_loops():
@@ -297,7 +389,7 @@ def test_type_classes_group_subsets_by_brute_encoding(pair):
         label = {p: i for i, points in enumerate(classes.values()) for p in points}
         for a in ksubsets(l, n):
             for b in ksubsets(l, n):
-                same = brute_encoding(r.restriction(a)) == brute_encoding(r.restriction(b))
+                same = brute_encoding(restriction(r, a)) == brute_encoding(restriction(r, b))
                 assert (label[a] == label[b]) == same
         assert profile(r, n) == len(classes)
     for n in (-1, l + 1):
@@ -314,6 +406,59 @@ def test_profiles_match_brute_force_on_small_graphs():
 def test_profiles_match_brute_force_on_random_corpus():
     for r in random_structures(11, 40, 6, 3):
         assert check_profile_inequalities(r).values == brute_profile_sequence(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(twin_rich_structures(max_base=8), st.randoms(use_true_random=False))
+def test_canonical_form_is_invariant_on_twin_rich_structures(r, rng):
+    perm = list(range(r.base_size))
+    rng.shuffle(perm)
+    assert canonical_form(apply_permutation(r, perm)) == canonical_form(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    twin_rich_structures(),
+    twin_rich_structures(),
+    st.sampled_from(PARTNER_KINDS),
+    st.randoms(use_true_random=False),
+)
+def test_canonical_form_agrees_with_brute_force_on_twin_rich_structures(a, other, kind, rng):
+    b = partner(rng, a, kind, lambda: other)
+    assert (canonical_form(a) == canonical_form(b)) == (brute_encoding(a) == brute_encoding(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(twin_rich_structures(max_base=7))
+def test_twins_are_the_brute_checked_transposition_automorphisms(r):
+    occurrences = relational._occurrences(r)
+    twin = relational._twins(r, occurrences, relational._refine(occurrences, [0] * r.base_size))
+    for x in range(r.base_size):
+        swaps = [y for y in range(x) if swap_is_automorphism(r, x, y)]
+        assert twin[x] == (swaps[0] if swaps else x)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROFILES))
+def test_profile_sequences_are_pinned(name):
+    r, values = GOLDEN_PROFILES[name]
+    assert check_profile_inequalities(r).values == values
+
+
+@pytest.mark.parametrize("name, bound", [("C8", 25), ("cube", 81), ("K4,4", 13), ("K8", 8)])
+def test_canonical_form_refines_within_its_work_bound(monkeypatch, name, bound):
+    """Twin pruning keeps K8 and K4,4 to one branch per twin class, and
+    individualization-refinement keeps the rest far below l! orders."""
+    refine = relational._refine
+    calls = []
+
+    def counting(occurrences, colour):
+        calls.append(colour)
+        if len(calls) > bound:
+            raise AssertionError(f"{name} needs more than {bound} refinements")
+        return refine(occurrences, colour)
+
+    monkeypatch.setattr(relational, "_refine", counting)
+    relational.canonical_form.__wrapped__(GOLDEN_PROFILES[name][0])
 
 
 def test_canonical_form_base_cap():
@@ -386,7 +531,7 @@ def test_disjoint_embedding_matches_pairwise_definition():
         return all(
             any(
                 other.isdisjoint(points)
-                and brute_encoding(r.restriction(other)) == brute_encoding(r.restriction(points))
+                and brute_encoding(restriction(r, other)) == brute_encoding(restriction(r, points))
                 for other in ksubsets(r.base_size, size)
             )
             for size in range(k + 1)
