@@ -44,7 +44,6 @@ from .words import (
     leading_product_check,
     max_shuffle,
     shuffle_product,
-    word_indicator,
 )
 
 # Largest |supp f|·|supp g| that `gadget` and `tau1n` take on: the (4,4)
@@ -82,18 +81,24 @@ def _claim(results: list, claim: str, expected, computed) -> bool:
     return expected == computed
 
 
+def _kantor_sweep(max_l: int):
+    """(ell, n, m) of each inclusion matrix `kantor` ranks: n-subsets against
+    (n+m)-subsets of ell points, for 2n + m <= ell and n + m >= 1."""
+    for ell in range(1, max_l + 1):
+        for n in range(ell // 2 + 1):
+            for m in range(ell - 2 * n + 1):
+                if n + m:
+                    yield ell, n, m
+
+
 def _cmd_kantor(args, results: list) -> None:
-    for ell in range(1, args.max_l + 1):
-        for n in range(0, ell // 2 + 1):
-            for m in range(0, ell - 2 * n + 1):
-                if n + m == 0:
-                    continue
-                _claim(
-                    results,
-                    f"inclusion matrix ({n} -> {n + m}) on {ell} points has full row rank",
-                    True,
-                    verify_kantor(ell, n, m),
-                )
+    for ell, n, m in _kantor_sweep(args.max_l):
+        _claim(
+            results,
+            f"inclusion matrix ({n} -> {n + m}) on {ell} points has full row rank",
+            True,
+            verify_kantor(ell, n, m),
+        )
 
 
 def _certify(results: list, name: str, pair):
@@ -200,17 +205,16 @@ def _cmd_words(args, results: list) -> None:
         [3, 3, 1],
         list(max_shuffle(u, v)),
     )
-    sq = shuffle_product(word_indicator(Word([1])), word_indicator(Word([1])))
+    sq = shuffle_product({Word([1]): 1}, {Word([1]): 1})
     _claim(results, "square of a one-letter indicator", {"(1, 1)": "2"},
-           {str(tuple(w)): str(val) for w, val in sq.coeffs.items()})
+           {str(tuple(w)): str(val) for w, val in sq.items()})
     layered = LayeredGround(1, 2, 4)
     zero = SetFunction(layered.flat_size, 2, {})
     _claim(results, "lead of the zero function is None", True,
            lead(zero, layered) is None)
     f = code_blind_function(layered, 2, seed=args.seed, need_pure_column_support=True)
     g = code_blind_function(layered, 2, seed=args.seed + 1)
-    rep = leading_product_check(f, g, layered)
-    for name, ok in rep.checks.items():
+    for name, ok in leading_product_check(f, g, layered).items():
         _claim(results, f"leading-term property: {name}", True, ok)
 
 
@@ -330,13 +334,7 @@ def _matrix_cells(args) -> int:
     solves; `search` adds its embedded gadget's support pairs when its
     strategy builds that gadget."""
     if args.command == "kantor":
-        return sum(
-            comb(ell, n) * comb(ell, n + m)
-            for ell in range(1, args.max_l + 1)
-            for n in range(ell // 2 + 1)
-            for m in range(ell - 2 * n + 1)
-            if n + m
-        )
+        return sum(comb(ell, n) * comb(ell, n + m) for ell, n, m in _kantor_sweep(args.max_l))
     if args.command == "search":
         m, n, ell = args.m, args.n, args.l
         cells = 8 * comb(ell, m + n) * comb(ell, n) if args.strategy != "gadget" else 0

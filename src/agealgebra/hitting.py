@@ -317,18 +317,16 @@ def tau(family: SetFamily) -> TransversalResult:
                 low = forced & -forced
                 uncovered &= ~occ[low.bit_length() - 1]
                 forced ^= low
-        # One short of pruning, the packing ran until it covered everything.
         short = best_size - nchosen - packing(uncovered, below, banned, best_size - nchosen)
-        if short <= 0 or short == 1 and one_each(uncovered):
+        if short <= 0:
             return
-        # Fewest allowed elements, then the lowest index: every member has at
-        # least 2 here, so they are the first nonempty uncovered & below[k]
-        # from k = 3 up.
-        k = 3
-        while not uncovered & below[k]:
-            k += 1
-        fewest = uncovered & below[k]
-        allowed = masks[(fewest & -fewest).bit_length() - 1] & ~banned
+        # The branch member has the fewest allowed elements, then the lowest
+        # index: the packing's first member, whose allowed part is parts[0]
+        # until `one_each` narrows it.
+        allowed = parts[0]
+        # One short of pruning, the packing ran until it covered everything.
+        if short == 1 and one_each(uncovered):
+            return
         # Its elements by falling degree among the uncovered members, ties
         # going to the lowest index.
         order = []

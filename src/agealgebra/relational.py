@@ -222,7 +222,6 @@ def profile(r: RelStructure, n: int) -> int:
 
 @dataclass
 class ProfileReport:
-    base_size: int
     values: list[int]
     checks: list[dict]
 
@@ -253,7 +252,7 @@ def check_profile_inequalities(r: RelStructure, upto: int | None = None) -> Prof
             checks.append(
                 {"kind": "monotone", "n": n, "m": m, "lhs": lhs, "rhs": rhs, "pass": lhs <= rhs}
             )
-    return ProfileReport(l, values, checks)
+    return ProfileReport(values, checks)
 
 
 # JSON input: {base_size, signature, relations}, tuples as index lists.

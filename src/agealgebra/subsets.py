@@ -63,14 +63,6 @@ class Subset:
     def __lt__(self, other: "Subset") -> bool:
         return self.mask < other.mask
 
-    def __or__(self, other: "Subset") -> "Subset":
-        if self.n != other.n:
-            raise ValueError("ground-set mismatch between subsets")
-        return Subset(self.n, self.mask | other.mask)
-
-    def isdisjoint(self, other: "Subset") -> bool:
-        return self.mask & other.mask == 0
-
     def complement(self) -> "Subset":
         return Subset(self.n, ~self.mask & ((1 << self.n) - 1))
 

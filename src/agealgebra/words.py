@@ -8,16 +8,16 @@ codes into the leading-term device: the lead of a product of two suitably
 invariant functions is the max shuffle of their leads, and in particular
 the product cannot vanish.  `leading_product_check(f, g, layered)` reads
 the sign colors of the pair from f and g themselves; the lead of the zero
-function is None.  Word functions hold integer values, as set functions
-do: scaling by a nonzero integer changes no lead.
+function is None.  A word function is a `dict[Word, int]`: its values are
+integers, as a set function's are, since scaling by a nonzero integer
+changes no lead.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .setfuncs import SetFunction, product
 from .subsets import MAX_GROUND, Subset, ksubsets
@@ -110,37 +110,24 @@ def max_shuffle(u: Word, v: Word) -> Word:
     return Word(out + list(u.letters[i:]) + list(v.letters[j:]))
 
 
-class CodedSet:
-    """F-part plus column word; the code w(Q) of a subset Q.
+class Code(NamedTuple):
+    """The code w(Q) of a subset Q: its F-part and its column word.
 
-    Order: F-parts first (cardinality DESCENDING, ties by mask, so the
-    empty F-part is the largest), then words in radix order.
+    Tuple order is code order: F-parts first (cardinality DESCENDING, ties
+    by mask, so the empty F-part is the largest), then words in radix
+    order.  The word itself breaks no tie, since equal radix keys mean
+    equal words.
     """
 
-    __slots__ = ("f_mask", "word")
+    f_rank: int
+    f_mask: int
+    radix: tuple
+    word: Word
 
-    def __init__(self, f_mask: int, word: Word):
-        if f_mask < 0:
-            raise ValueError("negative F-part mask")
-        self.f_mask = f_mask
-        self.word = word
 
-    def sort_key(self) -> tuple:
-        return ((-self.f_mask.bit_count(), self.f_mask), self.word.sort_key())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CodedSet):
-            return NotImplemented
-        return self.f_mask == other.f_mask and self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash((self.f_mask, self.word))
-
-    def __lt__(self, other: "CodedSet") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __repr__(self) -> str:
-        return f"CodedSet(F={_bits(self.f_mask)}, {self.word!r})"
+def make_code(f_mask: int, word: Word) -> Code:
+    """The code with this F-part and column word."""
+    return Code(-f_mask.bit_count(), f_mask, word.sort_key(), word)
 
 
 class LayeredGround:
@@ -166,33 +153,30 @@ class LayeredGround:
         return q_mask >> (self.f_size + c * self.v_size) & ((1 << self.v_size) - 1)
 
 
-def code(q: Subset, layered: LayeredGround) -> CodedSet:
+def code(q_mask: int, layered: LayeredGround) -> Code:
     """F-part and column-trace word of a flat subset, empty columns skipped."""
-    if q.n != layered.flat_size:
-        raise ValueError("subset is not over this layered ground")
-    f_mask = q.mask & ((1 << layered.f_size) - 1)
     letters = []
     for c in range(layered.chain_size):
-        letter = layered.column_letter(q.mask, c)
+        letter = layered.column_letter(q_mask, c)
         if letter:
             letters.append(letter)
-    return CodedSet(f_mask, Word(letters))
+    return make_code(q_mask & ((1 << layered.f_size) - 1), Word(letters))
 
 
-def lead(f: SetFunction, layered: LayeredGround) -> CodedSet | None:
+def lead(f: SetFunction, layered: LayeredGround) -> Code | None:
     """Largest code in the support; None for the zero function."""
-    return max((code(s, layered) for s in f.coeffs), key=CodedSet.sort_key, default=None)
+    return max((code(s.mask, layered) for s in f.coeffs), default=None)
 
 
-def code_classes(layered: LayeredGround, degree: int) -> dict[CodedSet, list[Subset]]:
+def code_classes(layered: LayeredGround, degree: int) -> dict[Code, list[Subset]]:
     """The degree-subsets of the flat ground grouped by their code.
 
     Codes come in order of first colex occurrence, and each class lists
     its subsets in colex order.
     """
-    classes: dict[CodedSet, list[Subset]] = {}
+    classes: dict[Code, list[Subset]] = {}
     for s in ksubsets(layered.flat_size, degree):
-        classes.setdefault(code(s, layered), []).append(s)
+        classes.setdefault(code(s.mask, layered), []).append(s)
     return classes
 
 
@@ -210,16 +194,7 @@ class HypothesisError(ValueError):
         super().__init__(f"hypothesis failed: {hypothesis}")
 
 
-@dataclass
-class LeadingReport:
-    q0: Subset
-    lead_f: CodedSet
-    lead_g: CodedSet
-    lead_product: CodedSet | None
-    checks: dict[str, bool]
-
-
-def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround) -> LeadingReport:
+def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround) -> dict[str, bool]:
     """Verify the leading-term equations on a concrete invariant pair.
 
     Hypotheses checked up front (each failure raises HypothesisError):
@@ -227,7 +202,7 @@ def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround
     as the total degree, and f has support clear of F.  Together these
     make the signs of f and g invariant at every chain size: mapping r
     columns onto r others in order keeps each subset's F-part and column
-    word, hence its code, hence its values.
+    word, hence its code, hence its values.  Returns each check by name.
     """
     if f.n != layered.flat_size or g.n != layered.flat_size:
         raise ValueError("functions are not over this layered ground")
@@ -239,98 +214,52 @@ def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround
         raise HypothesisError("f_code_determined")
     if not code_determined(g, layered):
         raise HypothesisError("g_code_determined")
+    fm = {s.mask: v for s, v in f.coeffs.items()}
+    gm = {s.mask: v for s, v in g.coeffs.items()}
     f_all = (1 << layered.f_size) - 1
-    if not any(s.mask & f_all == 0 for s in f.coeffs):
+    if not any(a & f_all == 0 for a in fm):
         raise HypothesisError("f_support_meets_pure_columns")
 
-    pairs = [(a, b) for a in f.coeffs for b in g.coeffs if a.isdisjoint(b)]
+    pairs = [(a, b) for a in fm for b in gm if not a & b]
     checks: dict[str, bool] = {"support_pairs_nonempty": bool(pairs)}
+    if not pairs:
+        return checks
+
+    q0 = max((a | b for a, b in pairs), key=lambda q: code(q, layered))
+    splitters = sorted((a, b) for a, b in pairs if a | b == q0)
+    a0, b0 = splitters[0]
     lead_f = lead(f, layered)
     lead_g = lead(g, layered)
-    if not pairs:
-        return LeadingReport(Subset(layered.flat_size, 0), lead_f, lead_g, None, checks)
-
-    q0 = max((a | b for a, b in pairs), key=lambda u: code(u, layered).sort_key())
-    best = code(q0, layered)
-    splitters = sorted(
-        ((a, b) for a, b in pairs if (a.mask | b.mask) == q0.mask),
-        key=lambda ab: (ab[0].mask, ab[1].mask),
-    )
-    a0, b0 = splitters[0]
-    checks["lead_f_avoids_f_part"] = code(a0, layered).f_mask == 0
+    checks["lead_f_avoids_f_part"] = a0 & f_all == 0
     checks["splitter_codes_are_leads"] = all(
         code(a, layered) == lead_f and code(b, layered) == lead_g for a, b in splitters
     )
     checks["splitter_values_constant"] = all(
-        (f.value(a), g.value(b)) == (f.value(a0), g.value(b0)) for a, b in splitters
+        (fm[a], gm[b]) == (fm[a0], gm[b0]) for a, b in splitters
     )
     prod = product(f, g)
-    expected_q0 = len(splitters) * f.value(a0) * g.value(b0)
-    checks["value_at_q0_is_count_times_leads"] = prod.value(q0) == expected_q0
+    at_q0 = prod.value(Subset(prod.n, q0))
+    checks["value_at_q0_is_count_times_leads"] = at_q0 == len(splitters) * fm[a0] * gm[b0]
     lead_prod = lead(prod, layered)
-    checks["product_lead_is_best_pair_code"] = lead_prod == best
+    checks["product_lead_is_best_pair_code"] = lead_prod == code(q0, layered)
     top = max_shuffle(code(a0, layered).word, code(b0, layered).word)
-    shuffled = CodedSet(q0.mask & f_all, top)
-    checks["product_lead_is_max_shuffle_of_leads"] = lead_prod == shuffled
-    checks["product_nonzero_at_q0"] = prod.value(q0) != 0
+    checks["product_lead_is_max_shuffle_of_leads"] = lead_prod == make_code(q0 & f_all, top)
+    checks["product_nonzero_at_q0"] = at_q0 != 0
     checks["product_nonzero"] = not prod.is_zero
-    return LeadingReport(q0, lead_f, lead_g, lead_prod, checks)
+    return checks
 
 
-class WordFunction:
-    """Finitely supported integer function on words.
-
-    Zero values are dropped; a value that is not an `int` (a `bool`
-    included) raises TypeError.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[Word, int] | None = None):
-        clean: dict[Word, int] = {}
-        for w, v in (coeffs or {}).items():
-            if type(v) is not int:
-                raise TypeError(f"value at {w!r} is {type(v).__name__}, not int")
-            if v:
-                clean[w] = v
-        self.coeffs = clean
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def value(self, w: Word) -> int:
-        return self.coeffs.get(w, 0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WordFunction):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other: "WordFunction") -> "WordFunction":
-        out = dict(self.coeffs)
-        for w, v in other.coeffs.items():
-            out[w] = out.get(w, 0) + v
-        return WordFunction(out)
-
-    def __repr__(self) -> str:
-        return f"WordFunction({len(self.coeffs)} terms)"
-
-
-def word_indicator(w: Word, value: int = 1) -> WordFunction:
-    return WordFunction({w: value})
-
-
-def shuffle_product(f: WordFunction, g: WordFunction) -> WordFunction:
-    """Sum of f(u) g(v) over every interleaving of every support pair."""
+def shuffle_product(f: Mapping[Word, int], g: Mapping[Word, int]) -> dict[Word, int]:
+    """Sum of f(u) g(v) over every interleaving of every support pair, as a
+    dict without zero values."""
     out: dict[Word, int] = {}
-    for u, fu in f.coeffs.items():
-        for v, gv in g.coeffs.items():
+    for u, fu in f.items():
+        for v, gv in g.items():
             c = fu * gv
             for pos in combinations(range(len(u) + len(v)), len(u)):
                 w = shuffle(u, pos, v)
                 out[w] = out.get(w, 0) + c
-    return WordFunction(out)
+    return {w: c for w, c in out.items() if c}
 
 
 def code_blind_function(

@@ -117,7 +117,7 @@ def kernel_zero_divisor(r, f_set):
     # Self-pairs included: the empty type's one realization is disjoint
     # from itself.
     for a, b in combinations_with_replacement(realizations, 2):
-        if a.isdisjoint(b):
+        if not a.mask & b.mask:
             raise ValueError("type admits disjoint embedding; f² ≠ 0 not guaranteed")
     f = SetFunction(r.base_size, len(f_set), dict.fromkeys(realizations, 1))
     if not product(f, f).is_zero:
@@ -241,8 +241,10 @@ GOLDEN_PROFILES = {
 
 @cache
 def brute_encoding(r):
-    """Oracle: the least relabelled encoding over all l! permutations."""
-    return min(
+    """Oracle: the base size, the signature and the least relabelled
+    encoding over all l! permutations; structures on different bases are
+    never isomorphic, even when their tuples agree."""
+    return r.base_size, r.signature, min(
         tuple(tuple(sorted(tuple(perm[x] for x in t) for t in rel)) for rel in r.relations)
         for perm in permutations(range(r.base_size))
     )
@@ -530,7 +532,7 @@ def test_disjoint_embedding_matches_pairwise_definition():
     def pairwise(r, k):
         return all(
             any(
-                other.isdisjoint(points)
+                not other.mask & points.mask
                 and brute_encoding(restriction(r, other)) == brute_encoding(restriction(r, points))
                 for other in ksubsets(r.base_size, size)
             )

@@ -64,8 +64,8 @@ def discharging_check(pair, a, inner_tau):
     if not is_transversal(a, f.support()):
         raise ValueError("A must be a transversal of supp(f)")
     p0 = min(f.coeffs, key=lambda p: ((p.mask & a.mask).bit_count(), p.mask))
-    if is_transversal(a | p0, g.support()):
-        b = a | p0
+    if is_transversal(Subset(f.n, a.mask | p0.mask), g.support()):
+        b = Subset(f.n, a.mask | p0.mask)
         case = "augment"
     else:
         shared = p0.mask & a.mask
@@ -90,7 +90,7 @@ def discharging_check(pair, a, inner_tau):
         sub = tau(f_contract.support().union(g_window.support()))
         if sub.size > inner_tau:
             raise AssertionError("contracted transversal exceeds the inner bound")
-        b = a | sub.witness
+        b = Subset(f.n, a.mask | sub.witness.mask)
         case = "contract"
     if not is_transversal(b, g.support()):
         raise AssertionError("constructed B misses supp(g)")
@@ -123,7 +123,7 @@ def disjoint_family_check(pair, fan_out, inner_tau):
     if not t > g.degree + f.degree * (fan_out - 1) + inner_tau:
         raise ValueError("transversality hypothesis not met")
     for member in g.coeffs:
-        clear = [p for p in f.coeffs if p.isdisjoint(member)]
+        clear = [p for p in f.coeffs if not p.mask & member.mask]
         if max_disjoint_packing(clear) < fan_out:
             return False
     return True
