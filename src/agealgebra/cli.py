@@ -49,8 +49,9 @@ from .words import (
 # Largest |supp f|·|supp g| that `gadget` and `tau1n` take on: the (4,4)
 # block gadget's 4,096 × 280 support pairs.
 MAX_SUPPORT_PAIRS = 1_146_880
-# Largest matrix cells that `kantor` ranks (`--max-l 10` fills 492,202 in
-# about 1 s) and that `commutation` checks (`--l 10 --n 4 --trials 17`,
+# Largest matrix cells that `kantor` ranks (`--max-l 10` fills 492,202 and
+# certifies every matrix mod 127 in about 0.2 s; `--max-l 11` would fill
+# 1,893,493) and that `commutation` checks (`--l 10 --n 4 --trials 17`,
 # 952,560 cells, about 1 s).
 MAX_KANTOR_CELLS = 500_000
 MAX_COMMUTATION_CELLS = 1_000_000

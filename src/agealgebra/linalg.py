@@ -1,21 +1,32 @@
 """Exact rank and kernel over the rationals on integer rows.
 
 Every matrix here has integer entries, as set functions have integer
-values.  Rank and kernel eliminate the rows with fraction-free
-(Bareiss) elimination: intermediate entries stay minors of the matrix
-instead of blowing up as unreduced fractions.  The rescaling Bareiss
-applies to every row below a pivot is done lazily: a row remembers the
-pivot it was last brought to and is touched only when it has an entry in
-the pivot column or becomes the pivot row, so sparse rows cost little.
-Kernel vectors are back-substituted in integers, one free column at a
-time, re-checked exactly against the rows, and returned primitive with a
-positive first nonzero entry; `kernel_vector` does this for the first
-free column only, where `nullspace_basis` does it for all of them.
+values.  `rank` first eliminates mod P = 127, on rows held as bytes: a
+minor nonzero mod P is nonzero over Z, so full rank mod P proves full
+rank.  P is the largest prime whose residues add in pairs within a byte,
+so a row operation adds two rows as big integers with no slot carrying.
+By Wilson's p-rank formula (Europ. J. Combin. 11, 1990) an inclusion
+matrix of t-sets against k-sets, t <= min(k, l - k), has full rank mod p
+for k < p, so no `kantor` matrix needs more.  Other ranks and all kernels
+use fraction-free (Bareiss) elimination: intermediate entries stay
+minors of the matrix instead of blowing up as unreduced fractions.  The
+rescaling Bareiss applies to every row below a pivot is done lazily: a
+row remembers the pivot it was last brought to and is touched only when
+it has an entry in the pivot column or becomes the pivot row, so sparse
+rows cost little.  Kernel vectors are back-substituted in integers, one
+free column at a time, re-checked exactly against the rows, and returned
+primitive with a positive first nonzero entry; `kernel_vector` does this
+for the first free column only, eliminating up to it, where
+`nullspace_basis` does it for all of them.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
+
+P = 127
+_MOD = bytes(x % P for x in range(256))
 
 
 class IntMatrix:
@@ -45,15 +56,16 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
+def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int, to_free: bool = False) -> list[int]:
     """In-place fraction-free row echelon reduction with lazy rescaling.
 
     Returns the list of pivot columns; pivots and reduced rows are those of
-    eager Bareiss elimination.  Its pivot/prev rescalings telescope, so row
-    i keeps the pivot `scale[i]` it was last brought to.  Eliminating it
-    divides by that scale instead of prev, and a pivot row is brought up to
-    date first.  Every value computed is an exact minor of the input, so
-    all the divisions are exact.
+    eager Bareiss elimination, up to the first column without a pivot if
+    `to_free`.  Its pivot/prev rescalings telescope, so row i keeps the
+    pivot `scale[i]` it was last brought to.  Eliminating it divides by
+    that scale instead of prev, and a pivot row is brought up to date
+    first.  Every value computed is an exact minor of the input, so all
+    the divisions are exact.
     """
     piv_cols: list[int] = []
     scale = [1] * nrows
@@ -68,6 +80,8 @@ def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
                 pr = i
                 break
         if pr < 0:
+            if to_free:
+                break
             continue
         if pr != r:
             a[pr], a[r] = a[r], a[pr]
@@ -93,14 +107,48 @@ def _bareiss_echelon(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
     return piv_cols
 
 
-def _echelon(m: IntMatrix) -> tuple[list[list[int]], list[int]]:
+def _echelon(m: IntMatrix, to_free: bool = False) -> tuple[list[list[int]], list[int]]:
     a = [row[:] for row in m.nums]
-    return a, _bareiss_echelon(a, m.rows, m.cols)
+    return a, _bareiss_echelon(a, m.rows, m.cols, to_free)
+
+
+@cache
+def _times(k: int) -> bytes:
+    """Translation table taking each residue y to k*y mod P."""
+    return bytes(k * y % P for y in range(256))
+
+
+def _rank_mod_p(m: IntMatrix) -> int:
+    """Rank over GF(P) by Gauss elimination on rows held as bytes."""
+    rows = []
+    for row in reversed(m.nums):
+        try:
+            rows.append(bytes(row).translate(_MOD))
+        except ValueError:
+            rows.append(bytes(x % P for x in row))
+    width, r = m.cols, 0
+    while rows:
+        prow = rows.pop()
+        c = width - len(prow.lstrip(b"\0"))
+        if c == width:
+            continue
+        prow = prow.translate(_times(pow(prow[c], -1, P)))
+        minus = {}
+        for i, row in enumerate(rows):
+            if t := row[c]:
+                if t not in minus:
+                    minus[t] = int.from_bytes(prow.translate(_times(P - t)), "big")
+                s = int.from_bytes(row, "big") + minus[t]
+                rows[i] = s.to_bytes(width, "big").translate(_MOD)
+        r += 1
+    return r
 
 
 def rank(m: IntMatrix) -> int:
-    """Exact rank over the rationals via fraction-free elimination."""
-    return len(_echelon(m)[1])
+    """Exact rank over the rationals: full rank mod P if that holds, else
+    the rank of the fraction-free echelon form."""
+    full = min(m.rows, m.cols)
+    return full if _rank_mod_p(m) == full else len(_echelon(m)[1])
 
 
 def _kernel_vector_at(
@@ -152,6 +200,6 @@ def nullspace_basis(m: IntMatrix) -> list[list[int]]:
 
 def kernel_vector(m: IntMatrix) -> list[int] | None:
     """The first vector of `nullspace_basis(m)`, or None if the kernel is trivial."""
-    a, piv_cols = _echelon(m)
-    fc = next((c for c, pc in enumerate(piv_cols) if c != pc), len(piv_cols))
+    a, piv_cols = _echelon(m, to_free=True)
+    fc = len(piv_cols)
     return _kernel_vector_at(m, a, piv_cols, fc) if fc < m.cols else None

@@ -66,6 +66,20 @@ def test_kantor_sweep_passes():
     assert code == 0 and rep["results"]
 
 
+def test_kantor_sweep_is_certified_mod_p_without_exact_elimination(monkeypatch):
+    from agealgebra import linalg
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("exact elimination reached")
+
+    monkeypatch.setattr(linalg, "_echelon", unreachable)
+    code, rep = run(["kantor", "--max-l", "9"])
+    assert code == 0 and len(rep["results"]) == 115
+    assert all(r["pass"] and r["computed"] is True for r in rep["results"])
+    with pytest.raises(AssertionError, match="exact elimination reached"):
+        linalg.rank(linalg.IntMatrix([[1, 2], [2, 4]], 2))
+
+
 def test_words_demo_passes():
     code, rep = run(["words", "--demo"])
     assert code == 0

@@ -2,7 +2,9 @@
 hypothesis cross-checks of the integer-row elimination against a dense
 Fraction Gauss-Jordan reduction kept here as the oracle.  The lazily
 rescaled Bareiss elimination is checked step for step against the eager
-one, `reference_bareiss`, which rescales every row below each pivot."""
+one, `reference_bareiss`, which rescales every row below each pivot.
+Matrices of full rational rank that fall below full rank mod 127 check
+that `rank` does not stop at its modular certificate."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -14,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from agealgebra.incidence import inclusion_matrix
 from agealgebra.linalg import (
     IntMatrix,
+    P,
     _bareiss_echelon,
+    _rank_mod_p,
     kernel_vector,
     matmul,
     nullspace_basis,
@@ -57,6 +61,20 @@ def test_rank_hand_cases():
     assert rank(M([[1, 2], [2, 4]])) == 1
     assert rank(M([[0, 0], [0, 0]])) == 0
     assert rank(M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
+
+
+def test_rank_falls_back_where_full_rank_mod_p_fails():
+    cases = [
+        ([[127]], 1),
+        ([[1, 1], [1, 128]], 2),
+        ([[2, 3, 5], [7, 11, 13], [17, 19, -26]], 3),  # determinant -127
+        ([[1, 1, 1], [1, 128, -126]], 2),
+        ([[127, 0], [0, 0], [254, 0]], 1),
+    ]
+    for rows, want in cases:
+        m = M(rows)
+        assert _rank_mod_p(m) < want == dense_rank_and_nullspace(rows)[0]
+        assert rank(m) == rank(T(m)) == want
 
 
 def test_rank_with_fractions():
@@ -289,9 +307,41 @@ def test_lazy_bareiss_matches_eager_reference_on_inclusion_matrices():
                 assert_same_echelon(inc.nums, inc.cols)
 
 
+@st.composite
+def dense_integer_rows(draw):
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return [draw(st.lists(st.integers(-9, 9), min_size=c, max_size=c)) for _ in range(r)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_integer_rows(), st.data())
+def test_rank_with_a_row_scaled_by_p_matches_dense_oracle(rows, data):
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows[i] = [P * x for x in rows[i]]
+    m = IntMatrix(rows, len(rows[0]))
+    assert rank(m) == rank(T(m)) == dense_rank_and_nullspace(rows)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rows())
+def test_elimination_to_the_first_free_column_is_a_prefix_of_the_full_one(rows):
+    c = len(rows[0])
+    full, part = [row[:] for row in rows], [row[:] for row in rows]
+    piv_full = _bareiss_echelon(full, len(rows), c)
+    piv_part = _bareiss_echelon(part, len(rows), c, to_free=True)
+    k = len(piv_part)
+    assert piv_part == list(range(k)) == piv_full[:k]
+    assert part[:k] == full[:k]
+    assert k == c or k not in piv_full
+
+
 def test_kernel_vector_hand_cases():
     assert kernel_vector(M([[1, 0], [0, 1]])) is None
     assert kernel_vector(M([[1, 2, 3], [2, 4, 6]])) == [2, -1, 0]
     assert kernel_vector(M([[0, 2, -4]])) == [1, 0, 0]
     assert kernel_vector(M([[3, 1, 0], [0, 0, 1]])) == [1, -3, 0]
     assert kernel_vector(M([[0, 1]])) == [1, 0]
+    # the first free column, 1, has pivot columns 2 and 3 after it
+    rows = [[1, 1, 1, 1], [2, 2, 3, 5], [1, 1, 4, 2]]
+    assert _bareiss_echelon([row[:] for row in rows], 3, 4) == [0, 2, 3]
+    assert kernel_vector(M(rows)) == nullspace_basis(M(rows))[0] == [1, -1, 0, 0]
