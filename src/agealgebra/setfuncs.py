@@ -14,7 +14,6 @@ They are cross-checked in the tests and the second backs witness checks.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping
 
 from .linalg import IntMatrix, kernel_vector
@@ -193,7 +192,3 @@ def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
         raise AssertionError("kernel vector is not a cofactor")
     return g
 
-
-def dumps_canonical(obj) -> str:
-    """Canonical JSON: sorted keys, no whitespace.  Round-trips exactly."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

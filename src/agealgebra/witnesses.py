@@ -218,6 +218,16 @@ def tau_upper_bound(m: int, n: int) -> tuple[str, int | None]:
 
 # Search over candidate pairs for a given ground set.
 
+# Seeded supports `search_best` draws for f when its strategy is not "gadget".
+RANDOM_DRAWS = 8
+
+
+def embeds_gadget(m: int, n: int, ground_size: int, strategy: str) -> bool:
+    """Whether `search_best` builds the block gadget: its strategy allows it
+    and the gadget's 2mn points fit the ground."""
+    return strategy != "random" and 2 * m * n <= ground_size
+
+
 def search_best(
     m: int, n: int, ground_size: int, strategy: str = "all", seed: int = 0
 ) -> WitnessCertificate | None:
@@ -232,7 +242,7 @@ def search_best(
     if m < 1 or n < 1 or m + n > ground_size:
         raise ValueError("degrees do not fit the ground set")
     candidates: list[WitnessCertificate] = []
-    if strategy in ("gadget", "all") and 2 * n * m <= ground_size:
+    if embeds_gadget(m, n, ground_size, strategy):
         pair = gadget_lower(m, n)
         f = _embed(pair.f, ground_size, 0)
         g = _embed(pair.g, ground_size, 0)
@@ -240,7 +250,7 @@ def search_best(
     if strategy in ("random", "all"):
         rng = random.Random(seed)
         shapes = ksubsets(ground_size, m)
-        for _ in range(8):
+        for _ in range(RANDOM_DRAWS):
             size = rng.randint(2, min(6, len(shapes)))
             chosen = rng.sample(shapes, size)
             f = SetFunction(ground_size, m, {s: rng.choice((-2, -1, 1, 2)) for s in chosen})

@@ -1,17 +1,19 @@
 """Front-end behavior: reports, exit codes, canonical JSON."""
 
+import contextlib
 import io
 import json
 import os
 import random
 import sys
 import time
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agealgebra.cli import build_parser, main, run
 from agealgebra.relational import check_profile_inequalities
-from agealgebra.setfuncs import dumps_canonical
 
 from test_relational import graph, structure_to_dict
 
@@ -400,6 +402,66 @@ def test_profile_bad_input_exits_two(tmp_path, name, text, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def _empty_relations(count):
+    return {"base_size": 8, "signature": [1] * count, "relations": [[]] * count}
+
+
+@pytest.mark.parametrize(
+    "structure, scans",
+    [
+        (_empty_relations(100_000), "25,600,000"),
+        (_empty_relations(20_000), "5,120,000"),
+        ({"base_size": 8, "signature": [8], "relations": [list(permutations(range(8)))]},
+         "10,322,176"),
+    ],
+    ids=["100k empty relations", "20k empty relations", "all permutations of 8"],
+)
+def test_profile_scan_cap_rejects_from_the_estimate(structure, scans, tmp_path, monkeypatch,
+                                                    capsys):
+    from agealgebra import cli
+
+    def unreachable(*args):
+        raise AssertionError("computed a profile past the cap")
+
+    monkeypatch.setattr(cli, "check_profile_inequalities", unreachable)
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(structure))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(["profile", "--input", str(path)])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert f"{scans} relations and tuples" in err and "cap of 2,000,000" in err
+
+
+def test_profile_scan_cap_admits_small_structures(tmp_path, monkeypatch):
+    from agealgebra import cli
+
+    def reached(*args):
+        raise RuntimeError("admitted")
+
+    monkeypatch.setattr(cli, "check_profile_inequalities", reached)
+    every_4_tuple = [[a, b, c, d] for a in range(8) for b in range(8) for c in range(8)
+                     for d in range(8)]
+    structures = [
+        {"base_size": 8, "signature": [4], "relations": [every_4_tuple]},
+        structure_to_dict(_random_graph(8, 5)),
+        _empty_relations(7_000),
+    ]
+    for i, structure in enumerate(structures):
+        path = tmp_path / f"structure{i}.json"
+        path.write_text(json.dumps(structure))
+        code, rep = run(["profile", "--input", str(path)])
+        assert code == 1 and rep["results"][-1]["computed"] == "RuntimeError: admitted"
+    # --max-n bounds the restrictions: 1 + 8 + 28 of them scan 40,321 each.
+    path = tmp_path / "permutations.json"
+    path.write_text(json.dumps(
+        {"base_size": 8, "signature": [8], "relations": [list(permutations(range(8)))]}))
+    code, rep = run(["profile", "--input", str(path), "--max-n", "2"])
+    assert code == 1 and rep["results"][-1]["computed"] == "RuntimeError: admitted"
+
+
 @pytest.mark.parametrize(
     "argv, pairs",
     [
@@ -438,8 +500,7 @@ def test_support_pair_cap_admits_every_small_gadget(monkeypatch):
     for argv in argvs + [["tau1n", "--n", "15"]]:
         code, rep = run(argv)
         assert code == 1 and rep["results"][-1]["computed"] == "RuntimeError: admitted"
-    gadget_4_4 = build_parser().parse_args(["gadget", "--m", "4", "--n", "4"])
-    assert cli._support_pairs(gadget_4_4) == cli.MAX_SUPPORT_PAIRS
+    assert cli._gadget_pairs(4, 4) == cli.MAX_SUPPORT_PAIRS
 
 
 @pytest.mark.parametrize(
@@ -504,10 +565,8 @@ def test_matrix_cell_caps_admit_every_documented_invocation(monkeypatch):
     for argv in argvs:
         code, rep = run(argv)
         assert code == 1 and rep["results"][-1]["computed"] == "RuntimeError: admitted"
-    kantor_10 = build_parser().parse_args(["kantor", "--max-l", "10"])
-    assert cli._matrix_cells(kantor_10) == 492_202 <= cli.MAX_KANTOR_CELLS
-    search_16 = build_parser().parse_args(["search", "--m", "1", "--n", "3", "--l", "16"])
-    assert cli._matrix_cells(search_16) == 8_153_720 <= cli.MAX_SEARCH_CELLS
+    assert cli._kantor_cells(10) == 492_202 <= cli.MAX_KANTOR_CELLS
+    assert cli._search_cells(1, 3, 16, "all") == 8_153_720 <= cli.MAX_SEARCH_CELLS
 
 
 def test_unknown_flags_exit_two():
@@ -521,7 +580,7 @@ def test_unknown_flags_exit_two():
 
 def test_json_round_trip_byte_identical():
     _, rep = run(["gadget", "--m", "1", "--n", "2"])
-    blob = dumps_canonical(rep)
+    blob = json.dumps(rep, sort_keys=True, separators=(",", ":"))
     assert json.dumps(json.loads(blob), sort_keys=True, separators=(",", ":")) == blob
 
 
@@ -564,3 +623,91 @@ def test_closed_pipe_exits_one_without_a_traceback(argv, capsys, monkeypatch):
     sys.stdout.close()  # the devnull stream main switched to
     assert sys.stdout.name == os.devnull
     assert capsys.readouterr().err == ""
+
+
+# In-process fuzz of every subcommand: whatever the argv, `main` ends in
+# exit 0, 1 or 2 and raises nothing but SystemExit.  Each flag takes a
+# cheap in-range value or an extreme one.
+FUZZ_EXTREMES = ["-1", "0", "65", str(10**20), str(-10**20), "1.5", "x", ""]
+SMALL, GROUND = ["1", "2", "3"], ["2", "4", "6"]
+FUZZ_FLAGS = {
+    "kantor": {"--max-l": GROUND},
+    "tau1n": {"--n": SMALL},
+    "gadget": {"--m": SMALL, "--n": SMALL},
+    "two-squares": {},
+    "search": {"--m": SMALL, "--n": SMALL, "--l": GROUND, "--seed": SMALL},
+    "bound": {"--m": SMALL, "--n": SMALL},
+    "profile": {"--max-n": SMALL},
+    "words": {"--seed": SMALL},
+    "commutation": {"--l": GROUND, "--n": SMALL, "--trials": SMALL, "--seed": SMALL},
+}
+FUZZ_FILES = {
+    "cycle": json.dumps({"base_size": 4, "signature": [2], "relations": [[[0, 1], [1, 2], [2, 3]]]}),
+    "malformed": "{not json",
+    "nested": "[" * 100_000 + "]" * 100_000,
+    "list": "[1, 2]",
+    "empty object": "{}",
+    "leaves the base": json.dumps({"base_size": 3, "signature": [2], "relations": [[[0, 5]]]}),
+    "scalar signature": json.dumps({"base_size": 3, "signature": 5, "relations": []}),
+    "scalar relation": json.dumps({"base_size": 3, "signature": [2], "relations": [5]}),
+    "scalar tuple": json.dumps({"base_size": 3, "signature": [2], "relations": [[5]]}),
+    "zero arity": json.dumps({"base_size": 3, "signature": [0], "relations": [[]]}),
+    "negative base": json.dumps({"base_size": -1, "signature": [], "relations": []}),
+    "huge base": json.dumps({"base_size": 10**30, "signature": [], "relations": []}),
+    "huge arity": json.dumps({"base_size": 3, "signature": [10**20], "relations": [[[0]]]}),
+    "arity mismatch": json.dumps({"base_size": 3, "signature": [2, 1], "relations": [[]]}),
+    "fractional": json.dumps({"base_size": 4.7, "signature": [2], "relations": [[]]}),
+    "wide signature": json.dumps(_empty_relations(100_000)),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i, text in enumerate(FUZZ_FILES.values()):
+        path = root / f"structure{i}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    (root / "latin1.json").write_bytes(b"\xff\xfe{")
+    return paths + [str(root / "latin1.json"), str(root / "missing.json"), str(root)]
+
+
+def _spelling(flag):
+    """The flag or one of its prefixes; argparse takes an unambiguous one."""
+    return st.integers(3, len(flag)).map(lambda k: flag[:k])
+
+
+@st.composite
+def fuzz_argvs(draw, paths):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    chunks = []
+    for flag, small in FUZZ_FLAGS[command].items():
+        if draw(st.integers(0, 9)):
+            value = draw(st.sampled_from(small) | st.sampled_from(FUZZ_EXTREMES))
+            chunks.append([draw(_spelling(flag)), value])
+    if command == "search" and draw(st.booleans()):
+        strategy = draw(st.sampled_from(["gadget", "random", "all", "bogus", "", "GADGET"]))
+        chunks.append([draw(_spelling("--strategy")), strategy])
+    if command == "profile" and draw(st.integers(0, 9)):
+        chunks.append([draw(_spelling("--input")), draw(st.sampled_from(paths))])
+    if command == "words" and draw(st.booleans()):
+        chunks.append([draw(_spelling("--demo"))])
+    if draw(st.booleans()):
+        chunks.append([draw(_spelling("--json"))])
+    if not draw(st.integers(0, 5)):
+        chunks.append([draw(st.sampled_from(["--frobnicate", "--", "-x", "--seed", "7"]))])
+    chunks = draw(st.permutations(chunks))
+    return [command] + [arg for chunk in chunks for arg in chunk]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_zero_one_or_two(fuzz_paths, data):
+    argv = data.draw(fuzz_argvs(fuzz_paths))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code
+    assert code in (0, 1, 2), argv
