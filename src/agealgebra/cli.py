@@ -21,7 +21,7 @@ from .hitting import is_minimal_transversal
 from .incidence import check_commutation, verify_kantor
 from .relational import MAX_CANON_BASE, check_profile_inequalities, structure_from_json
 from .setfuncs import SetFunction, singleton_ones
-from .subsets import MAX_GROUND, SetFamily, Subset
+from .subsets import MAX_GROUND, Subset, members
 from .witnesses import (
     RANDOM_DRAWS,
     NotAZeroDivisorPairError,
@@ -122,7 +122,7 @@ def _certify(name: str, pair):
         cert = verify(pair)
     except NotAZeroDivisorPairError as ex:
         yield (f"{name} multiplies to zero", True,
-               {"set": list(ex.offending.elements()), "value": ex.value})
+               {"set": members(ex.offending), "value": ex.value})
         return None
     yield f"{name} multiplies to zero", True, True
     return cert
@@ -153,9 +153,9 @@ def _cmd_two_squares(args):
     if cert is None:
         return
     yield "tau of the two-squares support", 7, cert.transversal.size
-    family = SetFamily(8, set(pair.f.support()) | set(pair.g.support()))
+    masks = pair.f.support().union(pair.g.support()).masks()
     full = (1 << 8) - 1
-    cos = [x for x in range(8) if is_minimal_transversal(Subset(8, full ^ (1 << x)), family)]
+    cos = [x for x in range(8) if is_minimal_transversal(full ^ 1 << x, masks)]
     yield "number of minimal co-singleton transversals", 8, len(cos)
 
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, groupby
 
-from .subsets import SetFamily, Subset
+from .subsets import SetFamily, Subset, members
 
 
 class NoTransversalError(ValueError):
@@ -69,31 +69,15 @@ class TransversalResult:
     root_upper_bound: int
 
 
-def is_transversal(candidate: Subset, family: SetFamily) -> bool:
-    if candidate.n != family.n:
-        raise ValueError("ground-set mismatch")
-    cm = candidate.mask
-    return all(cm & s.mask for s in family.sets)
+def is_transversal(mask: int, masks: list[int]) -> bool:
+    return all(mask & m for m in masks)
 
 
-def is_minimal_transversal(candidate: Subset, family: SetFamily) -> bool:
-    """True when candidate hits everything but no proper subset does."""
-    if not is_transversal(candidate, family):
-        return False
-    cm = candidate.mask
-    masks = family.masks()
-    for i in candidate.elements():
-        reduced = cm & ~(1 << i)
-        if all(reduced & m for m in masks):
-            return False
-    return True
-
-
-def _elements(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def is_minimal_transversal(mask: int, masks: list[int]) -> bool:
+    """True when mask hits every member but no proper subset of it does."""
+    return is_transversal(mask, masks) and not any(
+        is_transversal(mask ^ 1 << i, masks) for i in members(mask)
+    )
 
 
 def _columns(masks: list[int], n: int) -> list[int]:
@@ -129,7 +113,7 @@ def _minimal(masks: list[int], n: int) -> tuple[list[int], list[int]]:
         if m.bit_count() == top:
             break
         supersets = everyone ^ 1 << j
-        for e in _elements(m):
+        for e in members(m):
             supersets &= occ[e]
         dropped |= supersets
     if not dropped:
@@ -149,7 +133,7 @@ def _twins(masks: list[int], occ: list[int]) -> list[int]:
     such a pair (x, r) the swap fixes the family when every member holding x
     but not r, found from occ, lands on a member.
     """
-    members = set(masks)
+    family = set(masks)
     rep = list(range(len(occ)))
     class_mask = [0] * len(occ)
     reps_by_degree: dict[int, list[int]] = {}
@@ -161,7 +145,7 @@ def _twins(masks: list[int], occ: list[int]) -> list[int]:
             # One byte per member index, 1 for the members holding x but not r.
             flags = format(column & ~occ[r], f"0{len(masks)}b")[::-1].encode()
             moved = compress(masks, flags.translate(_DIGIT_VALUES))
-            if members.issuperset(map(swap.__xor__, moved)):
+            if family.issuperset(map(swap.__xor__, moved)):
                 rep[x] = r
                 break
         else:
@@ -178,10 +162,10 @@ def _greedy_transversal(occ: list[int], full: int) -> int:
         best = max(range(len(occ)), key=lambda i: ((occ[i] & uncovered).bit_count(), -i))
         chosen |= 1 << best
         uncovered &= ~occ[best]
-    for e in _elements(chosen):
+    for e in members(chosen):
         reduced = chosen ^ 1 << e
         covered = 0
-        for f in _elements(reduced):
+        for f in members(reduced):
             covered |= occ[f]
         if covered == full:
             chosen = reduced
@@ -359,9 +343,8 @@ def tau(family: SetFamily) -> TransversalResult:
                     below[k] ^= (below[k] ^ below[k + 1]) & hit
 
     search(full, below, 0, 0, 0)
-    witness = Subset(n, best_mask)
-    if not is_transversal(witness, family):
+    if not is_transversal(best_mask, raw):
         raise AssertionError("search returned a non-transversal")
     if not root_lower <= best_size <= root_upper:
         raise AssertionError("bounds disagree with the optimum")
-    return TransversalResult(best_size, witness, nodes, root_lower, root_upper)
+    return TransversalResult(best_size, Subset(n, best_mask), nodes, root_lower, root_upper)

@@ -13,7 +13,7 @@ from math import comb, prod
 
 from .linalg import IntMatrix, rank
 from .setfuncs import SetFunction, mult_matrix
-from .subsets import Subset, ksubsets
+from .subsets import Subset, ksubsets, members
 
 
 def inclusion_matrix(ground_size: int, n: int, m: int) -> IntMatrix:
@@ -32,12 +32,6 @@ def verify_kantor(ground_size: int, n: int, m: int) -> bool:
     return rank(inclusion_matrix(ground_size, n, m)) == comb(ground_size, n)
 
 
-def _set_weights(f: SetFunction, subsets: list[Subset]) -> list[int]:
-    """Per subset S, the product of the point weights f({x}) over S."""
-    point = [f.value(Subset(f.n, 1 << x)) for x in range(f.n)]
-    return [prod(point[x] for x in s.elements()) for s in subsets]
-
-
 def check_commutation(f: SetFunction, n: int) -> bool:
     """Unweighted contraction after rescaling equals rescaling after
     weighted contraction, from degree n+1 to degree n.
@@ -52,7 +46,8 @@ def check_commutation(f: SetFunction, n: int) -> bool:
         raise ValueError("degree out of range for the ground set")
     m = mult_matrix(f, n).matrix
     rows, cols = ksubsets(f.n, n + 1), ksubsets(f.n, n)
-    weights = _set_weights(f, rows + cols)
+    point = [f.value(Subset(f.n, 1 << x)) for x in range(f.n)]
+    weights = [prod(point[x] for x in members(s.mask)) for s in rows + cols]
     pairs = [(b.mask, wb) for b, wb in zip(cols, weights[len(rows):])]
     for q, wq, nums in zip(rows, weights, m.nums):
         outside = ~q.mask

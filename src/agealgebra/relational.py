@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .subsets import Subset, ksubsets
+from .subsets import ksubsets, members
 
 MAX_CANON_BASE = 8
 CANON_CACHE_SIZE = 1 << 14
@@ -190,11 +190,11 @@ def canonical_form(r: RelStructure) -> IsoType:
     return IsoType(l, r.signature, best)
 
 
-def type_classes(r: RelStructure, n: int) -> dict[IsoType, list[Subset]]:
+def type_classes(r: RelStructure, n: int) -> dict[IsoType, list[int]]:
     """The n-subsets grouped by the isomorphism type of their restriction.
 
     Types come in order of first colex occurrence, and each class lists
-    its subsets in colex order.  A restriction keeps the tuples whose
+    its subsets' masks in colex order.  A restriction keeps the tuples whose
     point mask lies inside the subset, re-indexed to 0..n-1 in point
     order; they come from a checked structure, so they are not checked
     again.
@@ -202,16 +202,16 @@ def type_classes(r: RelStructure, n: int) -> dict[IsoType, list[Subset]]:
     if not 0 <= n <= r.base_size:
         raise ValueError("degree out of range")
     tagged = [[(sum({1 << x for x in t}), t) for t in rel] for rel in r.relations]
-    classes: dict[IsoType, list[Subset]] = {}
+    classes: dict[IsoType, list[int]] = {}
     for points in ksubsets(r.base_size, n):
         keep = points.mask
-        index = dict(zip(points.elements(), range(n)))
+        index = dict(zip(members(keep), range(n)))
         sub = object.__new__(RelStructure)
         sub.base_size, sub.signature = n, r.signature
         sub.relations = tuple(
             frozenset([tuple([index[x] for x in t]) for m, t in rel if m | keep == keep]) for rel in tagged
         )
-        classes.setdefault(canonical_form(sub), []).append(points)
+        classes.setdefault(canonical_form(sub), []).append(keep)
     return classes
 
 

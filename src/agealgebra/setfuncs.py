@@ -48,8 +48,8 @@ class SetFunction:
         for s, v in (coeffs or {}).items():
             if s.n != n:
                 raise GroundMismatchError(f"key {s!r} not over ground of size {n}")
-            if len(s) != degree:
-                raise ValueError(f"key {s!r} has size {len(s)}, expected degree {degree}")
+            if s.mask.bit_count() != degree:
+                raise ValueError(f"key {s!r} has size {s.mask.bit_count()}, expected degree {degree}")
             if type(v) is not int:
                 raise TypeError(f"value at {s!r} is {type(v).__name__}, not int")
             if v:

@@ -1,24 +1,37 @@
-"""Bit-vector subsets of a bounded ground set, and their enumeration.
+"""Bit-mask subsets of a bounded ground set, and their enumeration.
 
-The ground set is always {0, ..., n-1} with n <= 64.  A subset is stored
-as an integer bitmask, so the colexicographic order on k-subsets is plain
+The ground set is always {0, ..., n-1} with n <= 64.  A subset is an
+integer bitmask, so the colexicographic order on k-subsets is plain
 integer comparison of masks and enumeration in that order is Gosper's hack.
+Set operations are int operations on masks, and `members` lists a mask's
+elements.  `Subset` (a ground size and a mask) and `SetFamily` (distinct
+Subsets in colex order) are records: they key set functions and carry
+`tau`'s family and witness.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_GROUND = 64
 
 
-class Subset:
-    """Immutable subset of {0, ..., n-1} backed by a bitmask.
+def members(mask: int) -> list[int]:
+    """The elements of the set with this mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Equality and hashing look at the member set only; the ground size is
-    carried along for complementation and enumeration.  Ordering (``<``)
-    is colexicographic, which on bitmasks is integer comparison.
+
+class Subset:
+    """A subset of {0, ..., n-1} as a record: its ground size and its mask.
+
+    It keys set functions and is `tau`'s witness; set operations read
+    `mask`.  Equality and hashing look at the mask only.
     """
 
     __slots__ = ("n", "mask")
@@ -31,27 +44,6 @@ class Subset:
         self.n = n
         self.mask = mask
 
-    @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> "Subset":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} outside ground set of size {n}")
-            mask |= 1 << i
-        return cls(n, mask)
-
-    def elements(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements())
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.n and bool(self.mask >> i & 1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subset):
             return NotImplemented
@@ -60,14 +52,8 @@ class Subset:
     def __hash__(self) -> int:
         return hash(self.mask)
 
-    def __lt__(self, other: "Subset") -> bool:
-        return self.mask < other.mask
-
-    def complement(self) -> "Subset":
-        return Subset(self.n, ~self.mask & ((1 << self.n) - 1))
-
     def __repr__(self) -> str:
-        return f"Subset({list(self.elements())}, n={self.n})"
+        return f"Subset({members(self.mask)}, n={self.n})"
 
 
 def ksubsets(ground_size: int, k: int) -> list[Subset]:
@@ -116,7 +102,8 @@ def splits(qmask: int, m: int) -> list[tuple[int, int]]:
 class SetFamily:
     """A finite family of distinct subsets sharing one ground set.
 
-    Members are kept sorted in colex order, so iteration is deterministic.
+    Members are kept sorted in colex order, so `sets` and `masks()` are
+    deterministic.
     """
 
     __slots__ = ("n", "sets")
@@ -135,30 +122,13 @@ class SetFamily:
         self.n = n
         self.sets = tuple(out)
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __iter__(self) -> Iterator[Subset]:
-        return iter(self.sets)
-
-    def __contains__(self, s: Subset) -> bool:
-        return isinstance(s, Subset) and any(t.mask == s.mask for t in self.sets)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetFamily):
-            return NotImplemented
-        return self.n == other.n and self.sets == other.sets
-
     def masks(self) -> list[int]:
         return [s.mask for s in self.sets]
 
     def union(self, other: "SetFamily") -> "SetFamily":
         if self.n != other.n:
             raise ValueError("ground-set mismatch between families")
-        merged = {s.mask: s for s in self.sets}
-        for s in other.sets:
-            merged.setdefault(s.mask, s)
-        return SetFamily(self.n, merged.values())
+        return SetFamily(self.n, {s.mask: s for s in self.sets + other.sets}.values())
 
     def __repr__(self) -> str:
         return f"SetFamily(n={self.n}, {len(self.sets)} sets)"

@@ -28,16 +28,14 @@ from math import comb, gcd, lcm, prod
 
 from .hitting import TransversalResult, tau
 from .setfuncs import SetFunction, cofactor, product, product_by_splits, singleton_ones
-from .subsets import MAX_GROUND, Subset, ksubsets
+from .subsets import MAX_GROUND, Subset, ksubsets, members
 
 
 class NotAZeroDivisorPairError(ValueError):
-    def __init__(self, offending: Subset, value: int):
+    def __init__(self, offending: int, value: int):
         self.offending = offending
         self.value = value
-        super().__init__(
-            f"product is {value} at {sorted(offending.elements())}, expected 0"
-        )
+        super().__init__(f"product is {value} at {members(offending)}, expected 0")
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,9 @@ def gadget_full_support(n: int) -> SetFunction:
     if n < 1:
         raise ValueError("need at least one column")
     ground = 2 * n
-    dens = {s: prod(t - y for y in s for t in s.complement()) for s in ksubsets(ground, n)}
+    full = (1 << ground) - 1
+    dens = {s: prod(t - y for y in members(s.mask) for t in members(full ^ s.mask))
+            for s in ksubsets(ground, n)}
     scale = lcm(*dens.values())
     g = SetFunction(ground, n, {s: scale // d for s, d in dens.items()})
     if not product(singleton_ones(ground), g).is_zero:
@@ -150,14 +150,10 @@ def two_squares() -> WitnessPair:
     f_coeffs: dict[Subset, int] = {}
     for a, b, c, d in squares:
         for side in ((a, b), (b, c), (c, d), (d, a)):
-            f_coeffs[Subset.from_indices(ground, side)] = -1
-        for diag in ((a, c), (b, d)):
-            f_coeffs[Subset.from_indices(ground, diag)] = 2
-    g_coeffs = {
-        Subset.from_indices(ground, (x, y)): 1
-        for x in squares[0]
-        for y in squares[1]
-    }
+            f_coeffs[Subset(ground, 1 << side[0] | 1 << side[1])] = -1
+        for x, y in ((a, c), (b, d)):
+            f_coeffs[Subset(ground, 1 << x | 1 << y)] = 2
+    g_coeffs = {Subset(ground, 1 << x | 1 << y): 1 for x in squares[0] for y in squares[1]}
     return WitnessPair(SetFunction(ground, 2, f_coeffs), SetFunction(ground, 2, g_coeffs))
 
 
@@ -176,7 +172,7 @@ def verify(pair: WitnessPair) -> WitnessCertificate:
     fg = product_by_splits(f, g)
     if not fg.is_zero:
         offender = min(fg.coeffs, key=lambda s: s.mask)
-        raise NotAZeroDivisorPairError(offender, fg.value(offender))
+        raise NotAZeroDivisorPairError(offender.mask, fg.value(offender))
     return WitnessCertificate(pair, tau(f.support().union(g.support())))
 
 

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
 from .setfuncs import SetFunction, product
-from .subsets import MAX_GROUND, Subset, ksubsets
+from .subsets import MAX_GROUND, Subset, ksubsets, members
 
 
 def letter_key(mask: int) -> tuple[int, int]:
@@ -60,12 +60,8 @@ class Word:
         return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
-        body = ",".join("{" + ",".join(map(str, _bits(x))) + "}" for x in self.letters)
+        body = ",".join("{" + ",".join(map(str, members(x))) + "}" for x in self.letters)
         return f"Word({body})"
-
-
-def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def shuffle(u: Word, positions: Iterable[int], v: Word) -> Word:
@@ -273,7 +269,8 @@ def code_blind_function(
     rng = random.Random(seed)
     classes = code_classes(layered, degree)
     values = {c: rng.choice((-1, 0, 0, 1)) for c in classes}
-    coeffs = dict(sorted((s, v) for c, v in values.items() if v for s in classes[c]))
+    kept = [(s, v) for c, v in values.items() if v for s in classes[c]]
+    coeffs = dict(sorted(kept, key=lambda sv: sv[0].mask))
 
     def force_class(pure_columns: bool) -> None:
         target = next((c for c in classes if not pure_columns or c.f_mask == 0), None)

@@ -14,13 +14,11 @@ from agealgebra.cli import run
 from agealgebra.incidence import check_commutation, inclusion_matrix, verify_kantor
 from agealgebra.linalg import IntMatrix, rank
 from agealgebra.setfuncs import MultOperator, SetFunction, cofactor, mult_matrix, singleton_ones
-from agealgebra.subsets import Subset, ksubsets
+from agealgebra.subsets import Subset, ksubsets, members
 
 
 def weight(l, values):
-    return SetFunction(
-        l, 1, {Subset.from_indices(l, [i]): v for i, v in values.items() if v}
-    )
+    return SetFunction(l, 1, {Subset(l, 1 << i): v for i, v in values.items() if v})
 
 
 def derivation_matrix(f, n):
@@ -39,7 +37,7 @@ def scaling_matrix(f, n):
     diag = []
     for s in ksubsets(f.n, n):
         w = 1
-        for x in s.elements():
+        for x in members(s.mask):
             w *= points[x]
         diag.append(w)
     return [[w if i == j else 0 for j in range(len(diag))] for i, w in enumerate(diag)]
@@ -62,7 +60,8 @@ def test_inclusion_matrix_matches_dense_containment():
         for n in range(l + 1):
             for m in range(l - n + 1):
                 dense = [
-                    [1 if set(b) <= set(q) else 0 for q in ksubsets(l, n + m)] for b in ksubsets(l, n)
+                    [1 if set(members(b.mask)) <= set(members(q.mask)) else 0 for q in ksubsets(l, n + m)]
+                    for b in ksubsets(l, n)
                 ]
                 inc = inclusion_matrix(l, n, m)
                 assert (inc.nums, inc.cols) == (dense, comb(l, n + m))

@@ -22,7 +22,7 @@ from agealgebra.relational import (
     type_classes,
 )
 from agealgebra.setfuncs import SetFunction, product, singleton_ones
-from agealgebra.subsets import Subset, ksubsets
+from agealgebra.subsets import Subset, ksubsets, members
 
 
 def graph(base_size, edges):
@@ -48,7 +48,7 @@ def restriction(r, points):
     """Induced substructure, re-indexed to 0..|points|-1 in point order."""
     if points.n != r.base_size:
         raise ValueError("point set is not over this base")
-    order = {p: i for i, p in enumerate(points.elements())}
+    order = {p: i for i, p in enumerate(members(points.mask))}
     keep = points.mask
     rels = []
     for rel in r.relations:
@@ -58,7 +58,7 @@ def restriction(r, points):
             if all(keep >> x & 1 for x in t)
         ]
         rels.append(kept)
-    return RelStructure(len(points), r.signature, rels)
+    return RelStructure(points.mask.bit_count(), r.signature, rels)
 
 
 def structure_to_dict(r):
@@ -73,7 +73,7 @@ def structure_to_dict(r):
 def invariant_basis(r, n):
     """Indicators of the realized types, ordered by first colex occurrence."""
     return [
-        SetFunction(r.base_size, n, dict.fromkeys(points, 1))
+        SetFunction(r.base_size, n, {Subset(r.base_size, p): 1 for p in points})
         for points in type_classes(r, n).values()
     ]
 
@@ -99,8 +99,7 @@ def disjoint_embedding_check(r, k):
     if 2 * k > r.base_size:
         raise ValueError("need 2k points in the base")
     for size in range(k + 1):
-        for points in type_classes(r, size).values():
-            masks = [p.mask for p in points]
+        for masks in type_classes(r, size).values():
             if any(all(a & b for b in masks) for a in masks):
                 return False
     return True
@@ -113,13 +112,14 @@ def kernel_zero_divisor(r, f_set):
     indicator f of the type satisfies f * f = 0, which is re-verified.
     """
     t = canonical_form(restriction(r, f_set))
-    realizations = type_classes(r, len(f_set))[t]
+    degree = f_set.mask.bit_count()
+    realizations = type_classes(r, degree)[t]
     # Self-pairs included: the empty type's one realization is disjoint
     # from itself.
     for a, b in combinations_with_replacement(realizations, 2):
-        if not a.mask & b.mask:
+        if not a & b:
             raise ValueError("type admits disjoint embedding; f² ≠ 0 not guaranteed")
-    f = SetFunction(r.base_size, len(f_set), dict.fromkeys(realizations, 1))
+    f = SetFunction(r.base_size, degree, {Subset(r.base_size, a): 1 for a in realizations})
     if not product(f, f).is_zero:
         raise AssertionError("indicator square is nonzero despite no disjoint pair")
     return f
@@ -383,8 +383,8 @@ def test_type_classes_group_subsets_by_brute_encoding(pair):
     l = r.base_size
     for n in range(l + 1):
         classes = type_classes(r, n)
-        members = [p for points in classes.values() for p in points]
-        assert sorted(members) == ksubsets(l, n)
+        listed = [p for points in classes.values() for p in points]
+        assert sorted(listed) == [s.mask for s in ksubsets(l, n)]
         assert all(points == sorted(points) for points in classes.values())
         firsts = [points[0] for points in classes.values()]
         assert firsts == sorted(firsts)
@@ -392,7 +392,7 @@ def test_type_classes_group_subsets_by_brute_encoding(pair):
         for a in ksubsets(l, n):
             for b in ksubsets(l, n):
                 same = brute_encoding(restriction(r, a)) == brute_encoding(restriction(r, b))
-                assert (label[a] == label[b]) == same
+                assert (label[a.mask] == label[b.mask]) == same
         assert profile(r, n) == len(classes)
     for n in (-1, l + 1):
         with pytest.raises(ValueError):
@@ -493,8 +493,8 @@ def test_invariant_basis_partitions_the_shapes():
     basis = invariant_basis(g, 2)
     assert len(basis) == 2
     edge_type = canonical_form(graph(2, [(0, 1)]))
-    assert basis[0].support().sets == tuple(type_classes(g, 2)[edge_type])
-    assert len(basis[0].support()) == 4
+    assert basis[0].support().masks() == type_classes(g, 2)[edge_type]
+    assert len(basis[0].support().sets) == 4
     together = basis[0] + basis[1]
     assert all(together.value(s) == 1 for s in ksubsets(4, 2))
 
@@ -551,7 +551,7 @@ def test_disjoint_embedding_matches_pairwise_definition():
 
 def test_kernel_zero_divisor_squares_to_zero():
     marked = RelStructure(4, (1,), [[(0,)]])
-    f = kernel_zero_divisor(marked, Subset.from_indices(4, [0]))
+    f = kernel_zero_divisor(marked, Subset(4, 1 << 0))
     assert not f.is_zero
     assert product(f, f).is_zero
 
@@ -561,7 +561,7 @@ def test_kernel_zero_divisor_refuses_embeddable_types():
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     )
     with pytest.raises(ValueError) as exc:
-        kernel_zero_divisor(two_triangles, Subset.from_indices(6, [0, 1, 2]))
+        kernel_zero_divisor(two_triangles, Subset(6, 1 << 0 | 1 << 1 | 1 << 2))
     assert "disjoint embedding" in str(exc.value)
 
 

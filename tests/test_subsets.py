@@ -3,14 +3,22 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from agealgebra.subsets import MAX_GROUND, SetFamily, Subset, ksubsets, splits
+from agealgebra.subsets import MAX_GROUND, SetFamily, Subset, ksubsets, members, splits
 
 
-def test_from_indices_and_elements_round_trip():
-    s = Subset.from_indices(6, [4, 0, 2])
-    assert tuple(s.elements()) == (0, 2, 4)
-    assert len(s) == 3
-    assert 2 in s and 3 not in s
+def test_members_round_trip():
+    s = Subset(6, 1 << 4 | 1 << 0 | 1 << 2)
+    assert members(s.mask) == [0, 2, 4]
+    assert sum(1 << i for i in members(s.mask)) == s.mask
+    assert len(members(s.mask)) == 3
+    assert 2 in members(s.mask) and 3 not in members(s.mask)
+    assert members(0) == []
+    assert repr(s) == "Subset([0, 2, 4], n=6)"
+
+
+@given(st.integers(0, (1 << 64) - 1))
+def test_members_lists_the_set_bits(mask):
+    assert members(mask) == [i for i in range(64) if mask >> i & 1]
 
 
 def test_mask_out_of_range_rejected():
@@ -23,7 +31,7 @@ def test_mask_out_of_range_rejected():
 def test_colex_order_on_pairs():
     # colex: compare largest differing element; on masks this is integer order
     pairs = ksubsets(4, 2)
-    as_tuples = [tuple(p.elements()) for p in pairs]
+    as_tuples = [tuple(members(p.mask)) for p in pairs]
     assert as_tuples == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
@@ -37,14 +45,8 @@ def test_ksubsets_counts_and_edges():
     assert ksubsets(5, 0) == [Subset(5, 0)]
 
 
-def test_set_operations_respect_ground():
-    a = Subset.from_indices(5, [0, 1])
-    assert tuple(a.complement().elements()) == (2, 3, 4)
-    assert tuple(Subset(6, 0b11).complement().elements()) == (2, 3, 4, 5)
-
-
 def test_splits_enumerates_ordered_partitions():
-    q = Subset.from_indices(5, [0, 2, 4])
+    q = Subset(5, 1 << 0 | 1 << 2 | 1 << 4)
     got = splits(q.mask, 1)
     assert len(got) == 3
     for p, rest in got:
@@ -57,11 +59,10 @@ def test_splits_enumerates_ordered_partitions():
 @given(st.integers(1, 10), st.data())
 def test_splits_matches_combinations(l, data):
     mask = data.draw(st.integers(0, (1 << l) - 1))
-    q = Subset(l, mask)
-    m = data.draw(st.integers(0, len(q)))
+    m = data.draw(st.integers(0, mask.bit_count()))
     got = {p for p, _ in splits(mask, m)}
     want = set()
-    for combo in combinations(q.elements(), m):
+    for combo in combinations(members(mask), m):
         pm = 0
         for x in combo:
             pm |= 1 << x
@@ -70,11 +71,11 @@ def test_splits_matches_combinations(l, data):
 
 
 def test_family_sorted_and_duplicate_rejected():
-    a = Subset.from_indices(4, [3])
-    b = Subset.from_indices(4, [0, 1])
+    a = Subset(4, 1 << 3)
+    b = Subset(4, 1 << 0 | 1 << 1)
     fam = SetFamily(4, [a, b])
-    assert [s.mask for s in fam] == sorted([a.mask, b.mask])
+    assert fam.masks() == sorted([a.mask, b.mask])
     with pytest.raises(ValueError):
         SetFamily(4, [a, a])
     with pytest.raises(ValueError):
-        SetFamily(4, [Subset.from_indices(5, [0])])
+        SetFamily(4, [Subset(5, 1 << 0)])

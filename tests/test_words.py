@@ -223,7 +223,7 @@ def test_subwords_of_two_letter_word():
 def test_code_splits_fixed_part_from_column_traces():
     layered = LayeredGround(2, 2, 3)
     points = [0, flat_of(layered, 0, 0), flat_of(layered, 0, 2), flat_of(layered, 1, 2)]
-    q = Subset.from_indices(layered.flat_size, points)
+    q = Subset(layered.flat_size, sum({1 << x for x in points}))
     c = code(q.mask, layered)
     assert c.f_mask == 0b01
     assert list(c.word) == [0b01, 0b11]
@@ -266,10 +266,10 @@ def test_code_classes_partition_subsets_by_code(shape):
     layered = LayeredGround(*shape)
     for degree in range(layered.flat_size + 2):
         classes = code_classes(layered, degree)
-        members = [s for cls in classes.values() for s in cls]
-        assert sorted(members) == ksubsets(layered.flat_size, degree)
-        assert all(cls == sorted(cls) for cls in classes.values())
-        firsts = [cls[0] for cls in classes.values()]
+        masks = [s.mask for cls in classes.values() for s in cls]
+        assert sorted(masks) == [s.mask for s in ksubsets(layered.flat_size, degree)]
+        assert all(cls == sorted(cls, key=lambda s: s.mask) for cls in classes.values())
+        firsts = [cls[0].mask for cls in classes.values()]
         assert firsts == sorted(firsts)
         # each class sits under its own code, so two subsets share a class
         # exactly when their codes agree
