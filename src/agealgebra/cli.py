@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import time
+from functools import cache
 from math import comb
 
 from .hitting import is_minimal_transversal
@@ -48,9 +49,9 @@ from .words import (
 # block gadget's 4,096 × 280 support pairs.
 MAX_SUPPORT_PAIRS = 1_146_880
 # Largest matrix cells that `kantor` ranks (`--max-l 10` fills 492,202 and
-# certifies every matrix mod 127 in about 0.2 s; `--max-l 11` would fill
-# 1,893,493) and that `commutation` checks (`--l 10 --n 4 --trials 17`,
-# 952,560 cells, about 1 s).
+# builds and certifies every matrix mod 127 in 45-70 ms on a 2-core Xeon
+# under Python 3.11; `--max-l 11` would fill 1,893,493) and that
+# `commutation` checks (`--l 10 --n 4 --trials 17`, 952,560 cells, 70-120 ms).
 MAX_KANTOR_CELLS = 500_000
 MAX_COMMUTATION_CELLS = 1_000_000
 # Largest cells of the random multiplication matrices `search` solves, plus
@@ -258,7 +259,10 @@ def _cmd_commutation(args):
     yield f"derivation and scaling commute for {args.trials} random weights", True, ok
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `agealg` parser, built on first use and shared by every later
+    `run` and `main` call: parsing reads it and leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     # No default, so a subcommand cannot reset a --json given before it.
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,

@@ -203,8 +203,7 @@ def type_classes(r: RelStructure, n: int) -> dict[IsoType, list[int]]:
         raise ValueError("degree out of range")
     tagged = [[(sum({1 << x for x in t}), t) for t in rel] for rel in r.relations]
     classes: dict[IsoType, list[int]] = {}
-    for points in ksubsets(r.base_size, n):
-        keep = points.mask
+    for keep in ksubsets(r.base_size, n):
         index = dict(zip(members(keep), range(n)))
         sub = object.__new__(RelStructure)
         sub.base_size, sub.signature = n, r.signature

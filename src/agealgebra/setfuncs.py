@@ -162,11 +162,10 @@ def mult_matrix(f: SetFunction, source_degree: int) -> MultOperator:
         raise ValueError("source degree must be nonnegative")
     if f.degree + source_degree > f.n:
         raise ValueError("target degree exceeds ground set")
-    col_of = {b.mask: j for j, b in enumerate(ksubsets(f.n, source_degree))}
+    col_of = {b: j for j, b in enumerate(ksubsets(f.n, source_degree))}
     terms = [(s.mask, v) for s, v in f.coeffs.items()]
     nums: list[list[int]] = []
-    for q in ksubsets(f.n, f.degree + source_degree):
-        qm = q.mask
+    for qm in ksubsets(f.n, f.degree + source_degree):
         row = [0] * len(col_of)
         for am, v in terms:
             if am & qm == am:
@@ -187,7 +186,7 @@ def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
     vec = kernel_vector(mult_matrix(f, degree).matrix)
     if vec is None:
         return None
-    g = SetFunction(f.n, degree, dict(zip(ksubsets(f.n, degree), vec)))
+    g = SetFunction(f.n, degree, {Subset(f.n, b): x for b, x in zip(ksubsets(f.n, degree), vec) if x})
     if not product(f, g).is_zero:
         raise AssertionError("kernel vector is not a cofactor")
     return g

@@ -2,7 +2,8 @@
 
 The ground set is always {0, ..., n-1} with n <= 64.  A subset is an
 integer bitmask, so the colexicographic order on k-subsets is plain
-integer comparison of masks and enumeration in that order is Gosper's hack.
+integer comparison of masks and enumeration in that order is Gosper's hack;
+`ksubsets` lists the masks.
 Set operations are int operations on masks, and `members` lists a mask's
 elements.  `Subset` (a ground size and a mask) and `SetFamily` (distinct
 Subsets in colex order) are records: they key set functions and carry
@@ -56,8 +57,9 @@ class Subset:
         return f"Subset({members(self.mask)}, n={self.n})"
 
 
-def ksubsets(ground_size: int, k: int) -> list[Subset]:
-    """All k-subsets of {0..ground_size-1} in colex (ascending mask) order.
+def ksubsets(ground_size: int, k: int) -> list[int]:
+    """The masks of all k-subsets of {0..ground_size-1}, in colex
+    (ascending) order.
 
     k > ground_size or k < 0 gives the empty list, not an error.
     """
@@ -66,12 +68,12 @@ def ksubsets(ground_size: int, k: int) -> list[Subset]:
     if k < 0 or k > ground_size:
         return []
     if k == 0:
-        return [Subset(ground_size, 0)]
+        return [0]
     out = []
     m = (1 << k) - 1
     limit = 1 << ground_size
     while m < limit:
-        out.append(Subset(ground_size, m))
+        out.append(m)
         # Gosper's hack: next-larger integer with the same popcount
         c = m & -m
         r = m + c

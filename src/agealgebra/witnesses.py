@@ -91,7 +91,7 @@ def gadget_full_support(n: int) -> SetFunction:
         raise ValueError("need at least one column")
     ground = 2 * n
     full = (1 << ground) - 1
-    dens = {s: prod(t - y for y in members(s.mask) for t in members(full ^ s.mask))
+    dens = {Subset(ground, s): prod(t - y for y in members(s) for t in members(full ^ s))
             for s in ksubsets(ground, n)}
     scale = lcm(*dens.values())
     g = SetFunction(ground, n, {s: scale // d for s, d in dens.items()})
@@ -249,7 +249,8 @@ def search_best(
         for _ in range(RANDOM_DRAWS):
             size = rng.randint(2, min(6, len(shapes)))
             chosen = rng.sample(shapes, size)
-            f = SetFunction(ground_size, m, {s: rng.choice((-2, -1, 1, 2)) for s in chosen})
+            f = SetFunction(ground_size, m,
+                            {Subset(ground_size, s): rng.choice((-2, -1, 1, 2)) for s in chosen})
             mate = cofactor(f, n)
             if mate is None:
                 continue

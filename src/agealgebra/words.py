@@ -172,7 +172,7 @@ def code_classes(layered: LayeredGround, degree: int) -> dict[Code, list[Subset]
     """
     classes: dict[Code, list[Subset]] = {}
     for s in ksubsets(layered.flat_size, degree):
-        classes.setdefault(code(s.mask, layered), []).append(s)
+        classes.setdefault(code(s, layered), []).append(Subset(layered.flat_size, s))
     return classes
 
 

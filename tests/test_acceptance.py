@@ -114,7 +114,7 @@ def test_criterion_05_two_squares_example():
     t0 = time.monotonic()
     pair = two_squares()
     prod = product_by_splits(pair.f, pair.g)
-    ok = all(prod.value(q) == 0 for q in ksubsets(8, 4))
+    ok = all(prod.value(Subset(8, q)) == 0 for q in ksubsets(8, 4))
     cert = verify(pair)
     ok = ok and cert.transversal.size == 7
     masks = pair.f.support().union(pair.g.support()).masks()

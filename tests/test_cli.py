@@ -609,6 +609,55 @@ def test_main_json_output(capsys):
     assert parsed["command"] == "bound"
 
 
+# One parser serves every call in a process, so no call may leave a trace
+# in the next one.
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_json_flag_does_not_carry_over_to_the_next_call(capsys):
+    assert main(["bound", "--m", "2", "--n", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "bound"
+    assert main(["bound", "--m", "2", "--n", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("bound  (seed 0, ") and out.endswith(" claims pass\n")
+    assert main(["--json", "bound", "--m", "2", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "bound"
+    assert main(["bound", "--m", "2", "--n", "2"]) == 0
+    assert not capsys.readouterr().out.startswith("{")
+
+
+def test_seed_does_not_carry_over_to_the_next_call():
+    argv = ["search", "--m", "1", "--n", "2", "--l", "4"]
+    _, seeded = run(argv + ["--seed", "5"])
+    _, plain = run(argv)
+    assert (seeded["seed"], seeded["inputs"]["seed"]) == (5, 5)
+    assert (plain["seed"], plain["inputs"]["seed"]) == (0, 0)
+    assert plain["inputs"]["strategy"] == "all"
+
+
+@pytest.mark.parametrize("bad", [
+    ["search", "--m", "1", "--n", "2", "--l", "4", "--seed", "x"],
+    ["search", "--m", "1", "--n", "2", "--l", "4", "--frobnicate", "--seed", "9"],
+    ["search", "--m", "1", "--n", "2", "--l", "70", "--seed", "9"],
+    ["--json", "kantor", "--max-l", "70"],
+])
+def test_a_usage_error_leaves_the_next_call_unchanged(bad, capsys):
+    argv = ["search", "--m", "1", "--n", "2", "--l", "4"]
+    _, before = run(argv)
+    with pytest.raises(SystemExit) as exc:
+        run(bad)
+    assert exc.value.code == 2
+    _, after = run(argv)
+    before.pop("elapsed_ms")
+    after.pop("elapsed_ms")
+    assert after == before and after["seed"] == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("search  (seed 0, ")
+
+
 class ClosedPipe(io.StringIO):
     """A stdout whose reader has gone away."""
 

@@ -40,6 +40,11 @@ GOLDEN = {
         "ae94d88ac29e88d8706a59d6ffa0e853adfec0b26427b8017dd175b930cd2c35",
     "commutation --l 7 --n 3":
         "511efed4c73f94b7cd1f7f46f30c11282c729f252500873e83a0de4af4044d56",
+    # The argv of the benchmark's kernels workload.
+    "kantor --max-l 9":
+        "24f72cc0bb33d65c0921e504a379f9b6c6787d4a5f9c0118d0bbf8008c099194",
+    "commutation --l 7 --n 3 --seed 770802":
+        "ceb57847d2ae788aed14585888f6b8dc94ceaa4dea437c6c2a58771808d2bc1b",
 }
 
 

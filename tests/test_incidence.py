@@ -37,7 +37,7 @@ def scaling_matrix(f, n):
     diag = []
     for s in ksubsets(f.n, n):
         w = 1
-        for x in members(s.mask):
+        for x in members(s):
             w *= points[x]
         diag.append(w)
     return [[w if i == j else 0 for j in range(len(diag))] for i, w in enumerate(diag)]
@@ -56,15 +56,30 @@ def test_inclusion_matrix_shape_and_entries():
 
 
 def test_inclusion_matrix_matches_dense_containment():
-    for l in range(1, 7):
+    # Up to 10 points: every matrix `kantor --max-l 10` ranks.
+    for l in range(1, 11):
         for n in range(l + 1):
+            rows = [set(members(b)) for b in ksubsets(l, n)]
             for m in range(l - n + 1):
-                dense = [
-                    [1 if set(members(b.mask)) <= set(members(q.mask)) else 0 for q in ksubsets(l, n + m)]
-                    for b in ksubsets(l, n)
-                ]
+                cols = [set(members(q)) for q in ksubsets(l, n + m)]
+                dense = [[1 if b <= q else 0 for q in cols] for b in rows]
                 inc = inclusion_matrix(l, n, m)
                 assert (inc.nums, inc.cols) == (dense, comb(l, n + m))
+
+
+def test_mutating_a_result_leaves_later_results_unchanged():
+    # An in-place elimination overwrites the rows it is given; the shared
+    # blocks behind every inclusion matrix must not see that.
+    first = inclusion_matrix(6, 2, 1)
+    want = [row[:] for row in first.nums]
+    for row in first.nums:
+        row[:] = [5] * len(row)
+    first.nums[0].append(1)
+    assert inclusion_matrix(6, 2, 1).nums == want
+    # W_{2,3}(7) holds W_{2,3}(6) as its top-left block.
+    bigger = inclusion_matrix(7, 2, 1)
+    assert [row[:comb(6, 3)] for row in bigger.nums[:comb(6, 2)]] == want
+    assert verify_kantor(6, 2, 1) and rank(inclusion_matrix(6, 2, 1)) == comb(6, 2)
 
 
 def test_full_row_rank_inside_the_threshold():

@@ -44,12 +44,12 @@ def apply_permutation(r, perm):
     )
 
 
-def restriction(r, points):
-    """Induced substructure, re-indexed to 0..|points|-1 in point order."""
-    if points.n != r.base_size:
+def restriction(r, keep):
+    """Induced substructure on the point mask `keep`, re-indexed to
+    0..|keep|-1 in point order."""
+    if keep >> r.base_size:
         raise ValueError("point set is not over this base")
-    order = {p: i for i, p in enumerate(members(points.mask))}
-    keep = points.mask
+    order = {p: i for i, p in enumerate(members(keep))}
     rels = []
     for rel in r.relations:
         kept = [
@@ -58,7 +58,7 @@ def restriction(r, points):
             if all(keep >> x & 1 for x in t)
         ]
         rels.append(kept)
-    return RelStructure(points.mask.bit_count(), r.signature, rels)
+    return RelStructure(keep.bit_count(), r.signature, rels)
 
 
 def structure_to_dict(r):
@@ -89,7 +89,7 @@ def e_regular_on_invariants(structure, n):
     images = [product(ones, h) for h in basis]
     # Column j holds the numerators of image j, a positive multiple of it,
     # which leaves the kernel's triviality unchanged.
-    nums = [[img.coeffs.get(q, 0) for img in images] for q in ksubsets(ground, n + 1)]
+    nums = [[img.value(Subset(ground, q)) for img in images] for q in ksubsets(ground, n + 1)]
     return kernel_vector(IntMatrix(nums, len(images))) is None
 
 
@@ -111,7 +111,7 @@ def kernel_zero_divisor(r, f_set):
     Requires that no two disjoint subsets share that type; then the
     indicator f of the type satisfies f * f = 0, which is re-verified.
     """
-    t = canonical_form(restriction(r, f_set))
+    t = canonical_form(restriction(r, f_set.mask))
     degree = f_set.mask.bit_count()
     realizations = type_classes(r, degree)[t]
     # Self-pairs included: the empty type's one realization is disjoint
@@ -384,7 +384,7 @@ def test_type_classes_group_subsets_by_brute_encoding(pair):
     for n in range(l + 1):
         classes = type_classes(r, n)
         listed = [p for points in classes.values() for p in points]
-        assert sorted(listed) == [s.mask for s in ksubsets(l, n)]
+        assert sorted(listed) == ksubsets(l, n)
         assert all(points == sorted(points) for points in classes.values())
         firsts = [points[0] for points in classes.values()]
         assert firsts == sorted(firsts)
@@ -392,7 +392,7 @@ def test_type_classes_group_subsets_by_brute_encoding(pair):
         for a in ksubsets(l, n):
             for b in ksubsets(l, n):
                 same = brute_encoding(restriction(r, a)) == brute_encoding(restriction(r, b))
-                assert (label[a.mask] == label[b.mask]) == same
+                assert (label[a] == label[b]) == same
         assert profile(r, n) == len(classes)
     for n in (-1, l + 1):
         with pytest.raises(ValueError):
@@ -496,7 +496,7 @@ def test_invariant_basis_partitions_the_shapes():
     assert basis[0].support().masks() == type_classes(g, 2)[edge_type]
     assert len(basis[0].support().sets) == 4
     together = basis[0] + basis[1]
-    assert all(together.value(s) == 1 for s in ksubsets(4, 2))
+    assert all(together.value(Subset(4, s)) == 1 for s in ksubsets(4, 2))
 
 
 def test_profile_inequalities_on_hand_graphs():
@@ -532,7 +532,7 @@ def test_disjoint_embedding_matches_pairwise_definition():
     def pairwise(r, k):
         return all(
             any(
-                not other.mask & points.mask
+                not other & points
                 and brute_encoding(restriction(r, other)) == brute_encoding(restriction(r, points))
                 for other in ksubsets(r.base_size, size)
             )

@@ -46,6 +46,11 @@ def subset(n, indices):
     return Subset(n, sum({1 << i for i in indices}))
 
 
+def keys(n, k):
+    """The k-subsets of {0..n-1} as set-function keys, in colex order."""
+    return [Subset(n, s) for s in ksubsets(n, k)]
+
+
 # JSON form of a set function.  Values are carried as decimal strings so
 # integer overflow in other tooling is never a concern.
 
@@ -82,12 +87,12 @@ def full_product_by_splits(f, g):
     out = {}
     for q in ksubsets(f.n, f.degree + g.degree):
         total = 0
-        for p, rest in splits(q.mask, f.degree):
+        for p, rest in splits(q, f.degree):
             fp = f.coeffs.get(Subset(f.n, p))
             if fp:
                 total += fp * g.coeffs.get(Subset(f.n, rest), 0)
         if total:
-            out[q] = total
+            out[Subset(f.n, q)] = total
     return out
 
 
@@ -119,7 +124,7 @@ def sf(l, deg, terms):
 
 
 def random_sf(draw, l, deg):
-    shapes = ksubsets(l, deg)
+    shapes = keys(l, deg)
     coeffs = {}
     for s in shapes:
         v = draw(st.integers(-3, 3))
@@ -129,7 +134,7 @@ def random_sf(draw, l, deg):
 
 
 def sparse_sf(draw, l, deg):
-    shapes = ksubsets(l, deg)
+    shapes = keys(l, deg)
     chosen = draw(st.sets(st.sampled_from(shapes), max_size=4))
     return SetFunction(l, deg, {s: draw(st.integers(-12, 12)) for s in chosen})
 
@@ -148,7 +153,7 @@ def test_operations_return_the_canonical_stored_form(data):
     values = st.integers(-12, 12)
 
     def built(deg):
-        chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
+        chosen = data.draw(st.sets(st.sampled_from(keys(l, deg)), max_size=6))
         terms = {s: data.draw(values) for s in chosen}
         h = SetFunction(l, deg, terms)
         assert_int_values(h)
@@ -202,10 +207,10 @@ def test_singleton_ones_squares_to_double_counting():
     e = singleton_ones(4)
     ee = product(e, e)
     # every pair arises from exactly two ordered splits
-    for q in ksubsets(4, 2):
+    for q in keys(4, 2):
         assert ee.value(q) == 2
     eee = product(ee, e)
-    for q in ksubsets(4, 3):
+    for q in keys(4, 3):
         assert eee.value(q) == 6
 
 
@@ -260,7 +265,7 @@ def test_integer_products_equal_the_fraction_oracle_times_both_scales(data):
     values = st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool)
 
     def rational(deg):
-        chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
+        chosen = data.draw(st.sets(st.sampled_from(keys(l, deg)), max_size=6))
         return RationalFunction(l, deg, {s: data.draw(values) for s in chosen})
 
     fr, gr = rational(dm), rational(dn)
@@ -290,7 +295,7 @@ def test_split_sum_exact_over_coprime_denominators(data):
 
     def coprime_sf(deg):
         """An integer function scaled from values over distinct large primes."""
-        chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
+        chosen = data.draw(st.sets(st.sampled_from(keys(l, deg)), max_size=6))
         r = RationalFunction(l, deg, {s: Fraction(data.draw(numerators), next(dens)) for s in chosen})
         return scaled_to_int(r)[0]
 
@@ -341,17 +346,17 @@ def test_mult_matrix_agrees_with_product():
     f = sf(4, 1, {(0,): 2, (3,): -1})
     g = sf(4, 1, {(1,): 1, (2,): 5})
     op = mult_matrix(f, 1)
-    vec = [g.value(b) for b in ksubsets(4, 1)]
+    vec = [g.value(b) for b in keys(4, 1)]
     image = [sum(x * y for x, y in zip(row, vec)) for row in op.matrix.nums]
-    assert SetFunction(4, 2, dict(zip(ksubsets(4, 2), image))) == product(f, g)
+    assert SetFunction(4, 2, dict(zip(keys(4, 2), image))) == product(f, g)
 
 
 def dense_mult_matrix(f, d):
     """Oracle: every cell f(Q minus B) of the dense rows."""
     by_mask = {s.mask: v for s, v in f.coeffs.items()}
-    cols = [b.mask for b in ksubsets(f.n, d)]
+    cols = ksubsets(f.n, d)
     return [
-        [0 if b & ~q.mask else by_mask.get(q.mask ^ b, 0) for b in cols]
+        [0 if b & ~q else by_mask.get(q ^ b, 0) for b in cols]
         for q in ksubsets(f.n, f.degree + d)
     ]
 
@@ -361,7 +366,7 @@ def int_sf_and_source_degree(draw):
     l = draw(st.integers(1, 7))
     deg = draw(st.integers(0, min(3, l)))
     d = draw(st.integers(0, l - deg))
-    shapes = ksubsets(l, deg)
+    shapes = keys(l, deg)
     chosen = draw(st.sets(st.sampled_from(shapes), min_size=1, max_size=min(6, len(shapes))))
     return SetFunction(l, deg, {s: draw(st.integers(-6, 6)) for s in chosen}), d
 
@@ -395,7 +400,7 @@ def test_cofactor_is_the_first_basis_vector(case):
     if not basis:
         assert got is None
         return
-    assert got == SetFunction(f.n, d, dict(zip(ksubsets(f.n, d), basis[0])))
+    assert got == SetFunction(f.n, d, dict(zip(keys(f.n, d), basis[0])))
     # primitive, and positive at its first nonzero set in colex order
     assert gcd(*got.coeffs.values()) == 1
     assert got.coeffs[min(got.coeffs, key=lambda s: s.mask)] > 0

@@ -31,7 +31,7 @@ def test_mask_out_of_range_rejected():
 def test_colex_order_on_pairs():
     # colex: compare largest differing element; on masks this is integer order
     pairs = ksubsets(4, 2)
-    as_tuples = [tuple(members(p.mask)) for p in pairs]
+    as_tuples = [tuple(members(p)) for p in pairs]
     assert as_tuples == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
@@ -42,7 +42,14 @@ def test_ksubsets_counts_and_edges():
         for k in range(l + 2):
             got = ksubsets(l, k)
             assert len(got) == (comb(l, k) if k <= l else 0)
-    assert ksubsets(5, 0) == [Subset(5, 0)]
+    assert ksubsets(5, 0) == [0]
+
+
+def test_ksubsets_are_the_sorted_masks_of_combinations():
+    for l in range(11):
+        for k in range(-1, l + 2):
+            want = sorted(sum(1 << x for x in c) for c in combinations(range(l), k)) if k >= 0 else []
+            assert ksubsets(l, k) == want, (l, k)
 
 
 def test_splits_enumerates_ordered_partitions():

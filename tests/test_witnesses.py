@@ -152,7 +152,7 @@ def test_half_split_mate_lies_in_the_multiplication_kernel():
         pair = gadget_tau1n(n)
         op = mult_matrix(pair.f, n)
         cols = ksubsets(2 * n, n)
-        vec = [pair.g.value(s) for s in cols]
+        vec = [pair.g.value(Subset(2 * n, s)) for s in cols]
         assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in op.matrix.nums)
 
 
@@ -197,7 +197,7 @@ def test_full_support_mate_lies_in_the_kernel_basis_span():
         basis = nullspace_basis(mult_matrix(singleton_ones(2 * n), n).matrix)
         mate = gadget_full_support(n)
         cols = ksubsets(2 * n, n)
-        vec = [mate.value(s) for s in cols]
+        vec = [mate.value(Subset(2 * n, s)) for s in cols]
         with_mate = IntMatrix(basis + [vec], len(cols))
         assert rank(with_mate) == rank(IntMatrix(basis, len(cols))) == len(basis), n
 
@@ -259,7 +259,7 @@ def filtered_gadget_lower(m, n):
     """The block gadget with f filtered out of all m-subsets of the ground."""
     ground = 2 * n * m
     block_masks = [((1 << (2 * n)) - 1) << (2 * n * i) for i in range(m)]
-    f = {a: 1 for a in ksubsets(ground, m) if all(a.mask & bm for bm in block_masks)}
+    f = {Subset(ground, a): 1 for a in ksubsets(ground, m) if all(a & bm for bm in block_masks)}
     inner = witnesses.gadget_full_support(n)
     g = {
         Subset(ground, s.mask << (2 * n * i)): v

@@ -267,7 +267,7 @@ def test_code_classes_partition_subsets_by_code(shape):
     for degree in range(layered.flat_size + 2):
         classes = code_classes(layered, degree)
         masks = [s.mask for cls in classes.values() for s in cls]
-        assert sorted(masks) == [s.mask for s in ksubsets(layered.flat_size, degree)]
+        assert sorted(masks) == ksubsets(layered.flat_size, degree)
         assert all(cls == sorted(cls, key=lambda s: s.mask) for cls in classes.values())
         firsts = [cls[0].mask for cls in classes.values()]
         assert firsts == sorted(firsts)
@@ -330,7 +330,7 @@ def sign_flipped(g, index):
     """g with the value on its index-th subset (colex) negated, or set to 1."""
     coeffs = dict(g.coeffs)
     shapes = ksubsets(g.n, g.degree)
-    s = shapes[index % len(shapes)]
+    s = Subset(g.n, shapes[index % len(shapes)])
     coeffs[s] = -coeffs.get(s, -1)
     return SetFunction(g.n, g.degree, coeffs)
 
