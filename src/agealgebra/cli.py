@@ -22,7 +22,7 @@ from .hitting import is_minimal_transversal
 from .incidence import check_commutation, verify_kantor
 from .relational import MAX_CANON_BASE, check_profile_inequalities, structure_from_json
 from .setfuncs import SetFunction, singleton_ones
-from .subsets import MAX_GROUND, Subset, members
+from .subsets import MAX_GROUND, members
 from .witnesses import (
     RANDOM_DRAWS,
     NotAZeroDivisorPairError,
@@ -248,14 +248,14 @@ def _cmd_commutation(args):
     rng = random.Random(args.seed)
     ok = True
     for _ in range(args.trials):
-        coeffs = {}
+        terms = {}
         for x in range(ell):
             # Six times the weight a/b for a in -3..3, b in 1..3: the
             # identity is homogeneous in the weights.
             val = rng.randint(-3, 3) * 6 // rng.randint(1, 3)
             if val:
-                coeffs[Subset(ell, 1 << x)] = val
-        ok = ok and check_commutation(SetFunction(ell, 1, coeffs), n)
+                terms[1 << x] = val
+        ok = ok and check_commutation(SetFunction(ell, 1, terms), n)
     yield f"derivation and scaling commute for {args.trials} random weights", True, ok
 
 

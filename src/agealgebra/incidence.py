@@ -19,7 +19,7 @@ from math import comb, prod
 
 from .linalg import IntMatrix, rank
 from .setfuncs import SetFunction, mult_matrix
-from .subsets import Subset, ksubsets, members
+from .subsets import ksubsets, members
 
 
 @cache
@@ -66,7 +66,7 @@ def check_commutation(f: SetFunction, n: int) -> bool:
         raise ValueError("degree out of range for the ground set")
     m = mult_matrix(f, n).matrix
     rows, cols = ksubsets(f.n, n + 1), ksubsets(f.n, n)
-    point = [f.value(Subset(f.n, 1 << x)) for x in range(f.n)]
+    point = [f.value(1 << x) for x in range(f.n)]
     weights = [prod(point[x] for x in members(s)) for s in rows + cols]
     pairs = list(zip(cols, weights[len(rows):]))
     for q, wq, nums in zip(rows, weights, m.nums):

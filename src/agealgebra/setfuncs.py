@@ -1,9 +1,9 @@
 """Homogeneous weighted set functions and their graded convolution product.
 
 A degree-m function assigns an integer to every m-subset of the ground set
-(sparsely: absent keys mean zero).  Integers suffice: supports and zero
-products, all the library asks about, do not change when a function is
-multiplied by a nonzero integer.  The product of a degree-m and a degree-n
+(sparsely, keyed by the subset's mask: absent keys mean zero).  Integers
+suffice: supports and zero products, all the library asks about, do not
+change when a function is multiplied by a nonzero integer.  The product of a degree-m and a degree-n
 function is the degree-(m+n) function whose value at Q sums
 f(P) * g(Q minus P) over all m-subsets P of Q.  Two independent
 implementations of that sum live here: `product` convolves the supports,
@@ -17,107 +17,82 @@ from __future__ import annotations
 from typing import Mapping
 
 from .linalg import IntMatrix, kernel_vector
-from .subsets import SetFamily, Subset, ksubsets, splits
-
-
-class GroundMismatchError(ValueError):
-    pass
-
-
-class DegreeMismatchError(ValueError):
-    pass
+from .subsets import MAX_GROUND, SetFamily, Subset, ksubsets, splits
 
 
 class SetFunction:
-    """Sparse map from m-subsets of {0..n-1} to nonzero integers.
+    """Sparse map from the masks of m-subsets of {0..n-1} to nonzero integers.
 
-    The constructor drops zero values and raises TypeError on any value that
-    is not an `int` (a `bool` included), so `is_zero` is an emptiness test.
-    All zero functions on the same ground compare equal regardless of
-    recorded degree; nonzero ones compare by degree and values.
+    The constructor drops zero values.  It raises TypeError on a key or a
+    value that is not an `int` (a `bool` or a `Subset` included) and
+    ValueError on a key with bits outside the ground or of the wrong size,
+    so `is_zero` is an emptiness test.
     """
 
-    __slots__ = ("n", "degree", "coeffs")
+    __slots__ = ("n", "degree", "terms")
 
-    def __init__(self, n: int, degree: int, coeffs: Mapping[Subset, int] | None = None):
+    def __init__(self, n: int, degree: int, terms: Mapping[int, int] | None = None):
+        if not 0 <= n <= MAX_GROUND:
+            raise ValueError(f"ground size must be in 0..{MAX_GROUND}, got {n}")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if n < 0:
-            raise ValueError("ground size must be nonnegative")
-        kept: dict[Subset, int] = {}
-        for s, v in (coeffs or {}).items():
-            if s.n != n:
-                raise GroundMismatchError(f"key {s!r} not over ground of size {n}")
-            if s.mask.bit_count() != degree:
-                raise ValueError(f"key {s!r} has size {s.mask.bit_count()}, expected degree {degree}")
+        kept: dict[int, int] = {}
+        for k, v in (terms or {}).items():
+            if type(k) is not int:
+                raise TypeError(f"key {k!r} is {type(k).__name__}, not an int mask")
+            if k < 0 or k >> n:
+                raise ValueError(f"mask {k:#x} has bits outside 0..{n - 1}")
+            if k.bit_count() != degree:
+                raise ValueError(f"mask {k:#x} has size {k.bit_count()}, expected degree {degree}")
             if type(v) is not int:
-                raise TypeError(f"value at {s!r} is {type(v).__name__}, not int")
+                raise TypeError(f"value at {k:#x} is {type(v).__name__}, not int")
             if v:
-                kept[s] = v
+                kept[k] = v
         self.n = n
         self.degree = degree
-        self.coeffs = kept
+        self.terms = kept
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
-    def value(self, s: Subset) -> int:
-        return self.coeffs.get(s, 0)
+    @property
+    def coeffs(self) -> dict[Subset, int]:
+        """The terms keyed by `Subset`, built on each read for the benchmark's
+        tracer; the library reads `terms`."""
+        return {Subset(self.n, k): v for k, v in self.terms.items()}
+
+    def value(self, mask: int) -> int:
+        if type(mask) is not int:
+            raise TypeError(f"value takes an int mask, not {type(mask).__name__}")
+        return self.terms.get(mask, 0)
 
     def support(self) -> SetFamily:
-        return SetFamily(self.n, self.coeffs.keys())
-
-    def __add__(self, other: "SetFunction") -> "SetFunction":
-        if self.n != other.n:
-            raise GroundMismatchError("ground-set mismatch")
-        if self.degree != other.degree:
-            raise DegreeMismatchError(f"cannot add degree {self.degree} to degree {other.degree}")
-        out = dict(self.coeffs)
-        for s, v in other.coeffs.items():
-            out[s] = out.get(s, 0) + v
-        return SetFunction(self.n, self.degree, out)
-
-    def __mul__(self, other: int) -> "SetFunction":
-        return SetFunction(self.n, self.degree, {s: other * v for s, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetFunction):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        if self.is_zero and other.is_zero:
-            return True
-        return (self.degree, self.coeffs) == (other.degree, other.coeffs)
+        return SetFamily(self.n, [Subset(self.n, k) for k in self.terms])
 
     def __repr__(self) -> str:
-        return f"SetFunction(n={self.n}, degree={self.degree}, {len(self.coeffs)} terms)"
+        return f"SetFunction(n={self.n}, degree={self.degree}, {len(self.terms)} terms)"
 
 
 def singleton_ones(ground_size: int) -> SetFunction:
     """The degree-1 function equal to 1 on every singleton."""
     if ground_size < 1:
         raise ValueError("need a nonempty ground set")
-    return SetFunction(ground_size, 1, {Subset(ground_size, 1 << i): 1 for i in range(ground_size)})
+    return SetFunction(ground_size, 1, {1 << i: 1 for i in range(ground_size)})
 
 
 def product(f: SetFunction, g: SetFunction) -> SetFunction:
     """Graded convolution product, computed by convolving the supports."""
     if f.n != g.n:
-        raise GroundMismatchError("ground-set mismatch in product")
-    n = f.n
-    gm = [(b.mask, gb) for b, gb in g.coeffs.items()]
+        raise ValueError("ground-set mismatch in product")
+    gm = list(g.terms.items())
     out: dict[int, int] = {}
-    for a, fa in f.coeffs.items():
-        am = a.mask
+    for am, fa in f.terms.items():
         for bm, gb in gm:
             if not am & bm:
                 q = am | bm
                 out[q] = out.get(q, 0) + fa * gb
-    out_sets = {Subset(n, q): v for q, v in out.items()}
-    return SetFunction(n, f.degree + g.degree, out_sets)
+    return SetFunction(f.n, f.degree + g.degree, out)
 
 
 def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
@@ -129,16 +104,14 @@ def product_by_splits(f: SetFunction, g: SetFunction) -> SetFunction:
     term of the defining sum at Q needs f(P) != 0 and g(Q minus P) != 0.
     """
     if f.n != g.n:
-        raise GroundMismatchError("ground-set mismatch in product")
-    n, m = f.n, f.degree
-    fm = {s.mask: v for s, v in f.coeffs.items()}
-    gm = {s.mask: v for s, v in g.coeffs.items()}
-    out: dict[Subset, int] = {}
+        raise ValueError("ground-set mismatch in product")
+    fm, gm = f.terms, g.terms
+    out: dict[int, int] = {}
     for qmask in sorted({am | bm for am in fm for bm in gm if not am & bm}):
-        total = sum(fm[p] * gm[r] for p, r in splits(qmask, m) if p in fm and r in gm)
+        total = sum(fm[p] * gm[r] for p, r in splits(qmask, f.degree) if p in fm and r in gm)
         if total:
-            out[Subset(n, qmask)] = total
-    return SetFunction(n, f.degree + g.degree, out)
+            out[qmask] = total
+    return SetFunction(f.n, f.degree + g.degree, out)
 
 
 class MultOperator:
@@ -163,7 +136,7 @@ def mult_matrix(f: SetFunction, source_degree: int) -> MultOperator:
     if f.degree + source_degree > f.n:
         raise ValueError("target degree exceeds ground set")
     col_of = {b: j for j, b in enumerate(ksubsets(f.n, source_degree))}
-    terms = [(s.mask, v) for s, v in f.coeffs.items()]
+    terms = list(f.terms.items())
     nums: list[list[int]] = []
     for qm in ksubsets(f.n, f.degree + source_degree):
         row = [0] * len(col_of)
@@ -186,7 +159,7 @@ def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
     vec = kernel_vector(mult_matrix(f, degree).matrix)
     if vec is None:
         return None
-    g = SetFunction(f.n, degree, {Subset(f.n, b): x for b, x in zip(ksubsets(f.n, degree), vec) if x})
+    g = SetFunction(f.n, degree, {b: x for b, x in zip(ksubsets(f.n, degree), vec) if x})
     if not product(f, g).is_zero:
         raise AssertionError("kernel vector is not a cofactor")
     return g

@@ -6,8 +6,7 @@ integer comparison of masks and enumeration in that order is Gosper's hack;
 `ksubsets` lists the masks.
 Set operations are int operations on masks, and `members` lists a mask's
 elements.  `Subset` (a ground size and a mask) and `SetFamily` (distinct
-Subsets in colex order) are records: they key set functions and carry
-`tau`'s family and witness.
+Subsets in colex order) are records that carry `tau`'s family and witness.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ def members(mask: int) -> list[int]:
 class Subset:
     """A subset of {0, ..., n-1} as a record: its ground size and its mask.
 
-    It keys set functions and is `tau`'s witness; set operations read
-    `mask`.  Equality and hashing look at the mask only.
+    It is a member of `tau`'s family and its witness; set operations read
+    `mask`.
     """
 
     __slots__ = ("n", "mask")
@@ -44,14 +43,6 @@ class Subset:
             raise ValueError(f"mask {mask:#x} has bits outside 0..{n - 1}")
         self.n = n
         self.mask = mask
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subset):
-            return NotImplemented
-        return self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
 
     def __repr__(self) -> str:
         return f"Subset({members(self.mask)}, n={self.n})"

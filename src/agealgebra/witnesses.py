@@ -28,7 +28,7 @@ from math import comb, gcd, lcm, prod
 
 from .hitting import TransversalResult, tau
 from .setfuncs import SetFunction, cofactor, product, product_by_splits, singleton_ones
-from .subsets import MAX_GROUND, Subset, ksubsets, members
+from .subsets import MAX_GROUND, ksubsets, members
 
 
 class NotAZeroDivisorPairError(ValueError):
@@ -64,7 +64,7 @@ def gadget_tau1n(n: int) -> WitnessPair:
     if n < 1:
         raise ValueError("need at least one column")
     ground = 2 * n
-    coeffs: dict[Subset, int] = {}
+    terms: dict[int, int] = {}
     for picks in range(1 << n):
         mask = 0
         bottoms = 0
@@ -73,8 +73,8 @@ def gadget_tau1n(n: int) -> WitnessPair:
             mask |= 1 << pair_index(half, col)
             if half == 0:
                 bottoms += 1
-        coeffs[Subset(ground, mask)] = -1 if bottoms & 1 else 1
-    return WitnessPair(singleton_ones(ground), SetFunction(ground, n, coeffs))
+        terms[mask] = -1 if bottoms & 1 else 1
+    return WitnessPair(singleton_ones(ground), SetFunction(ground, n, terms))
 
 
 def gadget_full_support(n: int) -> SetFunction:
@@ -91,7 +91,7 @@ def gadget_full_support(n: int) -> SetFunction:
         raise ValueError("need at least one column")
     ground = 2 * n
     full = (1 << ground) - 1
-    dens = {Subset(ground, s): prod(t - y for y in members(s) for t in members(full ^ s))
+    dens = {s: prod(t - y for y in members(s) for t in members(full ^ s))
             for s in ksubsets(ground, n)}
     scale = lcm(*dens.values())
     g = SetFunction(ground, n, {s: scale // d for s, d in dens.items()})
@@ -104,9 +104,7 @@ def _embed(f: SetFunction, ground: int, offset: int) -> SetFunction:
     """Shift a function onto indices [offset, offset + f.n) of a larger ground."""
     if offset < 0 or offset + f.n > ground:
         raise ValueError("window does not fit in the ground set")
-    return SetFunction(
-        ground, f.degree, {Subset(ground, s.mask << offset): v for s, v in f.coeffs.items()}
-    )
+    return SetFunction(ground, f.degree, {k << offset: v for k, v in f.terms.items()})
 
 
 def gadget_lower(m: int, n: int) -> WitnessPair:
@@ -125,12 +123,9 @@ def gadget_lower(m: int, n: int) -> WitnessPair:
         raise ValueError(f"ground set exceeds {MAX_GROUND} points")
     blocks = [[1 << (2 * n * i + j) for j in range(2 * n)] for i in range(m)]
     f_masks = sorted(sum(picks) for picks in iproduct(*blocks))
-    f_coeffs = {Subset(ground, a): 1 for a in f_masks}
-    inner = gadget_full_support(n)
-    g = SetFunction(ground, n, {})
-    for i in range(m):
-        g = g + _embed(inner, ground, 2 * n * i)
-    return WitnessPair(SetFunction(ground, m, f_coeffs), g)
+    inner = gadget_full_support(n).terms
+    g = {k << 2 * n * i: v for i in range(m) for k, v in inner.items()}
+    return WitnessPair(SetFunction(ground, m, dict.fromkeys(f_masks, 1)), SetFunction(ground, n, g))
 
 
 def lower_bound_formula(m: int, n: int) -> int:
@@ -147,14 +142,14 @@ def two_squares() -> WitnessPair:
     """
     ground = 8
     squares = [(0, 1, 2, 3), (4, 5, 6, 7)]
-    f_coeffs: dict[Subset, int] = {}
+    f_terms: dict[int, int] = {}
     for a, b, c, d in squares:
-        for side in ((a, b), (b, c), (c, d), (d, a)):
-            f_coeffs[Subset(ground, 1 << side[0] | 1 << side[1])] = -1
+        for x, y in ((a, b), (b, c), (c, d), (d, a)):
+            f_terms[1 << x | 1 << y] = -1
         for x, y in ((a, c), (b, d)):
-            f_coeffs[Subset(ground, 1 << x | 1 << y)] = 2
-    g_coeffs = {Subset(ground, 1 << x | 1 << y): 1 for x in squares[0] for y in squares[1]}
-    return WitnessPair(SetFunction(ground, 2, f_coeffs), SetFunction(ground, 2, g_coeffs))
+            f_terms[1 << x | 1 << y] = 2
+    g_terms = {1 << x | 1 << y: 1 for x in squares[0] for y in squares[1]}
+    return WitnessPair(SetFunction(ground, 2, f_terms), SetFunction(ground, 2, g_terms))
 
 
 def verify(pair: WitnessPair) -> WitnessCertificate:
@@ -171,8 +166,8 @@ def verify(pair: WitnessPair) -> WitnessCertificate:
         raise ValueError("witness functions must be nonzero")
     fg = product_by_splits(f, g)
     if not fg.is_zero:
-        offender = min(fg.coeffs, key=lambda s: s.mask)
-        raise NotAZeroDivisorPairError(offender.mask, fg.value(offender))
+        offender = min(fg.terms)
+        raise NotAZeroDivisorPairError(offender, fg.terms[offender])
     return WitnessCertificate(pair, tau(f.support().union(g.support())))
 
 
@@ -249,8 +244,7 @@ def search_best(
         for _ in range(RANDOM_DRAWS):
             size = rng.randint(2, min(6, len(shapes)))
             chosen = rng.sample(shapes, size)
-            f = SetFunction(ground_size, m,
-                            {Subset(ground_size, s): rng.choice((-2, -1, 1, 2)) for s in chosen})
+            f = SetFunction(ground_size, m, {s: rng.choice((-2, -1, 1, 2)) for s in chosen})
             mate = cofactor(f, n)
             if mate is None:
                 continue

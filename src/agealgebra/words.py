@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
 from .setfuncs import SetFunction, product
-from .subsets import MAX_GROUND, Subset, ksubsets, members
+from .subsets import MAX_GROUND, ksubsets, members
 
 
 def letter_key(mask: int) -> tuple[int, int]:
@@ -161,18 +161,18 @@ def code(q_mask: int, layered: LayeredGround) -> Code:
 
 def lead(f: SetFunction, layered: LayeredGround) -> Code | None:
     """Largest code in the support; None for the zero function."""
-    return max((code(s.mask, layered) for s in f.coeffs), default=None)
+    return max((code(s, layered) for s in f.terms), default=None)
 
 
-def code_classes(layered: LayeredGround, degree: int) -> dict[Code, list[Subset]]:
-    """The degree-subsets of the flat ground grouped by their code.
+def code_classes(layered: LayeredGround, degree: int) -> dict[Code, list[int]]:
+    """The masks of the degree-subsets of the flat ground, grouped by code.
 
     Codes come in order of first colex occurrence, and each class lists
-    its subsets in colex order.
+    its masks in colex order.
     """
-    classes: dict[Code, list[Subset]] = {}
+    classes: dict[Code, list[int]] = {}
     for s in ksubsets(layered.flat_size, degree):
-        classes.setdefault(code(s, layered), []).append(Subset(layered.flat_size, s))
+        classes.setdefault(code(s, layered), []).append(s)
     return classes
 
 
@@ -210,8 +210,7 @@ def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround
         raise HypothesisError("f_code_determined")
     if not code_determined(g, layered):
         raise HypothesisError("g_code_determined")
-    fm = {s.mask: v for s, v in f.coeffs.items()}
-    gm = {s.mask: v for s, v in g.coeffs.items()}
+    fm, gm = f.terms, g.terms
     f_all = (1 << layered.f_size) - 1
     if not any(a & f_all == 0 for a in fm):
         raise HypothesisError("f_support_meets_pure_columns")
@@ -234,7 +233,7 @@ def leading_product_check(f: SetFunction, g: SetFunction, layered: LayeredGround
         (fm[a], gm[b]) == (fm[a0], gm[b0]) for a, b in splitters
     )
     prod = product(f, g)
-    at_q0 = prod.value(Subset(prod.n, q0))
+    at_q0 = prod.value(q0)
     checks["value_at_q0_is_count_times_leads"] = at_q0 == len(splitters) * fm[a0] * gm[b0]
     lead_prod = lead(prod, layered)
     checks["product_lead_is_best_pair_code"] = lead_prod == code(q0, layered)
@@ -269,17 +268,16 @@ def code_blind_function(
     rng = random.Random(seed)
     classes = code_classes(layered, degree)
     values = {c: rng.choice((-1, 0, 0, 1)) for c in classes}
-    kept = [(s, v) for c, v in values.items() if v for s in classes[c]]
-    coeffs = dict(sorted(kept, key=lambda sv: sv[0].mask))
+    terms = dict(sorted((s, v) for c, v in values.items() if v for s in classes[c]))
 
     def force_class(pure_columns: bool) -> None:
         target = next((c for c in classes if not pure_columns or c.f_mask == 0), None)
         if target is None:
             raise ValueError("no subset matches the forced class")
-        coeffs.update(dict.fromkeys(classes[target], 1))
+        terms.update(dict.fromkeys(classes[target], 1))
 
     if need_pure_column_support and not any(c.f_mask == 0 and v for c, v in values.items()):
         force_class(True)
-    if not coeffs:
+    if not terms:
         force_class(False)
-    return SetFunction(layered.flat_size, degree, coeffs)
+    return SetFunction(layered.flat_size, degree, terms)

@@ -17,7 +17,7 @@ from agealgebra.setfuncs import (
     product_by_splits,
     singleton_ones,
 )
-from agealgebra.subsets import Subset, ksubsets
+from agealgebra.subsets import ksubsets
 from agealgebra.witnesses import (
     gadget_lower,
     gadget_tau1n,
@@ -71,11 +71,11 @@ def test_criterion_02_weighted_rank_killing():
                 support_size = rng.randint(2 * n + 1, l)
                 points = rng.sample(range(l), support_size)
                 # 12 times a weight v/d with d in 1..4: scaling keeps the kernel
-                coeffs = {
-                    Subset(l, 1 << x): rng.choice([v for v in range(-5, 6) if v]) * 12 // rng.randint(1, 4)
+                terms = {
+                    1 << x: rng.choice([v for v in range(-5, 6) if v]) * 12 // rng.randint(1, 4)
                     for x in points
                 }
-                f = SetFunction(l, 1, coeffs)
+                f = SetFunction(l, 1, terms)
                 ok = ok and nullspace_basis(mult_matrix(f, n).matrix) == []
     elapsed = time.monotonic() - t0
     report(2, "well-supported weights annihilate nothing (180 kernels)", ok and elapsed < 10, elapsed)
@@ -114,7 +114,7 @@ def test_criterion_05_two_squares_example():
     t0 = time.monotonic()
     pair = two_squares()
     prod = product_by_splits(pair.f, pair.g)
-    ok = all(prod.value(Subset(8, q)) == 0 for q in ksubsets(8, 4))
+    ok = all(prod.value(q) == 0 for q in ksubsets(8, 4))
     cert = verify(pair)
     ok = ok and cert.transversal.size == 7
     masks = pair.f.support().union(pair.g.support()).masks()
@@ -131,12 +131,12 @@ def test_criterion_06_derivation_scaling_commutation():
     for _ in range(50):
         l = rng.randint(2, 6)
         n = rng.randint(0, min(3, l - 1))
-        coeffs = {}
+        terms = {}
         for x in range(l):
             v = rng.randint(-3, 3)
             if v:
-                coeffs[Subset(l, 1 << x)] = v * 6 // rng.randint(1, 3)  # 6 times v/d
-        ok = ok and check_commutation(SetFunction(l, 1, coeffs), n)
+                terms[1 << x] = v * 6 // rng.randint(1, 3)  # 6 times v/d
+        ok = ok and check_commutation(SetFunction(l, 1, terms), n)
     elapsed = time.monotonic() - t0
     report(6, "derivation against scaling, 50 random weights", ok and elapsed < 5, elapsed)
 

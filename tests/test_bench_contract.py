@@ -2,7 +2,8 @@
 
 `bench/spans.py` wraps every `(module, function)` in `LAYERS` through
 `getattr`, and its counters read `.rows`/`.cols` of the matrices those
-functions take or return and `.mask` off the keys of `SetFunction.coeffs`.
+functions take or return and `.mask` off the keys of `SetFunction.coeffs`,
+the `Subset`-keyed view of a function's int-mask `terms`.
 `bench/workloads.py` builds `SetFamily`/`Subset` families for `tau` and
 reads `.mask` off its witness.  These tests fail when a rename, deletion or
 key change in the library would break `bench/run.py`, traced or not; they
@@ -59,6 +60,9 @@ def test_product_counters_read_the_keys_of_a_real_pair():
     spans._product(st, (pair.f, pair.g), {}, product(pair.f, pair.g))
     # C(8, 4) sets; 32 disjoint unions; 16 x 12 support pairs.
     assert st == Counter(sets=70, useful=32, pairs=16 * 12)
+    for f in (pair.f, pair.g):
+        assert {s.mask: v for s, v in f.coeffs.items()} == f.terms
+        assert f.support().masks() == sorted(f.terms)
 
 
 def test_tau_op_checks_a_real_witness():

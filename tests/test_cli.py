@@ -255,11 +255,10 @@ def test_profile_max_n_report_is_the_filtered_full_report(structure, tmp_path):
 def test_zero_product_claims_are_computed(argv, monkeypatch):
     from agealgebra import witnesses
     from agealgebra.setfuncs import SetFunction
-    from agealgebra.subsets import Subset
 
     def wrong(f, g):
         degree = f.degree + g.degree
-        return SetFunction(f.n, degree, {Subset(f.n, (1 << degree) - 1): 3})
+        return SetFunction(f.n, degree, {(1 << degree) - 1: 3})
 
     monkeypatch.setattr(witnesses, "product_by_splits", wrong)
     code, rep = run(argv)
@@ -275,11 +274,10 @@ def test_zero_product_claims_are_computed(argv, monkeypatch):
 def test_failing_pair_names_its_colex_first_nonzero_set(monkeypatch, capsys):
     from agealgebra import cli
     from agealgebra.setfuncs import SetFunction, product
-    from agealgebra.subsets import Subset
     from agealgebra.witnesses import NotAZeroDivisorPairError, WitnessPair, verify
 
     def sf(terms):
-        return SetFunction(4, 1, {Subset(4, 1 << i): v for i, v in terms.items()})
+        return SetFunction(4, 1, {1 << i: v for i, v in terms.items()})
 
     # {0, 1} cancels (7 * 18 - 6 * 21 = 0); {0, 2} is first nonzero
     f = sf({0: 7, 1: -6})
@@ -290,7 +288,7 @@ def test_failing_pair_names_its_colex_first_nonzero_set(monkeypatch, capsys):
     offender, value = exc.value.offending, exc.value.value
     assert offender == 1 << 0 | 1 << 2
     assert type(value) is int and value == 490
-    assert value == product(f, g).value(Subset(4, offender))
+    assert value == product(f, g).value(offender)
 
     monkeypatch.setattr(cli, "gadget_lower", lambda m, n: pair)
     assert main(["gadget", "--m", "1", "--n", "1", "--json"]) == 1

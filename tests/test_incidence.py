@@ -14,11 +14,11 @@ from agealgebra.cli import run
 from agealgebra.incidence import check_commutation, inclusion_matrix, verify_kantor
 from agealgebra.linalg import IntMatrix, rank
 from agealgebra.setfuncs import MultOperator, SetFunction, cofactor, mult_matrix, singleton_ones
-from agealgebra.subsets import Subset, ksubsets, members
+from agealgebra.subsets import ksubsets, members
 
 
 def weight(l, values):
-    return SetFunction(l, 1, {Subset(l, 1 << i): v for i, v in values.items() if v})
+    return SetFunction(l, 1, {1 << i: v for i, v in values.items() if v})
 
 
 def derivation_matrix(f, n):
@@ -33,7 +33,7 @@ def scaling_matrix(f, n):
     """Diagonal rescaling of n-subsets by the product of their point
     weights, as dense rows."""
     assert f.degree == 1 and 0 <= n <= f.n
-    points = [f.value(Subset(f.n, 1 << x)) for x in range(f.n)]
+    points = [f.value(1 << x) for x in range(f.n)]
     diag = []
     for s in ksubsets(f.n, n):
         w = 1

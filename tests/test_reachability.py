@@ -23,11 +23,23 @@ as `x.name = ...`, or an argparse option's destination), since the read
 is then taken to be of that data.  So a dead property named like an
 argparse field or a slot is reported.  The test reads `bench/` and does
 not change it.
+
+The walk counts every dunder of a reached class as reached, so a dead
+operator slips through it.  A runtime guard covers that: it runs the
+commands of CI's reproducibility step through `cli.run` under
+`sys.setprofile` and reports each hand-written special method of a library
+class, other than `__init__` and `__repr__`, whose code never ran.
 """
 
 import ast
+import importlib
+import inspect
+import json
 import os
 import shutil
+import sys
+
+from test_golden_reports import GRAPH
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC = os.path.join(ROOT, "src", "agealgebra")
@@ -214,3 +226,84 @@ def test_no_library_module_imports_fractions():
                 continue
             found += [fname for m in modules if m.split(".")[0] == "fractions"]
     assert found == []
+
+
+# The argv lists of CI's "Two runs of a report differ only in elapsed_ms"
+# step; `{dir}` is the folder that holds its three profile inputs.
+CI_REPORT_RUNS = [
+    "words --json", "words --seed 7 --json", "two-squares --json", "gadget --m 4 --n 4 --json",
+    "tau1n --n 6 --json", "commutation --l 7 --n 3 --json", "search --m 1 --n 3 --l 8 --json",
+    "kantor --max-l 6 --json", "kantor --max-l 10 --json", "bound --m 2 --n 3 --json",
+    "profile --input {dir}/graph.json --json", "profile --input {dir}/cube.json --json",
+    "profile --input {dir}/k8.json --json",
+]
+
+
+def ci_profile_inputs(folder):
+    """Write CI's three profile inputs: a 5-point path with a chord, the
+    3-cube and K8."""
+    structures = {
+        "graph": GRAPH,
+        "cube": {"base_size": 8, "signature": [2],
+                 "relations": [[[a, a ^ b] for a in range(8) for b in (1, 2, 4)]]},
+        "k8": {"base_size": 8, "signature": [2],
+               "relations": [[[a, b] for a in range(8) for b in range(8) if a != b]]},
+    }
+    for name, structure in structures.items():
+        (folder / f"{name}.json").write_text(json.dumps(structure), encoding="utf-8")
+
+
+def special_methods():
+    """(qualified name, code) of each hand-written special method of a
+    library class, other than `__init__` and `__repr__`.  Methods that
+    `dataclass` or `NamedTuple` generate are compiled from strings, so
+    their code names no library file and they are left out."""
+    out = []
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        module = importlib.import_module(f"agealgebra.{fname[:-3]}")
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            for name, attr in vars(cls).items():
+                if (
+                    is_dunder(name)
+                    and name not in ("__init__", "__repr__")
+                    and inspect.isfunction(attr)
+                    and attr.__code__.co_filename == module.__file__
+                ):
+                    out.append((f"{fname[:-3]}.{cls.__name__}.{name}", attr.__code__))
+    return out
+
+
+def never_run(argvs):
+    """Qualified names of the special methods whose code does not run
+    while `cli.run` executes each argv."""
+    from agealgebra import cli
+
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        for argv in argvs:
+            cli.run(argv)
+    finally:
+        sys.setprofile(None)
+    return sorted(name for name, code in special_methods() if code not in ran)
+
+
+def test_every_special_method_runs_under_the_ci_commands(tmp_path):
+    ci_profile_inputs(tmp_path)
+    argvs = [argv.format(dir=tmp_path).split() for argv in CI_REPORT_RUNS]
+    assert never_run(argvs) == []
+
+
+def test_the_runtime_guard_reports_what_did_not_run():
+    names = [name for name, _ in special_methods()]
+    assert "words.Word.__lt__" in names
+    assert never_run([["bound", "--m", "2", "--n", "3"]]) == sorted(names)

@@ -22,7 +22,7 @@ from agealgebra.relational import (
     type_classes,
 )
 from agealgebra.setfuncs import SetFunction, product, singleton_ones
-from agealgebra.subsets import Subset, ksubsets, members
+from agealgebra.subsets import ksubsets, members
 
 
 def graph(base_size, edges):
@@ -73,7 +73,7 @@ def structure_to_dict(r):
 def invariant_basis(r, n):
     """Indicators of the realized types, ordered by first colex occurrence."""
     return [
-        SetFunction(r.base_size, n, {Subset(r.base_size, p): 1 for p in points})
+        SetFunction(r.base_size, n, dict.fromkeys(points, 1))
         for points in type_classes(r, n).values()
     ]
 
@@ -89,7 +89,7 @@ def e_regular_on_invariants(structure, n):
     images = [product(ones, h) for h in basis]
     # Column j holds the numerators of image j, a positive multiple of it,
     # which leaves the kernel's triviality unchanged.
-    nums = [[img.value(Subset(ground, q)) for img in images] for q in ksubsets(ground, n + 1)]
+    nums = [[img.value(q) for img in images] for q in ksubsets(ground, n + 1)]
     return kernel_vector(IntMatrix(nums, len(images))) is None
 
 
@@ -105,21 +105,21 @@ def disjoint_embedding_check(r, k):
     return True
 
 
-def kernel_zero_divisor(r, f_set):
+def kernel_zero_divisor(r, f_mask):
     """Square-zero invariant indicator built from the type of one subset.
 
     Requires that no two disjoint subsets share that type; then the
     indicator f of the type satisfies f * f = 0, which is re-verified.
     """
-    t = canonical_form(restriction(r, f_set.mask))
-    degree = f_set.mask.bit_count()
+    t = canonical_form(restriction(r, f_mask))
+    degree = f_mask.bit_count()
     realizations = type_classes(r, degree)[t]
     # Self-pairs included: the empty type's one realization is disjoint
     # from itself.
     for a, b in combinations_with_replacement(realizations, 2):
         if not a & b:
             raise ValueError("type admits disjoint embedding; f² ≠ 0 not guaranteed")
-    f = SetFunction(r.base_size, degree, {Subset(r.base_size, a): 1 for a in realizations})
+    f = SetFunction(r.base_size, degree, dict.fromkeys(realizations, 1))
     if not product(f, f).is_zero:
         raise AssertionError("indicator square is nonzero despite no disjoint pair")
     return f
@@ -495,8 +495,7 @@ def test_invariant_basis_partitions_the_shapes():
     edge_type = canonical_form(graph(2, [(0, 1)]))
     assert basis[0].support().masks() == type_classes(g, 2)[edge_type]
     assert len(basis[0].support().sets) == 4
-    together = basis[0] + basis[1]
-    assert all(together.value(Subset(4, s)) == 1 for s in ksubsets(4, 2))
+    assert all(basis[0].value(s) + basis[1].value(s) == 1 for s in ksubsets(4, 2))
 
 
 def test_profile_inequalities_on_hand_graphs():
@@ -551,7 +550,7 @@ def test_disjoint_embedding_matches_pairwise_definition():
 
 def test_kernel_zero_divisor_squares_to_zero():
     marked = RelStructure(4, (1,), [[(0,)]])
-    f = kernel_zero_divisor(marked, Subset(4, 1 << 0))
+    f = kernel_zero_divisor(marked, 1 << 0)
     assert not f.is_zero
     assert product(f, f).is_zero
 
@@ -561,7 +560,7 @@ def test_kernel_zero_divisor_refuses_embeddable_types():
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     )
     with pytest.raises(ValueError) as exc:
-        kernel_zero_divisor(two_triangles, Subset(6, 1 << 0 | 1 << 1 | 1 << 2))
+        kernel_zero_divisor(two_triangles, 1 << 0 | 1 << 1 | 1 << 2)
     assert "disjoint embedding" in str(exc.value)
 
 
@@ -572,12 +571,12 @@ def test_kernel_zero_divisor_squares_to_zero_or_refuses_on_small_graphs():
         for r in all_graph_classes(l):
             for mask in range(1 << l):
                 try:
-                    f = kernel_zero_divisor(r, Subset(l, mask))
+                    f = kernel_zero_divisor(r, mask)
                 except ValueError:
                     continue
                 assert product(f, f).is_zero
     with pytest.raises(ValueError):
-        kernel_zero_divisor(graph(3, []), Subset(3, 0))
+        kernel_zero_divisor(graph(3, []), 0)
 
 
 def test_multiplication_by_ones_on_invariants():

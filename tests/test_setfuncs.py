@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from agealgebra.linalg import nullspace_basis
 from agealgebra.setfuncs import (
-    DegreeMismatchError,
     SetFunction,
     cofactor,
     mult_matrix,
@@ -27,28 +26,36 @@ from agealgebra.setfuncs import (
     product_by_splits,
     singleton_ones,
 )
-from agealgebra.subsets import Subset, ksubsets, members, splits
+from agealgebra.subsets import MAX_GROUND, Subset, ksubsets, members, splits
 
 
 def unit(ground_size):
     """Multiplicative unit: 1 on the empty set."""
-    return SetFunction(ground_size, 0, {Subset(ground_size, 0): 1})
+    return SetFunction(ground_size, 0, {0: 1})
 
 
 def restrict(f, window):
-    """f with every value outside the window's subsets set to zero."""
-    kept = {s: v for s, v in f.coeffs.items() if not s.mask & ~window.mask}
-    return SetFunction(f.n, f.degree, kept)
+    """f with every value outside the subsets of the window mask set to zero."""
+    return SetFunction(f.n, f.degree, {s: v for s, v in f.terms.items() if not s & ~window})
 
 
-def subset(n, indices):
-    """The Subset of {0..n-1} holding these indices."""
-    return Subset(n, sum({1 << i for i in indices}))
+def mask_of(indices):
+    """The mask of the set holding these indices."""
+    return sum({1 << i for i in indices})
 
 
-def keys(n, k):
-    """The k-subsets of {0..n-1} as set-function keys, in colex order."""
-    return [Subset(n, s) for s in ksubsets(n, k)]
+def add(f, g):
+    """The sum of two functions of one degree on one ground."""
+    assert (f.n, f.degree) == (g.n, g.degree)
+    out = dict(f.terms)
+    for s, v in g.terms.items():
+        out[s] = out.get(s, 0) + v
+    return SetFunction(f.n, f.degree, out)
+
+
+def scaled(c, f):
+    """The function c * f."""
+    return SetFunction(f.n, f.degree, {s: c * v for s, v in f.terms.items()})
 
 
 # JSON form of a set function.  Values are carried as decimal strings so
@@ -59,26 +66,26 @@ def set_function_to_dict(f):
         "ground_size": f.n,
         "degree": f.degree,
         "terms": [
-            {"set": members(s.mask), "value": str(v)}
-            for s, v in sorted(f.coeffs.items(), key=lambda kv: kv[0].mask)
+            {"set": members(s), "value": str(v)}
+            for s, v in sorted(f.terms.items())
         ],
     }
 
 
 def set_function_from_dict(data):
     n = int(data["ground_size"])
-    coeffs = {}
+    terms = {}
     for term in data["terms"]:
-        s = subset(n, term["set"])
-        if s in coeffs:
+        s = mask_of(term["set"])
+        if s in terms:
             raise ValueError("duplicate term in serialized function")
-        coeffs[s] = int(term["value"])
-    return SetFunction(n, int(data["degree"]), coeffs)
+        terms[s] = int(term["value"])
+    return SetFunction(n, int(data["degree"]), terms)
 
 
-# The oracles below read only `n`, `degree` and `coeffs`, so they take a
+# The oracles below read only `n`, `degree` and `terms`, so they take a
 # `SetFunction` or a `RationalFunction` with `Fraction` values alike.
-RationalFunction = namedtuple("RationalFunction", "n degree coeffs")
+RationalFunction = namedtuple("RationalFunction", "n degree terms")
 
 
 def full_product_by_splits(f, g):
@@ -88,11 +95,11 @@ def full_product_by_splits(f, g):
     for q in ksubsets(f.n, f.degree + g.degree):
         total = 0
         for p, rest in splits(q, f.degree):
-            fp = f.coeffs.get(Subset(f.n, p))
+            fp = f.terms.get(p)
             if fp:
-                total += fp * g.coeffs.get(Subset(f.n, rest), 0)
+                total += fp * g.terms.get(rest, 0)
         if total:
-            out[Subset(f.n, q)] = total
+            out[q] = total
     return out
 
 
@@ -100,48 +107,46 @@ def fraction_product(f, g):
     """Oracle: the support convolution, as the nonzero values of f * g
     keyed by set in colex order."""
     out = {}
-    for a, fa in f.coeffs.items():
-        for b, gb in g.coeffs.items():
-            if not a.mask & b.mask:
-                q = Subset(f.n, a.mask | b.mask)
-                out[q] = out.get(q, 0) + fa * gb
-    return {q: v for q, v in sorted(out.items(), key=lambda kv: kv[0].mask) if v}
+    for a, fa in f.terms.items():
+        for b, gb in g.terms.items():
+            if not a & b:
+                out[a | b] = out.get(a | b, 0) + fa * gb
+    return {q: v for q, v in sorted(out.items()) if v}
 
 
 def same_values(h, want):
     """h holds exactly the values of `want`, in the same (colex) order."""
-    return list(h.coeffs.items()) == list(want.items())
+    return list(h.terms.items()) == list(want.items())
 
 
 def scaled_to_int(r):
     """The integer function r * L, with L the lcm of r's denominators, and L."""
-    scale = lcm(*(v.denominator for v in r.coeffs.values()))
-    return SetFunction(r.n, r.degree, {s: int(v * scale) for s, v in r.coeffs.items()}), scale
+    scale = lcm(*(v.denominator for v in r.terms.values()))
+    return SetFunction(r.n, r.degree, {s: int(v * scale) for s, v in r.terms.items()}), scale
 
 
 def sf(l, deg, terms):
-    return SetFunction(l, deg, {subset(l, ix): v for ix, v in terms.items()})
+    return SetFunction(l, deg, {mask_of(ix): v for ix, v in terms.items()})
 
 
 def random_sf(draw, l, deg):
-    shapes = keys(l, deg)
-    coeffs = {}
-    for s in shapes:
+    terms = {}
+    for s in ksubsets(l, deg):
         v = draw(st.integers(-3, 3))
         if v:
-            coeffs[s] = v
-    return SetFunction(l, deg, coeffs)
+            terms[s] = v
+    return SetFunction(l, deg, terms)
 
 
 def sparse_sf(draw, l, deg):
-    shapes = keys(l, deg)
+    shapes = ksubsets(l, deg)
     chosen = draw(st.sets(st.sampled_from(shapes), max_size=4))
     return SetFunction(l, deg, {s: draw(st.integers(-12, 12)) for s in chosen})
 
 
 def assert_int_values(h):
     """Every stored value is a nonzero int."""
-    assert all(type(v) is int and v for v in h.coeffs.values())
+    assert all(type(v) is int and v for v in h.terms.values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,36 +158,26 @@ def test_operations_return_the_canonical_stored_form(data):
     values = st.integers(-12, 12)
 
     def built(deg):
-        chosen = data.draw(st.sets(st.sampled_from(keys(l, deg)), max_size=6))
+        chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
         terms = {s: data.draw(values) for s in chosen}
         h = SetFunction(l, deg, terms)
         assert_int_values(h)
-        assert h.coeffs == {s: v for s, v in terms.items() if v}
+        assert h.terms == {s: v for s, v in terms.items() if v}
         return h
 
-    f, f2, h = built(dm), built(dm), built(dn)
-
-    total = f + f2
-    assert_int_values(total)
-    want = {s: f.value(s) + f2.value(s) for s in set(f.coeffs) | set(f2.coeffs)}
-    assert total.coeffs == {s: v for s, v in want.items() if v}
-
-    c = data.draw(st.integers(-5, 5))
-    for scaled in (c * f, f * c):
-        assert_int_values(scaled)
-        assert scaled.coeffs == {s: c * v for s, v in f.coeffs.items() if c}
+    f, h = built(dm), built(dn)
 
     oracle = fraction_product(f, h)
     for got in (product(f, h), product_by_splits(f, h)):
         assert_int_values(got)
         assert got.degree == dm + dn
-        assert got.coeffs == oracle
+        assert got.terms == oracle
     assert same_values(product_by_splits(f, h), oracle)
 
-    window = Subset(l, data.draw(st.integers(0, (1 << l) - 1)))
+    window = data.draw(st.integers(0, (1 << l) - 1))
     kept = restrict(f, window)
     assert_int_values(kept)
-    assert kept.coeffs == {s: v for s, v in f.coeffs.items() if s.mask & window.mask == s.mask}
+    assert kept.terms == {s: v for s, v in f.terms.items() if s & window == s}
 
     if not f.is_zero and dm + dn <= l:
         mate = cofactor(f, dn)
@@ -194,23 +189,38 @@ def test_operations_return_the_canonical_stored_form(data):
 @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(2), 1.0, True, False])
 def test_non_int_values_are_refused(value):
     with pytest.raises(TypeError):
-        SetFunction(3, 1, {Subset(3, 1): value})
+        SetFunction(3, 1, {1: value})
+
+
+@pytest.mark.parametrize("n, terms, error", [
+    (3, {Subset(3, 1): 1}, TypeError),
+    (3, {True: 1}, TypeError),
+    (3, {-1: 1}, ValueError),
+    (3, {1 << 3: 1}, ValueError),
+    (64, {1 << 64: 1}, ValueError),
+    (3, {0b11: 1}, ValueError),
+    (MAX_GROUND + 1, {}, ValueError),
+    (-1, {}, ValueError),
+])
+def test_malformed_keys_and_grounds_are_refused(n, terms, error):
+    with pytest.raises(error):
+        SetFunction(n, 1, terms)
 
 
 def test_unit_is_neutral():
     f = sf(4, 2, {(0, 1): 2, (2, 3): -1})
-    assert product(unit(4), f) == f
-    assert product(f, unit(4)) == f
+    assert product(unit(4), f).terms == f.terms
+    assert product(f, unit(4)).terms == f.terms
 
 
 def test_singleton_ones_squares_to_double_counting():
     e = singleton_ones(4)
     ee = product(e, e)
     # every pair arises from exactly two ordered splits
-    for q in keys(4, 2):
+    for q in ksubsets(4, 2):
         assert ee.value(q) == 2
     eee = product(ee, e)
-    for q in keys(4, 3):
+    for q in ksubsets(4, 3):
         assert eee.value(q) == 6
 
 
@@ -218,18 +228,13 @@ def test_zero_coefficients_pruned_and_degree_checked():
     f = sf(3, 1, {(0,): 0, (1,): 1})
     assert len(f.support().sets) == 1
     with pytest.raises(ValueError):
-        SetFunction(3, 1, {subset(3, [0, 1]): 1})
-
-
-def test_addition_requires_matching_degree():
-    with pytest.raises(DegreeMismatchError):
-        sf(3, 1, {(0,): 1}) + sf(3, 2, {(0, 1): 1})
+        SetFunction(3, 1, {mask_of([0, 1]): 1})
 
 
 def test_product_against_split_sum():
     f = sf(5, 1, {(0,): 1, (2,): -2, (4,): 3})
     g = sf(5, 2, {(1, 2): 2, (0, 3): 1})
-    assert product(f, g) == product_by_splits(f, g)
+    assert product(f, g).terms == product_by_splits(f, g).terms
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,8 +246,8 @@ def test_product_commutes_and_matches_oracle(data):
     f = random_sf(data.draw, l, dm)
     g = random_sf(data.draw, l, dn)
     fg = product(f, g)
-    assert fg == product(g, f)
-    assert fg == product_by_splits(f, g)
+    assert fg.terms == product(g, f).terms
+    assert fg.terms == product_by_splits(f, g).terms
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,14 +270,14 @@ def test_integer_products_equal_the_fraction_oracle_times_both_scales(data):
     values = st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool)
 
     def rational(deg):
-        chosen = data.draw(st.sets(st.sampled_from(keys(l, deg)), max_size=6))
+        chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
         return RationalFunction(l, deg, {s: data.draw(values) for s in chosen})
 
     fr, gr = rational(dm), rational(dn)
     (f, scale_f), (g, scale_g) = scaled_to_int(fr), scaled_to_int(gr)
     want = {q: v * scale_f * scale_g for q, v in fraction_product(fr, gr).items()}
     assert same_values(product_by_splits(f, g), want)
-    assert product(f, g).coeffs == want
+    assert product(f, g).terms == want
     assert full_product_by_splits(fr, gr) == fraction_product(fr, gr)
 
 
@@ -295,17 +300,17 @@ def test_split_sum_exact_over_coprime_denominators(data):
 
     def coprime_sf(deg):
         """An integer function scaled from values over distinct large primes."""
-        chosen = data.draw(st.sets(st.sampled_from(keys(l, deg)), max_size=6))
+        chosen = data.draw(st.sets(st.sampled_from(ksubsets(l, deg)), max_size=6))
         r = RationalFunction(l, deg, {s: Fraction(data.draw(numerators), next(dens)) for s in chosen})
         return scaled_to_int(r)[0]
 
     f, g = coprime_sf(dm), coprime_sf(dn)
     got = product_by_splits(f, g)
     assert same_values(got, full_product_by_splits(f, g))
-    assert got == product(f, g)
+    assert got.terms == product(f, g).terms
     scalars = st.integers(-10**9, 10**9)
     c, d = data.draw(scalars), data.draw(scalars)
-    assert product_by_splits(c * f, d * g) == c * d * got
+    assert product_by_splits(scaled(c, f), scaled(d, g)).terms == scaled(c * d, got).terms
 
 
 def test_candidate_split_sum_edge_cases():
@@ -326,7 +331,7 @@ def test_candidate_split_sum_edge_cases():
     for a, b in cases:
         got = product_by_splits(a, b)
         assert same_values(got, full_product_by_splits(a, b))
-        assert got == product(a, b)
+        assert got.terms == product(a, b).terms
     assert not product_by_splits(e, e).is_zero and product_by_splits(e, mate).is_zero
 
 
@@ -337,26 +342,25 @@ def test_product_bilinear(data):
     f1 = random_sf(data.draw, l, 1)
     f2 = random_sf(data.draw, l, 1)
     g = random_sf(data.draw, l, 1)
-    lhs = product(f1 + f2, g)
-    rhs = product(f1, g) + product(f2, g)
-    assert lhs == rhs
+    lhs = product(add(f1, f2), g)
+    rhs = add(product(f1, g), product(f2, g))
+    assert lhs.terms == rhs.terms
 
 
 def test_mult_matrix_agrees_with_product():
     f = sf(4, 1, {(0,): 2, (3,): -1})
     g = sf(4, 1, {(1,): 1, (2,): 5})
     op = mult_matrix(f, 1)
-    vec = [g.value(b) for b in keys(4, 1)]
+    vec = [g.value(b) for b in ksubsets(4, 1)]
     image = [sum(x * y for x, y in zip(row, vec)) for row in op.matrix.nums]
-    assert SetFunction(4, 2, dict(zip(keys(4, 2), image))) == product(f, g)
+    assert SetFunction(4, 2, dict(zip(ksubsets(4, 2), image))).terms == product(f, g).terms
 
 
 def dense_mult_matrix(f, d):
     """Oracle: every cell f(Q minus B) of the dense rows."""
-    by_mask = {s.mask: v for s, v in f.coeffs.items()}
     cols = ksubsets(f.n, d)
     return [
-        [0 if b & ~q else by_mask.get(q ^ b, 0) for b in cols]
+        [0 if b & ~q else f.terms.get(q ^ b, 0) for b in cols]
         for q in ksubsets(f.n, f.degree + d)
     ]
 
@@ -366,7 +370,7 @@ def int_sf_and_source_degree(draw):
     l = draw(st.integers(1, 7))
     deg = draw(st.integers(0, min(3, l)))
     d = draw(st.integers(0, l - deg))
-    shapes = keys(l, deg)
+    shapes = ksubsets(l, deg)
     chosen = draw(st.sets(st.sampled_from(shapes), min_size=1, max_size=min(6, len(shapes))))
     return SetFunction(l, deg, {s: draw(st.integers(-6, 6)) for s in chosen}), d
 
@@ -400,10 +404,10 @@ def test_cofactor_is_the_first_basis_vector(case):
     if not basis:
         assert got is None
         return
-    assert got == SetFunction(f.n, d, dict(zip(keys(f.n, d), basis[0])))
+    assert got.terms == {b: x for b, x in zip(ksubsets(f.n, d), basis[0]) if x}
     # primitive, and positive at its first nonzero set in colex order
-    assert gcd(*got.coeffs.values()) == 1
-    assert got.coeffs[min(got.coeffs, key=lambda s: s.mask)] > 0
+    assert gcd(*got.terms.values()) == 1
+    assert got.terms[min(got.terms)] > 0
 
 
 def test_mult_matrix_of_unit_is_identity():
@@ -467,7 +471,8 @@ def test_same_block_dot_products_stay_nonzero():
 def test_json_round_trip_and_canonical_bytes():
     f = sf(5, 2, {(0, 1): -7, (2, 4): 10**30})
     s = json.dumps(set_function_to_dict(f), sort_keys=True, separators=(",", ":"))
-    assert set_function_from_dict(json.loads(s)) == f
+    back = set_function_from_dict(json.loads(s))
+    assert (back.n, back.degree, back.terms) == (f.n, f.degree, f.terms)
     assert json.dumps(json.loads(s), sort_keys=True, separators=(",", ":")) == s
 
 
@@ -481,7 +486,6 @@ def test_json_rejects_duplicate_terms():
 
 def test_restrict_keeps_only_inside_sets():
     f = sf(4, 2, {(0, 1): 1, (1, 3): 2})
-    w = subset(4, [0, 1, 2])
-    r = restrict(f, w)
-    assert r.value(subset(4, [0, 1])) == 1
-    assert r.value(subset(4, [1, 3])) == 0
+    r = restrict(f, mask_of([0, 1, 2]))
+    assert r.value(mask_of([0, 1])) == 1
+    assert r.value(mask_of([1, 3])) == 0

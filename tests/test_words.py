@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from agealgebra.setfuncs import SetFunction, product
-from agealgebra.subsets import Subset, ksubsets
+from agealgebra.subsets import ksubsets
 from agealgebra.words import (
     HypothesisError,
     LayeredGround,
@@ -74,7 +74,7 @@ def check_invariance(layered, f, g, r):
     if not 0 <= r <= layered.chain_size:
         raise ValueError("r exceeds the chain")
     # Sign colors as +-1, since absent keys read 0; den > 0 keeps each numerator's sign.
-    colorings = [(h.degree, {s.mask: 1 if v > 0 else -1 for s, v in h.coeffs.items()})
+    colorings = [(h.degree, {s: 1 if v > 0 else -1 for s, v in h.terms.items()})
                  for h in (f, g)]
     cols = list(combinations(range(layered.chain_size), r))
     return all(_columns_equivalent(layered, colorings, x, cols[0]) for x in cols[1:])
@@ -223,8 +223,7 @@ def test_subwords_of_two_letter_word():
 def test_code_splits_fixed_part_from_column_traces():
     layered = LayeredGround(2, 2, 3)
     points = [0, flat_of(layered, 0, 0), flat_of(layered, 0, 2), flat_of(layered, 1, 2)]
-    q = Subset(layered.flat_size, sum({1 << x for x in points}))
-    c = code(q.mask, layered)
+    c = code(sum({1 << x for x in points}), layered)
     assert c.f_mask == 0b01
     assert list(c.word) == [0b01, 0b11]
 
@@ -266,14 +265,14 @@ def test_code_classes_partition_subsets_by_code(shape):
     layered = LayeredGround(*shape)
     for degree in range(layered.flat_size + 2):
         classes = code_classes(layered, degree)
-        masks = [s.mask for cls in classes.values() for s in cls]
+        masks = [s for cls in classes.values() for s in cls]
         assert sorted(masks) == ksubsets(layered.flat_size, degree)
-        assert all(cls == sorted(cls, key=lambda s: s.mask) for cls in classes.values())
-        firsts = [cls[0].mask for cls in classes.values()]
+        assert all(cls == sorted(cls) for cls in classes.values())
+        firsts = [cls[0] for cls in classes.values()]
         assert firsts == sorted(firsts)
         # each class sits under its own code, so two subsets share a class
         # exactly when their codes agree
-        assert all(code(s.mask, layered) == c for c, cls in classes.items() for s in cls)
+        assert all(code(s, layered) == c for c, cls in classes.items() for s in cls)
 
 
 def test_invariance_of_blind_colorings_and_a_counterexample():
@@ -284,7 +283,7 @@ def test_invariance_of_blind_colorings_and_a_counterexample():
 
     # color tied to one chosen column: already unequal at single columns
     single = LayeredGround(0, 1, 3)
-    skew = SetFunction(3, 1, {Subset(3, 0b001): 1})
+    skew = SetFunction(3, 1, {0b001: 1})
     assert not check_invariance(single, skew, SetFunction(3, 1, {}), 1)
 
 
@@ -292,7 +291,7 @@ def test_check_invariance_rejects_other_grounds_and_long_r():
     layered = LayeredGround(1, 2, 3)
     f = code_blind_function(layered, 1, seed=0)
     g = code_blind_function(layered, 2, seed=1)
-    other = SetFunction(layered.flat_size + 1, 1, {Subset(layered.flat_size + 1, 1): 1})
+    other = SetFunction(layered.flat_size + 1, 1, {1: 1})
     for a, b in ((other, g), (f, other)):
         with pytest.raises(ValueError, match="not over this layered ground"):
             check_invariance(layered, a, b, 1)
@@ -328,11 +327,11 @@ def test_leading_product_equations_on_blind_pairs():
 
 def sign_flipped(g, index):
     """g with the value on its index-th subset (colex) negated, or set to 1."""
-    coeffs = dict(g.coeffs)
+    terms = dict(g.terms)
     shapes = ksubsets(g.n, g.degree)
-    s = Subset(g.n, shapes[index % len(shapes)])
-    coeffs[s] = -coeffs.get(s, -1)
-    return SetFunction(g.n, g.degree, coeffs)
+    s = shapes[index % len(shapes)]
+    terms[s] = -terms.get(s, -1)
+    return SetFunction(g.n, g.degree, terms)
 
 
 def assert_passing_check_implies_invariance(layered, f, g):
@@ -394,7 +393,7 @@ def test_leading_check_requires_code_constancy():
     f = code_blind_function(layered, 2, seed=1, need_pure_column_support=True)
     g = code_blind_function(layered, 2, seed=2)
     # break g on one subset: same code class, different value
-    broken = dict(sorted(g.coeffs.items(), key=lambda kv: kv[0].mask))
+    broken = dict(sorted(g.terms.items()))
     some = next(iter(broken)) if broken else None
     if some is None:
         pytest.skip("empty support cannot be broken")
