@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .subsets import ksubsets, members
@@ -25,7 +26,12 @@ CANON_CACHE_SIZE = 1 << 14
 
 
 class RelStructure:
-    """A finite base {0..l-1} with one tuple set per signature symbol."""
+    """A finite base {0..l-1} with one tuple set per signature symbol.
+
+    The base size, the arities and the tuple entries must be ints (a bool
+    is not one): anything else raises TypeError before any range check,
+    and nothing is coerced.
+    """
 
     __slots__ = ("base_size", "signature", "relations")
 
@@ -35,27 +41,27 @@ class RelStructure:
         signature: Sequence[int],
         relations: Sequence[Iterable[tuple[int, ...]]],
     ):
+        sig = tuple(signature)
+        rels = [[tuple(t) for t in tuples] for tuples in relations]
+        entries = (x for tuples in rels for t in tuples for x in t)
+        for value in chain((base_size,), sig, entries):
+            if type(value) is not int:
+                raise TypeError(f"{value!r} is not an integer")
         if base_size < 0:
             raise ValueError("base size must be nonnegative")
-        sig = tuple(int(a) for a in signature)
         if any(a < 1 for a in sig):
             raise ValueError("arities must be positive")
-        if len(relations) != len(sig):
+        if len(rels) != len(sig):
             raise ValueError("one tuple set per signature symbol required")
-        rels = []
-        for arity, tuples in zip(sig, relations):
-            clean = set()
+        for arity, tuples in zip(sig, rels):
             for t in tuples:
-                t = tuple(int(x) for x in t)
                 if len(t) != arity:
                     raise ValueError(f"tuple {t} does not match arity {arity}")
                 if any(not 0 <= x < base_size for x in t):
                     raise ValueError(f"tuple {t} leaves the base")
-                clean.add(t)
-            rels.append(frozenset(clean))
         self.base_size = base_size
         self.signature = sig
-        self.relations = tuple(rels)
+        self.relations = tuple(map(frozenset, rels))
 
     def encode(self) -> tuple:
         return tuple(tuple(sorted(rel)) for rel in self.relations)
@@ -75,21 +81,6 @@ class RelStructure:
     def __repr__(self) -> str:
         counts = ",".join(str(len(r)) for r in self.relations)
         return f"RelStructure(base={self.base_size}, sig={self.signature}, tuples=[{counts}])"
-
-
-@dataclass(frozen=True)
-class IsoType:
-    """Canonical encoding of a structure; equal types mean isomorphic structures.
-
-    The encoding is the least relabelled encoding (each relation's tuples,
-    sorted) over the leaves of `canonical_form`'s search tree.  The tree
-    is built without reference to labels, so isomorphic structures have
-    the same leaf encodings.
-    """
-
-    base_size: int
-    signature: tuple[int, ...]
-    encoding: tuple
 
 
 def _occurrences(r: RelStructure) -> list[list[tuple]]:
@@ -151,17 +142,20 @@ def _twins(r: RelStructure, occurrences: list[list[tuple]], colour: list[int]) -
 
 
 @lru_cache(maxsize=CANON_CACHE_SIZE)
-def canonical_form(r: RelStructure) -> IsoType:
-    """Isomorphism type of r; cached, see `canonical_form.cache_info()`.
+def canonical_form(r: RelStructure) -> tuple:
+    """Isomorphism type of r, as (base size, signature, encoding); equal
+    types mean isomorphic structures.  Cached, see
+    `canonical_form.cache_info()`.
 
     Individualization-refinement: a node refines its colouring; a discrete
     one is a leaf, read as the labelling x -> colour[x]; otherwise the node
     branches on its first cell of two or more points, giving each point
     in turn a colour of its own just before its cell-mates.  The tree is
-    built without reference to labels, so the least leaf encoding over it
-    is canonical.  A point whose twin was already tried in the same cell is
-    skipped: the swap fixes the individualized points, so it maps one
-    subtree onto the other with equal encodings.
+    built without reference to labels, so isomorphic structures have the
+    same leaf encodings, and the least one (each relation's relabelled
+    tuples, sorted) is canonical.  A point whose twin was already tried in
+    the same cell is skipped: the swap fixes the individualized points, so
+    it maps one subtree onto the other with equal encodings.
     """
     l = r.base_size
     if l > MAX_CANON_BASE:
@@ -187,10 +181,10 @@ def canonical_form(r: RelStructure) -> IsoType:
                 search([2 * c + (y != x) for y, c in enumerate(colour)])
 
     search([0] * l)
-    return IsoType(l, r.signature, best)
+    return l, r.signature, best
 
 
-def type_classes(r: RelStructure, n: int) -> dict[IsoType, list[int]]:
+def type_classes(r: RelStructure, n: int) -> dict[tuple, list[int]]:
     """The n-subsets grouped by the isomorphism type of their restriction.
 
     Types come in order of first colex occurrence, and each class lists
@@ -202,7 +196,7 @@ def type_classes(r: RelStructure, n: int) -> dict[IsoType, list[int]]:
     if not 0 <= n <= r.base_size:
         raise ValueError("degree out of range")
     tagged = [[(sum({1 << x for x in t}), t) for t in rel] for rel in r.relations]
-    classes: dict[IsoType, list[int]] = {}
+    classes: dict[tuple, list[int]] = {}
     for keep in ksubsets(r.base_size, n):
         index = dict(zip(members(keep), range(n)))
         sub = object.__new__(RelStructure)
@@ -256,22 +250,6 @@ def check_profile_inequalities(r: RelStructure, upto: int | None = None) -> Prof
 
 # JSON input: {base_size, signature, relations}, tuples as index lists.
 
-def _json_int(value) -> int:
-    """value itself when it is a JSON integer (a bool is not one)."""
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
-def structure_from_dict(data: dict) -> RelStructure:
-    """The structure a JSON object describes; the base size, the arities and
-    the tuple entries must be integers."""
-    return RelStructure(
-        _json_int(data["base_size"]),
-        [_json_int(a) for a in data["signature"]],
-        [[tuple(map(_json_int, t)) for t in rel] for rel in data["relations"]],
-    )
-
-
 def structure_from_json(text: str) -> RelStructure:
-    return structure_from_dict(json.loads(text))
+    data = json.loads(text)
+    return RelStructure(data["base_size"], data["signature"], data["relations"])

@@ -100,13 +100,6 @@ def gadget_full_support(n: int) -> SetFunction:
     return g
 
 
-def _embed(f: SetFunction, ground: int, offset: int) -> SetFunction:
-    """Shift a function onto indices [offset, offset + f.n) of a larger ground."""
-    if offset < 0 or offset + f.n > ground:
-        raise ValueError("window does not fit in the ground set")
-    return SetFunction(ground, f.degree, {k << offset: v for k, v in f.terms.items()})
-
-
 def gadget_lower(m: int, n: int) -> WitnessPair:
     """Block direct sum on 2nm points realizing tau = (m+1)(n+1) - 2.
 
@@ -224,9 +217,10 @@ def search_best(
 ) -> WitnessCertificate | None:
     """Best verified certificate (largest transversality) found, or None.
 
-    Strategies: "gadget" embeds the block construction when it fits,
-    "random" draws seeded supports for f and solves for a mate through the
-    multiplication kernel, "all" tries both.
+    Strategies: "gadget" places the block construction on the first 2mn
+    points when they fit the ground, "random" draws seeded supports for f
+    and solves for a mate through the multiplication kernel, "all" tries
+    both.
     """
     if strategy not in ("gadget", "random", "all"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -235,8 +229,8 @@ def search_best(
     candidates: list[WitnessCertificate] = []
     if embeds_gadget(m, n, ground_size, strategy):
         pair = gadget_lower(m, n)
-        f = _embed(pair.f, ground_size, 0)
-        g = _embed(pair.g, ground_size, 0)
+        f = SetFunction(ground_size, m, pair.f.terms)
+        g = SetFunction(ground_size, n, pair.g.terms)
         candidates.append(verify(WitnessPair(f, g)))
     if strategy in ("random", "all"):
         rng = random.Random(seed)

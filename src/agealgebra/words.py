@@ -29,14 +29,18 @@ def letter_key(mask: int) -> tuple[int, int]:
 
 
 class Word:
-    """Sequence of letters; each letter a nonempty bitmask over V."""
+    """Sequence of letters; each letter a nonempty bitmask over V, held as
+    an `int` (a `bool` is not one)."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        ls = tuple(int(x) for x in letters)
-        if any(x <= 0 for x in ls):
-            raise ValueError("letters must be nonempty masks")
+        ls = tuple(letters)
+        for x in ls:
+            if type(x) is not int:
+                raise TypeError(f"letter {x!r} is {type(x).__name__}, not an int mask")
+            if x <= 0:
+                raise ValueError("letters must be nonempty masks")
         self.letters = ls
 
     def __len__(self) -> int:
@@ -67,7 +71,11 @@ class Word:
 def shuffle(u: Word, positions: Iterable[int], v: Word) -> Word:
     """The word of length |u|+|v| carrying u at the given positions, in
     order, and v at the remaining positions."""
-    pos = sorted(set(int(p) for p in positions))
+    pos = list(positions)
+    for p in pos:
+        if type(p) is not int:
+            raise TypeError(f"position {p!r} is {type(p).__name__}, not an int")
+    pos = sorted(set(pos))
     total = len(u) + len(v)
     if len(pos) != len(u):
         raise ValueError("position count must equal |u|")

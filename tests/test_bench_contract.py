@@ -4,6 +4,9 @@
 `getattr`, and its counters read `.rows`/`.cols` of the matrices those
 functions take or return and `.mask` off the keys of `SetFunction.coeffs`,
 the `Subset`-keyed view of a function's int-mask `terms`.
+`Tracer.canonical_key_counter` reads `base_size`, `signature` and
+`encode()` off every structure `canonical_form` takes, the restrictions
+that `type_classes` builds with `object.__new__` included.
 `bench/workloads.py` builds `SetFamily`/`Subset` families for `tau` and
 reads `.mask` off its witness.  These tests fail when a rename, deletion or
 key change in the library would break `bench/run.py`, traced or not; they
@@ -16,7 +19,9 @@ import os
 import sys
 from collections import Counter
 
+from agealgebra import relational
 from agealgebra.linalg import IntMatrix, matmul, nullspace_basis, rank
+from agealgebra.relational import RelStructure, type_classes
 from agealgebra.setfuncs import mult_matrix, product, product_by_splits, singleton_ones
 from agealgebra.witnesses import gadget_lower
 
@@ -63,6 +68,21 @@ def test_product_counters_read_the_keys_of_a_real_pair():
     for f in (pair.f, pair.g):
         assert {s.mask: v for s, v in f.coeffs.items()} == f.terms
         assert f.support().masks() == sorted(f.terms)
+
+
+def test_canonical_key_counter_reads_the_restrictions_of_a_real_structure(monkeypatch):
+    spans = load_bench("spans")
+    tracer = spans.Tracer()
+    wrapped = tracer.wrap("relational.canonical_form", relational.canonical_form,
+                          tracer.canonical_key_counter)
+    monkeypatch.setattr(relational, "canonical_form", wrapped)
+    # The path 0-1-2-3-4 with the chord 1-3, as in CI's reproducibility step.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]
+    g = RelStructure(5, (2,), [[t for a, b in edges for t in ((a, b), (b, a))]])
+    assert [len(type_classes(g, n)) for n in range(6)] == [1, 1, 2, 4, 3, 1]
+    st = tracer.stats["relational.canonical_form"]
+    # 32 restrictions, 15 of them distinct as labelled structures.
+    assert (st["calls"], st["distinct"], st["hits"]) == (32, 15, 17)
 
 
 def test_tau_op_checks_a_real_witness():

@@ -13,7 +13,6 @@ from agealgebra import relational
 from agealgebra.cli import run
 from agealgebra.linalg import IntMatrix, kernel_vector
 from agealgebra.relational import (
-    IsoType,
     RelStructure,
     canonical_form,
     check_profile_inequalities,
@@ -340,6 +339,27 @@ def test_tuple_entries_validated():
         RelStructure(3, (2,), [[(0, 3)]])
     with pytest.raises(ValueError):
         RelStructure(3, (0,), [[]])
+
+
+@pytest.mark.parametrize(
+    "base_size, signature, relations, bad",
+    [
+        (3.9, (2,), [[(0, 1)]], "3.9"),
+        (True, (1,), [[]], "True"),
+        (3, ("2",), [[(0, 1)]], "'2'"),
+        (3, (2.9,), [[(0, 1)]], "2.9"),
+        (3, (2,), [[(0, 1.7)]], "1.7"),
+        (3, (2,), [[(True, 2)]], "True"),
+        (3.9, ["2"], [[(0, 1.7), (True, 2)]], "3.9"),
+        (-1, (2,), [[(0, 0.5)]], "0.5"),
+    ],
+    ids=["float base", "bool base", "string arity", "float arity", "float entry",
+         "bool entry", "every kind, base first", "type before range"],
+)
+def test_non_int_sizes_arities_and_entries_are_refused(base_size, signature, relations, bad):
+    with pytest.raises(TypeError) as exc:
+        RelStructure(base_size, signature, relations)
+    assert str(exc.value) == f"{bad} is not an integer"
 
 
 def test_isomorphism_detects_relabelings():

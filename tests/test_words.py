@@ -133,6 +133,18 @@ def test_letters_must_be_nonempty():
         Word([3, -1])
 
 
+@pytest.mark.parametrize("letters", [[1.9], ["3"], [True], [1, 2.0]])
+def test_letters_must_be_ints(letters):
+    with pytest.raises(TypeError, match="not an int mask"):
+        Word(letters)
+
+
+@pytest.mark.parametrize("position", [0.9, "0", True])
+def test_shuffle_positions_must_be_ints(position):
+    with pytest.raises(TypeError, match="not an int"):
+        shuffle(Word([1]), [position], Word([2]))
+
+
 def test_radix_order_prefers_length_then_alphabet():
     assert Word([3]) < Word([1, 1])
     assert not Word([1, 2]) < Word([1, 2]) and Word([1, 2]) == Word([1, 2])
