@@ -20,7 +20,7 @@ from math import comb
 
 from .hitting import is_minimal_transversal
 from .incidence import check_commutation, verify_kantor
-from .relational import MAX_CANON_BASE, check_profile_inequalities, structure_from_json
+from .relational import MAX_CANON_BASE, RelStructure, check_profile_inequalities
 from .setfuncs import SetFunction, singleton_ones
 from .subsets import MAX_GROUND, members
 from .witnesses import (
@@ -202,17 +202,24 @@ def _cmd_profile(args):
     _require(args.max_n is None or args.max_n >= 0, "profile needs --max-n >= 0")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            structure = structure_from_json(fh.read())
+            data = json.loads(fh.read())
+        ell, signature, relations = data["base_size"], data["signature"], data["relations"]
+        # The cap reads only these sizes, so an over-cap file is refused
+        # before any tuple is built; RelStructure checks the rest.
+        if type(ell) is not int:
+            raise TypeError(f"{ell!r} is not an integer")
+        if not all(type(x) is list for x in (signature, relations, *relations)):
+            raise TypeError("signature, relations and each relation must be lists")
+        _require(ell <= MAX_CANON_BASE, f"profile needs a base of at most {MAX_CANON_BASE} points")
+        upto = ell if args.max_n is None else min(args.max_n, ell)
+        scans = sum(comb(ell, n) for n in range(upto + 1)) * (
+            len(signature) + sum(map(len, relations)))
+        _cap(scans, MAX_PROFILE_SCANS, "profile would scan {:,} relations and tuples")
+        structure = RelStructure(ell, signature, relations)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as ex:
         raise UsageError(
             f"cannot read a structure from {args.input}: {type(ex).__name__}: {ex}"
         ) from None
-    ell = structure.base_size
-    _require(ell <= MAX_CANON_BASE, f"profile needs a base of at most {MAX_CANON_BASE} points")
-    upto = ell if args.max_n is None else min(args.max_n, ell)
-    scans = sum(comb(ell, n) for n in range(upto + 1)) * (
-        len(structure.signature) + sum(map(len, structure.relations)))
-    _cap(scans, MAX_PROFILE_SCANS, "profile would scan {:,} relations and tuples")
     report = check_profile_inequalities(structure, upto)
     yield f"profile values for degrees 0..{upto}", report.values, report.values
     for chk in report.checks:

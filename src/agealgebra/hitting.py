@@ -2,14 +2,15 @@
 
 Branch and bound over bitsets.  The distinct members are sorted once, by
 size then colex, and occ[e], the int of the indices of the members that
-contain element e, comes from one bit transpose of all of them.  The AND of
-occ[e] over the elements of a member is every member containing it, so the
-members that contain another are dropped column by column, leaving the
-minimal ones.  The uncovered members are one int, and choosing e leaves
-`uncovered & ~occ[e]`.  Each member's count of allowed (unbanned) elements
-is kept in unary: below[k] holds the members with fewer than k, and banning
-e moves the members of occ[e] down one count, so the members with no,
-exactly one and fewest allowed elements are each an AND or two.  A node
+contain element e, comes from one bit transpose of all of them
+(`subsets.columns`).  The AND of occ[e] over the elements of a member is
+every member containing it, so the members that contain another are dropped
+column by column, leaving the minimal ones.  The uncovered members are one
+int, and choosing e leaves `uncovered & ~occ[e]`.  Each member's count of
+allowed (unbanned) elements is kept in unary: below[k] holds the members
+with fewer than k, and banning e moves the members of occ[e] down one count,
+so the members with no, exactly one and fewest allowed elements are each an
+AND or two.  A node
 branches on the uncovered member with the fewest allowed elements that has
 the lowest index (the lowest index of the first nonempty uncovered &
 below[k]).  It tries that member's allowed elements busiest first: by
@@ -53,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, groupby
 
-from .subsets import SetFamily, Subset, members
+from .subsets import SetFamily, Subset, columns, members
 
 
 class NoTransversalError(ValueError):
@@ -80,21 +81,6 @@ def is_minimal_transversal(mask: int, masks: list[int]) -> bool:
     )
 
 
-def _columns(masks: list[int], n: int) -> list[int]:
-    """occ[e] for each e < n: the int of the indices of the members holding e.
-
-    One bit transpose.  Packed w bits apiece into one int, the members print
-    as a single binary string in which member i's bit e is the character at
-    (len(masks) - 1 - i) * w + w - 1 - e, so the stride-w slice from w - 1 - e
-    spells occ[e] from its top bit down.
-    """
-    w = -(-n // 8)
-    packed = int.from_bytes(b"".join([m.to_bytes(w, "little") for m in masks]), "little")
-    digits = format(packed, f"0{len(masks) * w * 8}b")
-    w *= 8
-    return [int(digits[w - 1 - e :: w], 2) for e in range(n)]
-
-
 def _minimal(masks: list[int], n: int) -> tuple[list[int], list[int]]:
     """The minimal members, by size then colex, and their occ columns.
 
@@ -105,7 +91,7 @@ def _minimal(masks: list[int], n: int) -> tuple[list[int], list[int]]:
     """
     masks = sorted(set(masks))
     masks.sort(key=int.bit_count)
-    occ = _columns(masks, n)
+    occ = columns(masks, n)
     top = masks[-1].bit_count() if masks else 0
     everyone = (1 << len(masks)) - 1
     dropped = 0
@@ -119,7 +105,7 @@ def _minimal(masks: list[int], n: int) -> tuple[list[int], list[int]]:
     if not dropped:
         return masks, occ
     masks = [m for j, m in enumerate(masks) if not dropped >> j & 1]
-    return masks, _columns(masks, n)
+    return masks, columns(masks, n)
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")

@@ -13,7 +13,6 @@ of its n-point restrictions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -246,10 +245,3 @@ def check_profile_inequalities(r: RelStructure, upto: int | None = None) -> Prof
                 {"kind": "monotone", "n": n, "m": m, "lhs": lhs, "rhs": rhs, "pass": lhs <= rhs}
             )
     return ProfileReport(values, checks)
-
-
-# JSON input: {base_size, signature, relations}, tuples as index lists.
-
-def structure_from_json(text: str) -> RelStructure:
-    data = json.loads(text)
-    return RelStructure(data["base_size"], data["signature"], data["relations"])

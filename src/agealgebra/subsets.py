@@ -5,8 +5,10 @@ integer bitmask, so the colexicographic order on k-subsets is plain
 integer comparison of masks and enumeration in that order is Gosper's hack;
 `ksubsets` lists the masks.
 Set operations are int operations on masks, and `members` lists a mask's
-elements.  `Subset` (a ground size and a mask) and `SetFamily` (distinct
-Subsets in colex order) are records that carry `tau`'s family and witness.
+elements.  `columns` transposes a list of masks into one int per element,
+the bit index that `hitting` and the split sums of `setfuncs` search.
+`Subset` (a ground size and a mask) and `SetFamily` (distinct Subsets in
+colex order) are records that carry `tau`'s family and witness.
 """
 
 from __future__ import annotations
@@ -72,12 +74,31 @@ def ksubsets(ground_size: int, k: int) -> list[int]:
     return out
 
 
+def columns(masks: list[int], n: int) -> list[int]:
+    """occ[e] for each e < n: the int of the indices of the members holding e.
+
+    One bit transpose.  Packed w bits apiece into one int, the members print
+    as a single binary string in which member i's bit e is the character at
+    (len(masks) - 1 - i) * w + w - 1 - e, so the stride-w slice from w - 1 - e
+    spells occ[e] from its top bit down.
+    """
+    if not masks:
+        return [0] * n
+    w = -(-n // 8)
+    packed = int.from_bytes(b"".join([m.to_bytes(w, "little") for m in masks]), "little")
+    digits = format(packed, f"0{len(masks) * w * 8}b")
+    w *= 8
+    return [int(digits[w - 1 - e :: w], 2) for e in range(n)]
+
+
 def splits(qmask: int, m: int) -> list[tuple[int, int]]:
     """All ordered splits of the set with mask qmask into (P, Q minus P)
     with |P| = m, as masks.
 
     Returns all C(|Q|, m) pairs; the second mask is the exact complement
-    of the first inside Q.
+    of the first inside Q.  No library code calls it: it is the tests'
+    split oracle, kept in this module only because the benchmark's tracer
+    wraps `subsets.splits` by name, until ROADMAP item 1 drops that layer.
     """
     if qmask < 0:
         raise ValueError(f"mask {qmask} is negative")

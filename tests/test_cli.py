@@ -411,8 +411,10 @@ def _empty_relations(count):
         (_empty_relations(20_000), "5,120,000"),
         ({"base_size": 8, "signature": [8], "relations": [list(permutations(range(8)))]},
          "10,322,176"),
+        ({"base_size": 8, "signature": [8], "relations": [[[0] * 8] * 10_000]}, "2,560,256"),
     ],
-    ids=["100k empty relations", "20k empty relations", "all permutations of 8"],
+    ids=["100k empty relations", "20k empty relations", "all permutations of 8",
+         "10k 8-ary tuples"],
 )
 def test_profile_scan_cap_rejects_from_the_estimate(structure, scans, tmp_path, monkeypatch,
                                                     capsys):
@@ -421,7 +423,11 @@ def test_profile_scan_cap_rejects_from_the_estimate(structure, scans, tmp_path, 
     def unreachable(*args):
         raise AssertionError("computed a profile past the cap")
 
+    def unbuilt(*args):
+        raise AssertionError("built a structure past the cap")
+
     monkeypatch.setattr(cli, "check_profile_inequalities", unreachable)
+    monkeypatch.setattr(cli, "RelStructure", unbuilt)
     path = tmp_path / "structure.json"
     path.write_text(json.dumps(structure))
     start = time.perf_counter()

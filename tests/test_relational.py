@@ -17,7 +17,6 @@ from agealgebra.relational import (
     canonical_form,
     check_profile_inequalities,
     profile,
-    structure_from_json,
     type_classes,
 )
 from agealgebra.setfuncs import SetFunction, product, singleton_ones
@@ -649,4 +648,4 @@ def test_random_ternary_structures_satisfy_growth_laws():
 def test_structure_json_round_trip():
     g = c4()
     blob = json.dumps(structure_to_dict(g))
-    assert structure_from_json(blob) == g
+    assert RelStructure(**json.loads(blob)) == g

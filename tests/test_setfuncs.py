@@ -2,10 +2,11 @@
 
 The product is checked two ways throughout: the support-pair sum and the
 defining sum over ordered splits of each target set.  The library evaluates
-that sum only on unions of disjoint support members; the full enumeration
-of every (m+n)-subset below is its oracle.  The library holds integers
-only; the oracles also take `Fraction` values, which reach the library
-scaled by the lcm of their denominators.
+that sum only on unions of disjoint support members, and there only over
+the members of the smaller support inside each; the full enumeration of
+every split of every (m+n)-subset below is its oracle.  The library holds
+integers only; the oracles also take `Fraction` values, which reach the
+library scaled by the lcm of their denominators.
 """
 
 import json
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agealgebra.linalg import nullspace_basis
 from agealgebra.setfuncs import (
@@ -27,6 +28,7 @@ from agealgebra.setfuncs import (
     singleton_ones,
 )
 from agealgebra.subsets import MAX_GROUND, Subset, ksubsets, members, splits
+from agealgebra.witnesses import NotAZeroDivisorPairError, WitnessPair, gadget_lower, verify
 
 
 def unit(ground_size):
@@ -333,6 +335,49 @@ def test_candidate_split_sum_edge_cases():
         assert same_values(got, full_product_by_splits(a, b))
         assert got.terms == product(a, b).terms
     assert not product_by_splits(e, e).is_zero and product_by_splits(e, mate).is_zero
+
+
+@st.composite
+def factors_across_bytes(draw):
+    """Two functions on a ground of 7, 8, 9, 16, 17 or 64 points, whose
+    members may straddle the byte boundaries of the index; the degrees stay
+    small enough for the full oracle to list every (m+n)-subset."""
+    l = draw(st.sampled_from([7, 8, 9, 16, 17, 64]))
+    top = 2 if l == 64 else 4 if l > 9 else 5
+    dm = draw(st.integers(0, top))
+    dn = draw(st.integers(0, top - dm))
+
+    def factor(deg):
+        sets = draw(st.lists(st.sets(st.integers(0, l - 1), min_size=deg, max_size=deg),
+                             max_size=8))
+        return SetFunction(l, deg, {mask_of(s): draw(st.integers(-5, 5)) for s in sets})
+
+    return factor(dm), factor(dn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors_across_bytes())
+@example((unit(9), sf(9, 2, {(0, 8): 3, (7, 8): -1})))  # key 0 lies inside every Q
+@example((SetFunction(17, 2, {}), sf(17, 1, {(16,): 1})))  # an empty support
+@example((sf(17, 1, {(7,): 2, (8,): 1}), sf(17, 2, {(8, 16): 1, (0, 7): -1})))  # equal sizes
+@example((sf(64, 1, {(63,): 1, (7,): -2}), sf(64, 1, {(8,): 1, (56,): 3, (0,): 5})))
+def test_indexed_split_sum_matches_every_split(pair):
+    f, g = pair
+    # Both orders, so whichever support is smaller is indexed once as f
+    # and once as g.
+    for a, b in ((f, g), (g, f)):
+        assert same_values(product_by_splits(a, b), full_product_by_splits(a, b))
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 2), (4, 1)])
+def test_gadget_with_one_perturbed_g_value_fails_verify_as_the_oracle_says(m, n):
+    pair = gadget_lower(m, n)
+    for key, v in pair.g.terms.items():
+        g = SetFunction(pair.g.n, n, {**pair.g.terms, key: v + 1})
+        want = full_product_by_splits(pair.f, g)
+        with pytest.raises(NotAZeroDivisorPairError) as exc:
+            verify(WitnessPair(pair.f, g))
+        assert (exc.value.offending, exc.value.value) == (min(want), want[min(want)])
 
 
 @settings(max_examples=40, deadline=None)
