@@ -198,6 +198,24 @@ def _cmd_bound(args):
         yield "exact value (linear case)", 2 * hi, exact
 
 
+def _more_distinct_tuples(relations: list, room: int) -> bool:
+    """Whether the relations hold more than `room` distinct tuples in all.
+
+    Stops at the first tuple past `room`, so it builds at most room + 1.
+    """
+    if room < 0:
+        return True
+    for rel in relations:
+        seen = set()
+        for t in map(tuple, rel):
+            if t not in seen:
+                seen.add(t)
+                room -= 1
+                if room < 0:
+                    return True
+    return False
+
+
 def _cmd_profile(args):
     _require(args.max_n is None or args.max_n >= 0, "profile needs --max-n >= 0")
     try:
@@ -205,16 +223,21 @@ def _cmd_profile(args):
             data = json.loads(fh.read())
         ell, signature, relations = data["base_size"], data["signature"], data["relations"]
         # The cap reads only these sizes, so an over-cap file is refused
-        # before any tuple is built; RelStructure checks the rest.
+        # before the structure is built; RelStructure checks the rest.
         if type(ell) is not int:
             raise TypeError(f"{ell!r} is not an integer")
         if not all(type(x) is list for x in (signature, relations, *relations)):
             raise TypeError("signature, relations and each relation must be lists")
         _require(ell <= MAX_CANON_BASE, f"profile needs a base of at most {MAX_CANON_BASE} points")
         upto = ell if args.max_n is None else min(args.max_n, ell)
-        scans = sum(comb(ell, n) for n in range(upto + 1)) * (
-            len(signature) + sum(map(len, relations)))
-        _cap(scans, MAX_PROFILE_SCANS, "profile would scan {:,} relations and tuples")
+        restrictions = sum(comb(ell, n) for n in range(upto + 1))
+        scans = restrictions * (len(signature) + sum(map(len, relations)))
+        # A tuple listed twice is scanned once, so a listing over the cap is
+        # refused only if its distinct tuples are over it too.
+        room = MAX_PROFILE_SCANS // restrictions - len(signature)
+        _require(scans <= MAX_PROFILE_SCANS or not _more_distinct_tuples(relations, room),
+                 f"profile would scan up to {scans:,} relations and tuples,"
+                 f" above the cap of {MAX_PROFILE_SCANS:,}")
         structure = RelStructure(ell, signature, relations)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as ex:
         raise UsageError(

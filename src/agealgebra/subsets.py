@@ -96,9 +96,9 @@ def splits(qmask: int, m: int) -> list[tuple[int, int]]:
     with |P| = m, as masks.
 
     Returns all C(|Q|, m) pairs; the second mask is the exact complement
-    of the first inside Q.  No library code calls it: it is the tests'
-    split oracle, kept in this module only because the benchmark's tracer
-    wraps `subsets.splits` by name, until ROADMAP item 1 drops that layer.
+    of the first inside Q.  `setfuncs.product_by_splits` lists the splits
+    of products too small for its index this way, and the tests' oracle
+    lists every split of every set.
     """
     if qmask < 0:
         raise ValueError(f"mask {qmask} is negative")

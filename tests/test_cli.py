@@ -411,10 +411,11 @@ def _empty_relations(count):
         (_empty_relations(20_000), "5,120,000"),
         ({"base_size": 8, "signature": [8], "relations": [list(permutations(range(8)))]},
          "10,322,176"),
-        ({"base_size": 8, "signature": [8], "relations": [[[0] * 8] * 10_000]}, "2,560,256"),
+        ({"base_size": 8, "signature": [8],
+          "relations": [list(permutations(range(8))) * 2]}, "20,644,096"),
     ],
     ids=["100k empty relations", "20k empty relations", "all permutations of 8",
-         "10k 8-ary tuples"],
+         "all permutations of 8, twice"],
 )
 def test_profile_scan_cap_rejects_from_the_estimate(structure, scans, tmp_path, monkeypatch,
                                                     capsys):
@@ -452,6 +453,8 @@ def test_profile_scan_cap_admits_small_structures(tmp_path, monkeypatch):
         {"base_size": 8, "signature": [4], "relations": [every_4_tuple]},
         structure_to_dict(_random_graph(8, 5)),
         _empty_relations(7_000),
+        # 2,560,256 listed, but one distinct tuple: 512 scans.
+        {"base_size": 8, "signature": [8], "relations": [[[0] * 8] * 10_000]},
     ]
     for i, structure in enumerate(structures):
         path = tmp_path / f"structure{i}.json"

@@ -14,10 +14,12 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from agealgebra import setfuncs
 from agealgebra.linalg import nullspace_basis
 from agealgebra.setfuncs import (
     SetFunction,
@@ -28,7 +30,13 @@ from agealgebra.setfuncs import (
     singleton_ones,
 )
 from agealgebra.subsets import MAX_GROUND, Subset, ksubsets, members, splits
-from agealgebra.witnesses import NotAZeroDivisorPairError, WitnessPair, gadget_lower, verify
+from agealgebra.witnesses import (
+    NotAZeroDivisorPairError,
+    WitnessPair,
+    gadget_lower,
+    gadget_tau1n,
+    verify,
+)
 
 
 def unit(ground_size):
@@ -364,9 +372,28 @@ def factors_across_bytes(draw):
 def test_indexed_split_sum_matches_every_split(pair):
     f, g = pair
     # Both orders, so whichever support is smaller is indexed once as f
-    # and once as g.
-    for a, b in ((f, g), (g, f)):
-        assert same_values(product_by_splits(a, b), full_product_by_splits(a, b))
+    # and once as g; and with the index forced, so that products with few
+    # splits, which are listed by default, reach it too.
+    for few in (setfuncs.FEW_SPLITS, -1):
+        with mock.patch.object(setfuncs, "FEW_SPLITS", few):
+            for a, b in ((f, g), (g, f)):
+                assert same_values(product_by_splits(a, b), full_product_by_splits(a, b))
+
+
+@pytest.mark.parametrize("n, lists", [(2, True), (4, True), (6, False), (8, False)])
+def test_only_products_with_few_splits_are_listed(n, lists, monkeypatch):
+    # tau1n's pair on n points: f has n singletons, g holds a point from
+    # each of n/2 pairs, and every candidate set holds n/2 + 1 splits.
+    pair = gadget_tau1n(n // 2)
+    listed = []
+
+    def counting(q, m):
+        listed.append(q)
+        return splits(q, m)
+
+    monkeypatch.setattr(setfuncs, "splits", counting)
+    got = product_by_splits(pair.f, pair.g)
+    assert got.is_zero and bool(listed) == lists
 
 
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 2), (4, 1)])
