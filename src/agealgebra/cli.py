@@ -56,13 +56,19 @@ MAX_KANTOR_CELLS = 500_000
 MAX_COMMUTATION_CELLS = 1_000_000
 # Largest cells of the random multiplication matrices `search` solves, plus
 # its embedded gadget's support pairs: `--m 1 --n 3 --l 16` needs 8,153,720
-# and takes 2-3 s.
+# and takes about 0.14 s as a process (2-core Xeon, Python 3.11).
 MAX_SEARCH_CELLS = 10_000_000
 # Largest (restrictions) · (symbols + tuples) that `profile` scans: every
 # restriction of at most --max-n points reads each relation and each tuple.
 # On a 2-core Xeon, all 4-tuples on 8 points (1,048,832) take under 1 s,
 # and 20,000 empty relations on 8 points (5,120,000) would take 7 s.
 MAX_PROFILE_SCANS = 2_000_000
+# Largest `profile --input` file, checked before it is parsed (parsing 10 MB
+# takes 0.6-0.8 s and 77 MB).  On 8 points at --max-n 1 or more, the scan
+# cap admits at most 222,221 distinct tuples; as 8-tuples, json.dumps writes
+# them in 5,777,797 bytes.  So the cap refuses no such structure whose
+# tuples have at most 8 entries and are listed once each.
+MAX_PROFILE_BYTES = 6_000_000
 
 
 class UsageError(Exception):
@@ -100,7 +106,12 @@ def _gadget_pairs(m: int, n: int) -> int:
 
 def _search_cells(m: int, n: int, ell: int, strategy: str) -> int:
     """Cells of the random multiplication matrices `search` solves, plus its
-    embedded gadget's support pairs when it builds that gadget."""
+    embedded gadget's support pairs when it builds that gadget.
+
+    It counts each full matrix, C(l, m+n) x C(l, n).  `cofactor` solves
+    only the blocks of one over the points of f's support, so this is an
+    upper bound on the cells it fills.
+    """
     cells = RANDOM_DRAWS * comb(ell, m + n) * comb(ell, n) if strategy != "gadget" else 0
     if embeds_gadget(m, n, ell, strategy):
         cells += _gadget_pairs(m, n)
@@ -220,7 +231,11 @@ def _cmd_profile(args):
     _require(args.max_n is None or args.max_n >= 0, "profile needs --max-n >= 0")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.loads(fh.read())
+            _cap(os.fstat(fh.fileno()).st_size, MAX_PROFILE_BYTES,
+                 "profile --input holds {:,} bytes")
+            # A pipe reports no size, so the read stops one character past
+            # the cap; JSON cut short there fails to parse.
+            data = json.loads(fh.read(MAX_PROFILE_BYTES + 1))
         ell, signature, relations = data["base_size"], data["signature"], data["relations"]
         # The cap reads only these sizes, so an over-cap file is refused
         # before the structure is built; RelStructure checks the rest.

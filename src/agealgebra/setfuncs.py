@@ -14,7 +14,9 @@ support is a member of it, found through a bit-sliced containment index;
 every split it skips has a zero factor.  A product with only a few splits
 in all lists them outright, which is cheaper than building the index.
 The two routes are cross-checked in the tests, against an oracle that
-lists every split, and the second backs witness checks.
+lists every split, and the second backs witness checks.  `cofactor` finds
+a mate as the kernel vector of the multiplication matrix, solved block by
+block over the points of f's support.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import comb
 from typing import Mapping
 
 from .linalg import IntMatrix, kernel_vector
-from .subsets import MAX_GROUND, SetFamily, Subset, columns, ksubsets, splits
+from .subsets import MAX_GROUND, SetFamily, Subset, columns, ksubsets, members, splits
 
 # Up to this many splits in all, `product_by_splits` lists them: on random
 # products of 2-9 points, listing took a median 0.4-0.8 times the index's time up to
@@ -206,16 +208,63 @@ def mult_matrix(f: SetFunction, source_degree: int) -> MultOperator:
 def cofactor(f: SetFunction, degree: int) -> SetFunction | None:
     """A nonzero degree-`degree` g with f * g = 0, or None if none exists.
 
-    g is the primitive kernel vector of the multiplication matrix, positive
-    at its first nonzero set in colex order; the product is re-checked
-    before returning.
+    g is `kernel_vector(mult_matrix(f, degree).matrix)`: the primitive
+    kernel vector of the multiplication matrix M, positive at its first
+    nonzero set in colex order.  It is solved block by block.  Let S be
+    the union of f's support, s = |S|, and f_S the function f relabelled
+    onto S's points in increasing order.  M[Q][B] = f(Q minus B) is
+    nonzero only when Q minus S = B minus S, so M is block diagonal by
+    O = B minus S.  The block of O is `mult_matrix(f_S, d)` with
+    d = degree - |O|, its columns in their order in M.  A column of M is
+    free exactly when it is free in its block, and which columns of a
+    block are free depends on d only.  The block's first free column is
+    the last nonzero entry T_d of its kernel vector, or the lowest d
+    points of S when deg f + d > s leaves the block without rows.  So M's
+    first free column is the least O_d | T_d, with O_d the lowest
+    degree - d points outside S.  M's kernel vector is the one kernel
+    vector (up to scale) that is zero past that column, and the block's
+    vector placed on O_d is one, so the two are equal.  The product is
+    re-checked before returning, which checks this argument.
     """
     if f.is_zero:
         raise ValueError("zero function has every cofactor")
-    vec = kernel_vector(mult_matrix(f, degree).matrix)
-    if vec is None:
+    if degree < 0:
+        raise ValueError("source degree must be nonnegative")
+    if f.degree + degree > f.n:
+        raise ValueError("target degree exceeds ground set")
+    inside = 0
+    for am in f.terms:
+        inside |= am
+    points = members(inside)
+    outside = members(((1 << f.n) - 1) ^ inside)
+    s = len(points)
+
+    def lift(t: int) -> int:
+        """The mask on the ground of the mask t on S."""
+        return sum(1 << points[i] for i in members(t))
+
+    place = {p: 1 << i for i, p in enumerate(points)}
+    f_s = SetFunction(s, f.degree, {sum(place[p] for p in members(am)): v
+                                    for am, v in f.terms.items()})
+    best = None
+    for d in range(max(0, degree - len(outside)), min(degree, s) + 1):
+        if f.degree + d > s:
+            cols, vec = [(1 << d) - 1], [1]
+        else:
+            vec = kernel_vector(mult_matrix(f_s, d).matrix)
+            if vec is None:
+                continue
+            while not vec[-1]:
+                vec.pop()
+            cols = ksubsets(s, d)[: len(vec)]
+        o = sum(1 << p for p in outside[: degree - d])
+        first = o | lift(cols[-1])
+        if best is None or first < best[0]:
+            best = first, o, cols, vec
+    if best is None:
         return None
-    g = SetFunction(f.n, degree, {b: x for b, x in zip(ksubsets(f.n, degree), vec) if x})
+    _, o, cols, vec = best
+    g = SetFunction(f.n, degree, {o | lift(t): x for t, x in zip(cols, vec) if x})
     if not product(f, g).is_zero:
         raise AssertionError("kernel vector is not a cofactor")
     return g

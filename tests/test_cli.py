@@ -469,6 +469,38 @@ def test_profile_scan_cap_admits_small_structures(tmp_path, monkeypatch):
     assert code == 1 and rep["results"][-1]["computed"] == "RuntimeError: admitted"
 
 
+def test_profile_byte_cap_refuses_before_parsing(tmp_path, monkeypatch, capsys):
+    from agealgebra import cli
+
+    def unparsed(*args, **kwargs):
+        raise AssertionError("parsed a file past the cap")
+
+    # A valid one-point structure, padded one byte past the cap.
+    text = json.dumps({"base_size": 1, "signature": [], "relations": []})
+    path = tmp_path / "padded.json"
+    path.write_text(text + " " * (cli.MAX_PROFILE_BYTES + 1 - len(text)))
+    monkeypatch.setattr(cli.json, "loads", unparsed)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(["profile", "--input", str(path)])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "holds 6,000,001 bytes, above the cap of 6,000,000" in err
+
+
+def test_profile_byte_cap_fits_the_largest_scan_admitted_structure():
+    from agealgebra import cli
+
+    # At --max-n 1 an 8-point structure has 1 + 8 restrictions, each scanning
+    # the one relation and its tuples: 222,221 tuples is the most admitted.
+    most = cli.MAX_PROFILE_SCANS // 9 - 1
+    assert 9 * (1 + most) <= cli.MAX_PROFILE_SCANS < 9 * (2 + most)
+    tuples = [[x >> 3 * i & 7 for i in range(8)] for x in range(most)]
+    text = json.dumps({"base_size": 8, "signature": [8], "relations": [tuples]})
+    assert len(text) == 5_777_797 <= cli.MAX_PROFILE_BYTES
+
+
 @pytest.mark.parametrize(
     "argv, pairs",
     [

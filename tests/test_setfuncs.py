@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from agealgebra import setfuncs
-from agealgebra.linalg import nullspace_basis
+from agealgebra.linalg import kernel_vector, nullspace_basis
 from agealgebra.setfuncs import (
     SetFunction,
     cofactor,
@@ -465,8 +465,34 @@ def test_mult_matrix_keeps_rows_without_support():
     assert {x for row in got.nums for x in row} == {0, 3, -4}
 
 
-@settings(max_examples=100, deadline=None)
-@given(int_sf_and_source_degree())
+@st.composite
+def sparse_sf_and_source_degree(draw):
+    """f supported on a few of up to 12 points, and a source degree d.
+
+    `cofactor` solves one block per d' <= d: with points outside the
+    support when d' < d, and with no rows when m + d' exceeds the support's
+    points.
+    """
+    l = draw(st.integers(2, 12))
+    m = draw(st.integers(1, min(3, l - 1)))
+    points = draw(st.lists(st.integers(0, l - 1), min_size=m, max_size=min(l, m + 3), unique=True))
+    shapes = [a for a in ksubsets(l, m) if not a & ~mask_of(points)]
+    chosen = draw(st.sets(st.sampled_from(shapes), min_size=1, max_size=min(5, len(shapes))))
+    d = draw(st.integers(0, min(3, l - m)))
+    return SetFunction(l, m, {a: draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for a in chosen}), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(int_sf_and_source_degree(), sparse_sf_and_source_degree()))
+# One point in the support: every block but d' = 0 has no rows.
+@example((SetFunction(12, 1, {1 << 5: 2}), 3))
+# The mate lies on the block with one point outside S = {0, 5, 9}.
+@example((SetFunction(12, 1, {1: 1, 1 << 5: 1, 1 << 9: 1}), 3))
+# Only two points outside S = {0, 1, 2}: the blocks start at d' = 1, and
+# d' = 3 has no rows.
+@example((SetFunction(5, 2, {0b00011: 1, 0b00110: -1, 0b00101: 1}), 3))
+# A full support: the one block is the whole matrix.
+@example((SetFunction(4, 1, {1: 1, 2: 2, 4: 3, 8: -1}), 2))
 def test_cofactor_is_the_first_basis_vector(case):
     f, d = case
     if f.is_zero:
@@ -480,6 +506,25 @@ def test_cofactor_is_the_first_basis_vector(case):
     # primitive, and positive at its first nonzero set in colex order
     assert gcd(*got.terms.values()) == 1
     assert got.terms[min(got.terms)] > 0
+
+
+def test_cofactor_builds_only_the_support_blocks(monkeypatch):
+    f = sf(16, 1, {(0,): 1, (5,): 1, (9,): 1})
+    want = kernel_vector(mult_matrix(f, 3).matrix)
+    shapes = []
+    original = setfuncs.mult_matrix
+
+    def recording(g, degree):
+        op = original(g, degree)
+        shapes.append((op.matrix.rows, op.matrix.cols))
+        return op
+
+    monkeypatch.setattr(setfuncs, "mult_matrix", recording)
+    got = cofactor(f, 3)
+    # One block per d' = 0, 1, 2 on the 3 points of S; d' = 3 has no rows.
+    assert shapes == [(3, 1), (3, 3), (1, 3)]
+    assert got.terms == {b: x for b, x in zip(ksubsets(16, 3), want) if x}
+    assert got.terms == {mask_of((0, 1, 5)): 1, mask_of((0, 1, 9)): -1}
 
 
 def test_mult_matrix_of_unit_is_identity():
