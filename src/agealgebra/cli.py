@@ -25,6 +25,7 @@ from .setfuncs import SetFunction, singleton_ones
 from .subsets import MAX_GROUND, members
 from .witnesses import (
     RANDOM_DRAWS,
+    RANDOM_MEMBERS,
     NotAZeroDivisorPairError,
     embeds_gadget,
     gadget_lower,
@@ -54,9 +55,9 @@ MAX_SUPPORT_PAIRS = 1_146_880
 # `commutation` checks (`--l 10 --n 4 --trials 17`, 952,560 cells, 70-120 ms).
 MAX_KANTOR_CELLS = 500_000
 MAX_COMMUTATION_CELLS = 1_000_000
-# Largest cells of the random multiplication matrices `search` solves, plus
-# its embedded gadget's support pairs: `--m 1 --n 3 --l 16` needs 8,153,720
-# and takes about 0.14 s as a process (2-core Xeon, Python 3.11).
+# Largest `_search_cells` estimate `search` takes on: `--m 4 --n 1 --l 64`
+# needs 8,881,280 and takes about 0.5 s and 60 MB as a process (2-core Xeon,
+# Python 3.11); `--m 2 --n 5 --l 64` (10,406,496) is refused.
 MAX_SEARCH_CELLS = 10_000_000
 # Largest (restrictions) · (symbols + tuples) that `profile` scans: every
 # restriction of at most --max-n points reads each relation and each tuple.
@@ -105,14 +106,16 @@ def _gadget_pairs(m: int, n: int) -> int:
 
 
 def _search_cells(m: int, n: int, ell: int, strategy: str) -> int:
-    """Cells of the random multiplication matrices `search` solves, plus its
-    embedded gadget's support pairs when it builds that gadget.
+    """Cells of the multiplication matrices `search` solves, plus its list
+    of m-subsets and its embedded gadget's support pairs.
 
-    It counts each full matrix, C(l, m+n) x C(l, n).  `cofactor` solves
-    only the blocks of one over the points of f's support, so this is an
-    upper bound on the cells it fills.
+    Each of the `RANDOM_DRAWS` random f has its support on s points, at
+    most `RANDOM_MEMBERS`·m and l, and `cofactor` fills at most one
+    C(s, m+d) x C(s, d) block per d <= n.
     """
-    cells = RANDOM_DRAWS * comb(ell, m + n) * comb(ell, n) if strategy != "gadget" else 0
+    s = min(RANDOM_MEMBERS * m, ell)
+    blocks = sum(comb(s, m + d) * comb(s, d) for d in range(n + 1))
+    cells = RANDOM_DRAWS * blocks + comb(ell, m) if strategy != "gadget" else 0
     if embeds_gadget(m, n, ell, strategy):
         cells += _gadget_pairs(m, n)
     return cells

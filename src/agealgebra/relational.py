@@ -5,10 +5,11 @@ Canonicalization is individualization-refinement (McKay and Piperno,
 ordered colouring of the points, branch by giving one point of a cell a
 colour of its own, and keep the least relabelled encoding over the leaves,
 skipping points whose swap with an already tried one is an automorphism.
-It is exact for bases of at most 8 points.  Results sit in a bounded LRU
-cache keyed by the structure, which makes profile sweeps over thousands of
-restrictions cheap.  The profile of a structure counts isomorphism types
-of its n-point restrictions.
+Refinement and leaves read a tuple as one int, its points' colours in
+fixed-width fields.  It is exact for bases of at most 8 points.  Results
+sit in a bounded LRU cache keyed by the structure, which makes profile
+sweeps over thousands of restrictions cheap.  The profile of a structure
+counts isomorphism types of its n-point restrictions.
 """
 
 from __future__ import annotations
@@ -92,28 +93,64 @@ def _occurrences(r: RelStructure) -> list[list[tuple]]:
     return occurrences
 
 
-def _refine(occurrences: list[list[tuple]], colour: list[int]) -> list[int]:
+def _codes(rel: frozenset, colour: list[int], width: int) -> list[int]:
+    """Each tuple of rel, in iteration order, as one int: the colours of
+    its points in `width`-bit fields, the first point highest."""
+    codes = []
+    for t in rel:
+        code = 0
+        for x in t:
+            code = code << width | colour[x]
+        codes.append(code)
+    return codes
+
+
+def _refine(r: RelStructure, colour: list[int]) -> list[int]:
     """The coarsest stable refinement of an ordered colouring, as ranks.
 
-    Each round gives a point x the pair of its colour and the sorted
-    multiset of (relation index, position of x, colours of the tuple) over
-    the occurrences of x that `occurrences[x]` lists.  New colours are
-    ranked by sorting these keys, never by point labels, so the result is
-    isomorphism invariant and keeps the order of the cells it splits.
-    Rounds stop when none splits a cell or every cell is a single point.
+    Each round codes each tuple once by `_codes`, in fields of
+    (2l).bit_length() bits, enough for the colours below 2l that
+    `canonical_form` passes.  An occurrence of a point at position pos of
+    a tuple of relation ri is keyed by that code plus the offset of
+    (ri, pos), the pairs numbered in order and shifted above every code,
+    so keys order as the triples (ri, pos, colours of the tuple).  A point
+    in a cell of two or more points gets the key (colour, sorted keys of
+    its occurrences), a point alone in its cell (colour,), which ranks the
+    same since no other point has that colour.  New colours are the dense
+    ranks of the keys, never point labels, so the result is isomorphism
+    invariant and keeps the order of the cells it splits.  Rounds stop
+    when none splits a cell or every cell is a single point.
     """
+    l = len(colour)
+    width = (2 * l).bit_length()
+    top = width * max(r.signature, default=0)
+    live, first = [], 0
+    for arity, rel in zip(r.signature, r.relations):
+        if rel:
+            live.append((rel, [(first + pos) << top for pos in range(arity)]))
+        first += arity
     count = len(set(colour))
     while True:
-        get = colour.__getitem__
-        keys = [
-            (colour[x], tuple(sorted([(ri, pos, tuple(map(get, t))) for ri, pos, t in occ])))
-            for x, occ in enumerate(occurrences)
-        ]
-        ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
-        colour = [ranks[key] for key in keys]
-        if len(ranks) in (count, len(colour)):
+        alone = []
+        occurrences = [[] if colour.count(c) > 1 else alone for c in colour]
+        add = [occ.append for occ in occurrences]
+        for rel, offset in live:
+            if len(offset) == 2:  # graphs and digraphs: the same keys, unrolled
+                o0, o1 = offset
+                for a, b in rel:
+                    code = colour[a] << width | colour[b]
+                    add[a](o0 | code)
+                    add[b](o1 | code)
+                continue
+            for t, code in zip(rel, _codes(rel, colour, width)):
+                for off, x in zip(offset, t):
+                    add[x](off | code)
+        keys = [(c,) if occ is alone else (c, tuple(sorted(occ))) for c, occ in zip(colour, occurrences)]
+        ranked = sorted(set(keys))
+        colour = list(map(dict(zip(ranked, range(l))).__getitem__, keys))
+        if len(ranked) in (count, l):
             return colour
-        count = len(ranks)
+        count = len(ranked)
 
 
 def _twins(r: RelStructure, occurrences: list[list[tuple]], colour: list[int]) -> list[int]:
@@ -151,28 +188,29 @@ def canonical_form(r: RelStructure) -> tuple:
     branches on its first cell of two or more points, giving each point
     in turn a colour of its own just before its cell-mates.  The tree is
     built without reference to labels, so isomorphic structures have the
-    same leaf encodings, and the least one (each relation's relabelled
-    tuples, sorted) is canonical.  A point whose twin was already tried in
-    the same cell is skipped: the swap fixes the individualized points, so
-    it maps one subtree onto the other with equal encodings.
+    same leaf encodings, and the least one (each relation's sorted
+    `_codes`, which order as its relabelled tuples) is canonical.  A point
+    whose twin was already tried in the same cell is skipped: the swap
+    fixes the individualized points, so it maps one subtree onto the other
+    with equal encodings.
     """
     l = r.base_size
     if l > MAX_CANON_BASE:
         raise ValueError("base too large for exhaustive canonicalization")
-    occurrences = _occurrences(r)
+    width = (2 * l).bit_length()
     twin = None
     best = None
 
     def search(colour: list[int]) -> None:
         nonlocal twin, best
-        colour = _refine(occurrences, colour)
-        cell = min((c for c in colour if colour.count(c) > 1), default=None)
-        if cell is None:
-            enc = tuple(tuple(sorted([tuple([colour[x] for x in t]) for t in rel])) for rel in r.relations)
+        colour = _refine(r, colour)
+        if len(set(colour)) == l:
+            enc = tuple(tuple(sorted(_codes(rel, colour, width))) for rel in r.relations)
             best = enc if best is None else min(best, enc)
             return
         if twin is None:  # the first branch is the root's
-            twin = _twins(r, occurrences, colour)
+            twin = _twins(r, _occurrences(r), colour)
+        cell = min(c for c in colour if colour.count(c) > 1)
         tried = set()
         for x in range(l):
             if colour[x] == cell and twin[x] not in tried:

@@ -202,8 +202,9 @@ def tau_upper_bound(m: int, n: int) -> tuple[str, int | None]:
 
 # Search over candidate pairs for a given ground set.
 
-# Seeded supports `search_best` draws for f when its strategy is not "gadget".
-RANDOM_DRAWS = 8
+# Seeded supports `search_best` draws for f when its strategy is not "gadget",
+# each of at most RANDOM_MEMBERS m-subsets.
+RANDOM_DRAWS, RANDOM_MEMBERS = 8, 6
 
 
 def embeds_gadget(m: int, n: int, ground_size: int, strategy: str) -> bool:
@@ -236,7 +237,7 @@ def search_best(
         rng = random.Random(seed)
         shapes = ksubsets(ground_size, m)
         for _ in range(RANDOM_DRAWS):
-            size = rng.randint(2, min(6, len(shapes)))
+            size = rng.randint(2, min(RANDOM_MEMBERS, len(shapes)))
             chosen = rng.sample(shapes, size)
             f = SetFunction(ground_size, m, {s: rng.choice((-2, -1, 1, 2)) for s in chosen})
             mate = cofactor(f, n)

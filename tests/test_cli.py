@@ -551,9 +551,9 @@ def test_support_pair_cap_admits_every_small_gadget(monkeypatch):
         (["commutation", "--l", "7", "--n", "3", "--trials", "1000"], "1,226,225", "1,000,000"),
         (["commutation", "--l", "64", "--n", "32"], "68,391,501,654,571,565,209,116,535,399,286,795,904",
          "1,000,000"),
-        (["search", "--m", "1", "--n", "3", "--l", "64"], "211,778,445,432", "10,000,000"),
-        (["search", "--m", "1", "--n", "5", "--l", "13"], "17,670,456", "10,000,000"),
-        (["search", "--m", "1", "--n", "3", "--l", "64", "--strategy", "random"], "211,778,445,312",
+        (["search", "--m", "3", "--n", "3", "--l", "64"], "132,174,816", "10,000,000"),
+        (["search", "--m", "2", "--n", "5", "--l", "64"], "10,406,496", "10,000,000"),
+        (["search", "--m", "3", "--n", "3", "--l", "64", "--strategy", "random"], "132,161,856",
          "10,000,000"),
         (["search", "--m", "1", "--n", "30", "--l", "64", "--strategy", "gadget"],
          "7,095,874,893,891,685,440", "10,000,000"),
@@ -599,13 +599,41 @@ def test_matrix_cell_caps_admit_every_documented_invocation(monkeypatch):
         ["search", "--m", "2", "--n", "2", "--l", "8"],
         ["search", "--m", "2", "--n", "1", "--l", "7"],
         ["search", "--m", "1", "--n", "3", "--l", "16"],
+        ["search", "--m", "1", "--n", "3", "--l", "64"],
+        ["search", "--m", "1", "--n", "5", "--l", "13"],
+        ["search", "--m", "2", "--n", "4", "--l", "40"],
+        ["search", "--m", "4", "--n", "1", "--l", "64"],
         ["search", "--m", "2", "--n", "2", "--l", "40", "--strategy", "gadget"],
     ]
     for argv in argvs:
         code, rep = run(argv)
         assert code == 1 and rep["results"][-1]["computed"] == "RuntimeError: admitted"
     assert cli._kantor_cells(10) == 492_202 <= cli.MAX_KANTOR_CELLS
-    assert cli._search_cells(1, 3, 16, "all") == 8_153_720 <= cli.MAX_SEARCH_CELLS
+    assert cli._search_cells(4, 1, 64, "all") == 8_881_280 <= cli.MAX_SEARCH_CELLS
+
+
+@pytest.mark.parametrize(
+    "m, n, ell, strategy",
+    [(1, 3, 8, "all"), (2, 2, 8, "random"), (1, 5, 13, "all"), (2, 3, 10, "all"), (3, 1, 9, "random"),
+     (1, 3, 64, "random"), (2, 4, 20, "random")],
+)
+def test_search_fills_no_more_matrix_cells_than_its_estimate(m, n, ell, strategy, monkeypatch):
+    from agealgebra import cli, setfuncs
+    from agealgebra.witnesses import search_best
+
+    build = setfuncs.mult_matrix
+    cells = []
+
+    def counting(f, degree):
+        op = build(f, degree)
+        cells.append(op.matrix.rows * op.matrix.cols)
+        return op
+
+    monkeypatch.setattr(setfuncs, "mult_matrix", counting)
+    for seed in range(3):
+        cells.clear()
+        search_best(m, n, ell, strategy=strategy, seed=seed)
+        assert cells and sum(cells) <= cli._search_cells(m, n, ell, strategy)
 
 
 def test_unknown_flags_exit_two():

@@ -248,6 +248,52 @@ def brute_encoding(r):
     )
 
 
+def tuple_keyed_refine(r, colour):
+    """Oracle: `relational._refine` as it was before it refined on int
+    codes.  Each round keys every point by its colour and the sorted triples
+    (relation index, position, colours of the tuple) of its occurrences."""
+    occurrences = relational._occurrences(r)
+    count = len(set(colour))
+    while True:
+        keys = [
+            (colour[x], tuple(sorted((ri, pos, tuple(colour[y] for y in t)) for ri, pos, t in occ)))
+            for x, occ in enumerate(occurrences)
+        ]
+        ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colour = [ranks[key] for key in keys]
+        if len(ranks) in (count, r.base_size):
+            return colour
+        count = len(ranks)
+
+
+def tuple_keyed_form(r):
+    """Oracle: `canonical_form` as it was before it refined on int codes,
+    with the same search tree and twin pruning; a leaf encodes each
+    relation as its sorted tuples of colours."""
+    l = r.base_size
+    twin = None
+    best = None
+
+    def search(colour):
+        nonlocal twin, best
+        colour = tuple_keyed_refine(r, colour)
+        cell = min((c for c in colour if colour.count(c) > 1), default=None)
+        if cell is None:
+            enc = tuple(tuple(sorted(tuple(colour[x] for x in t) for t in rel)) for rel in r.relations)
+            best = enc if best is None else min(best, enc)
+            return
+        if twin is None:
+            twin = relational._twins(r, relational._occurrences(r), colour)
+        tried = set()
+        for x in range(l):
+            if colour[x] == cell and twin[x] not in tried:
+                tried.add(twin[x])
+                search([2 * c + (y != x) for y, c in enumerate(colour)])
+
+    search([0] * l)
+    return l, r.signature, best
+
+
 def brute_profile_sequence(r):
     return [
         len({brute_encoding(restriction(r, points)) for points in ksubsets(r.base_size, n)})
@@ -452,8 +498,8 @@ def test_canonical_form_agrees_with_brute_force_on_twin_rich_structures(a, other
 @settings(max_examples=100, deadline=None)
 @given(twin_rich_structures(max_base=7))
 def test_twins_are_the_brute_checked_transposition_automorphisms(r):
-    occurrences = relational._occurrences(r)
-    twin = relational._twins(r, occurrences, relational._refine(occurrences, [0] * r.base_size))
+    colour = relational._refine(r, [0] * r.base_size)
+    twin = relational._twins(r, relational._occurrences(r), colour)
     for x in range(r.base_size):
         swaps = [y for y in range(x) if swap_is_automorphism(r, x, y)]
         assert twin[x] == (swaps[0] if swaps else x)
@@ -472,14 +518,73 @@ def test_canonical_form_refines_within_its_work_bound(monkeypatch, name, bound):
     refine = relational._refine
     calls = []
 
-    def counting(occurrences, colour):
+    def counting(r, colour):
         calls.append(colour)
         if len(calls) > bound:
             raise AssertionError(f"{name} needs more than {bound} refinements")
-        return refine(occurrences, colour)
+        return refine(r, colour)
 
     monkeypatch.setattr(relational, "_refine", counting)
     relational.canonical_form.__wrapped__(GOLDEN_PROFILES[name][0])
+
+
+def injective_half(seed):
+    """An 8-point structure holding a random half of the injective 4-tuples."""
+    rng = random.Random(seed)
+    tuples = [t for t in permutations(range(8), 4)]
+    return RelStructure(8, (4,), [rng.sample(tuples, len(tuples) // 2)])
+
+
+def mixed_signature(seed):
+    """An 8-point structure of signature (1, 2, 3) with repeated-point tuples."""
+    rng = random.Random(seed)
+    r = random_structure(rng, 8, (1, 2, 3))
+    return RelStructure(8, r.signature, [r.relations[0], r.relations[1], r.relations[2] | {(1, 1, 3)}])
+
+
+ORACLE_CASES = {
+    **{name: r for name, (r, _) in GOLDEN_PROFILES.items()},
+    "injective-half": injective_half(4),
+    "mixed-1-2-3": mixed_signature(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_int_coded_forms_partition_like_the_tuple_keyed_oracle(name, monkeypatch):
+    """Over every restriction of a structure and three relabelled copies,
+    every refinement equals the oracle's, and two forms are equal exactly
+    when the oracle's are: codes of up to four points, mixed arities and
+    repeated points included."""
+    refine = relational._refine
+
+    def checked(r, colour):
+        refined = refine(r, colour)
+        assert refined == tuple_keyed_refine(r, colour)
+        return refined
+
+    monkeypatch.setattr(relational, "_refine", checked)
+    r = ORACLE_CASES[name]
+    rng = random.Random(name)
+    structures = [restriction(r, keep) for keep in range(1 << r.base_size)]
+    structures += [apply_permutation(r, rng.sample(range(r.base_size), r.base_size)) for _ in range(3)]
+    pairs = {(canonical_form.__wrapped__(s), tuple_keyed_form(s)) for s in structures}
+    assert len({form for form, _ in pairs}) == len({oracle for _, oracle in pairs}) == len(pairs)
+    if name in GOLDEN_PROFILES:
+        assert len(pairs) == sum(GOLDEN_PROFILES[name][1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_refine_matches_the_tuple_keyed_oracle_on_any_colours_below_2l(data):
+    """`canonical_form` passes colourings below 2l, which need every bit
+    of the code fields; arities up to 4 and repeated points included."""
+    l = data.draw(st.integers(1, 8))
+    sig = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    density = data.draw(st.sampled_from((0.05, 0.3, 0.6)))
+    r = RelStructure(l, sig, [[t for t in iproduct(range(l), repeat=a) if rng.random() < density] for a in sig])
+    colour = data.draw(st.lists(st.integers(0, 2 * l - 1), min_size=l, max_size=l))
+    assert relational._refine(r, colour) == tuple_keyed_refine(r, colour)
 
 
 def test_canonical_form_base_cap():
