@@ -1,28 +1,36 @@
 """Exact minimum transversals (hitting sets) of finite set families.
 
-Branch and bound over bitsets.  The distinct members are sorted once, by
-size then colex, and occ[e], the int of the indices of the members that
+Branch and bound over bitsets.  The distinct members are sorted by size
+then colex, and occ[e], the int of the indices of the members that
 contain element e, comes from one bit transpose of all of them
 (`subsets.columns`).  The AND of occ[e] over the elements of a member is
 every member containing it, so the members that contain another are dropped
-column by column, leaving the minimal ones.  The uncovered members are one
-int, and choosing e leaves `uncovered & ~occ[e]`.  Each member's count of
-allowed (unbanned) elements is kept in unary: below[k] holds the members
-with fewer than k, and banning e moves the members of occ[e] down one count,
-so the members with no, exactly one and fewest allowed elements are each an
-AND or two.  A node
-branches on the uncovered member with the fewest allowed elements that has
-the lowest index (the lowest index of the first nonempty uncovered &
-below[k]).  It tries that member's allowed elements busiest first: by
-falling degree among the uncovered members, ties going to the lowest index.
-It prunes with a greedy incumbent from above and a disjoint-subfamily
-packing bound from below: the packing takes members with pairwise disjoint
-allowed parts in the same order, fewest allowed elements first and then the
-lowest index, since a tight member rules out fewer of the others.  It looks
-up the members that a member's allowed part misses in a table keyed by that
-part, which lives for one `tau` call.  Determinism: every one of these
-orders breaks its ties by index, so the reported witness never depends on
-hash order.
+column by column, leaving the minimal ones.  These are then sorted by size,
+then by falling busyness (the sum of their elements' degrees among the
+minimal members), then colex, and transposed again if a member was dropped
+or moved.  When every element has the same degree, as on the block gadgets,
+two-squares and `tau1n`, nothing is re-sorted and the order stays colex.
+The uncovered members are one int, and choosing e leaves `uncovered &
+~occ[e]`.  Each member's count of allowed (unbanned) elements is kept in
+unary: below[k] holds the members with fewer than k, and banning e moves
+the members of occ[e] down one count, so the members with no, exactly one
+and fewest allowed elements are each an AND or two.
+
+The two greedy choices read this order from opposite ends.  A node branches
+on the uncovered member with the fewest allowed elements that has the lowest
+index, the busiest one: its elements are the likeliest to hit the rest.  It
+tries that member's allowed elements busiest first: by falling degree among
+the uncovered members, ties going to the lowest index.  It prunes with a
+greedy incumbent from above and a disjoint-subfamily packing bound from
+below: the packing takes members with pairwise disjoint allowed parts,
+fewest allowed elements first and then the highest index, the least busy
+one, since a tight member that meets few others rules out fewer of them (the
+min-degree greedy for independent sets, Halldorsson & Radhakrishnan,
+Algorithmica 1997).  It looks up the members that a member's allowed part
+misses in a table keyed by that part, which lives for one `tau` call.
+Determinism: the member order is a function of the family alone, with colex
+as the last key, and every choice breaks its ties by index, so the reported
+witness never depends on hash order.
 
 One each (a bound rule in the style of the d-Hitting-Set rules, Abu-Khzam,
 JCSS 2010): at a node where the packing misses pruning by exactly one, a
@@ -82,14 +90,18 @@ def is_minimal_transversal(mask: int, masks: list[int]) -> bool:
 
 
 def _minimal(masks: list[int], n: int) -> tuple[list[int], list[int]]:
-    """The minimal members, by size then colex, and their occ columns.
+    """The minimal members, by size, then falling busyness, then colex, and
+    their occ columns.
 
     The members holding every element of member j are the AND of occ[e] over
     e in j; all of them but j itself are proper supersets and are dropped.
     Only members below the top size can have one: distinct sets of one size
-    never nest.
+    never nest.  A member's busyness is the sum of its elements' degrees
+    among the minimal members.  When those degrees are all equal, busyness
+    follows size and the colex order stands.
     """
-    masks = sorted(set(masks))
+    # The dedupe keeps a family's colex order, so the sort is one pass.
+    masks = sorted(dict.fromkeys(masks))
     masks.sort(key=int.bit_count)
     occ = columns(masks, n)
     top = masks[-1].bit_count() if masks else 0
@@ -102,9 +114,15 @@ def _minimal(masks: list[int], n: int) -> tuple[list[int], list[int]]:
         for e in members(m):
             supersets &= occ[e]
         dropped |= supersets
-    if not dropped:
+    kept = everyone & ~dropped
+    degree = [(column & kept).bit_count() for column in occ]
+    if dropped:
+        masks = [m for j, m in enumerate(masks) if not dropped >> j & 1]
+    if len(set(degree) - {0}) > 1:
+        # Stable, so ties keep their colex order.
+        masks.sort(key=lambda m: (m.bit_count(), -sum(degree[e] for e in members(m))))
+    elif not dropped:
         return masks, occ
-    masks = [m for j, m in enumerate(masks) if not dropped >> j & 1]
     return masks, columns(masks, n)
 
 
@@ -117,7 +135,9 @@ def _twins(masks: list[int], occ: list[int]) -> list[int]:
     Twins lie in the same number of members, so each element is compared
     only with one representative per class of its degree, a popcount.  For
     such a pair (x, r) the swap fixes the family when every member holding x
-    but not r, found from occ, lands on a member.
+    but not r, found from occ, lands on a member.  Most pairs fail on the
+    first such member, so it is tried alone before the rest are listed; a
+    pair with no such member has equal columns and passes.
     """
     family = set(masks)
     rep = list(range(len(occ)))
@@ -128,8 +148,11 @@ def _twins(masks: list[int], occ: list[int]) -> list[int]:
         same_degree = reps_by_degree.setdefault(column.bit_count(), [])
         for r in same_degree:
             swap = bx | 1 << r
+            holders = column & ~occ[r]
+            if holders and masks[(holders & -holders).bit_length() - 1] ^ swap not in family:
+                continue
             # One byte per member index, 1 for the members holding x but not r.
-            flags = format(column & ~occ[r], f"0{len(masks)}b")[::-1].encode()
+            flags = format(holders, f"0{len(masks)}b")[::-1].encode()
             moved = compress(masks, flags.translate(_DIGIT_VALUES))
             if family.issuperset(map(swap.__xor__, moved)):
                 rep[x] = r
@@ -145,7 +168,8 @@ def _greedy_transversal(occ: list[int], full: int) -> int:
     chosen = 0
     uncovered = full
     while uncovered:
-        best = max(range(len(occ)), key=lambda i: ((occ[i] & uncovered).bit_count(), -i))
+        counts = [(column & uncovered).bit_count() for column in occ]
+        best = counts.index(max(counts))
         chosen |= 1 << best
         uncovered &= ~occ[best]
     for e in members(chosen):
@@ -191,7 +215,8 @@ def tau(family: SetFamily) -> TransversalResult:
     def packing(uncovered: int, below: list[int], banned: int, limit: int) -> int:
         """Size, capped at limit, of a greedy family of members with pairwise
         disjoint allowed parts, fewest allowed elements first, ties going to
-        the lowest index: each needs one more element of any transversal."""
+        the highest index, the least busy member: each needs one more element
+        of any transversal."""
         parts.clear()
         allowed = ~banned
         count = 0
@@ -200,8 +225,7 @@ def tau(family: SetFamily) -> TransversalResult:
             # Taking members only removes others, so k never goes back down.
             while not uncovered & below[k]:
                 k += 1
-            fewest = uncovered & below[k]
-            part = masks[(fewest & -fewest).bit_length() - 1] & allowed
+            part = masks[(uncovered & below[k]).bit_length() - 1] & allowed
             disjoint = missed.get(part)
             if disjoint is None:
                 disjoint = -1
@@ -290,13 +314,16 @@ def tau(family: SetFamily) -> TransversalResult:
         short = best_size - nchosen - packing(uncovered, below, banned, best_size - nchosen)
         if short <= 0:
             return
-        # The branch member has the fewest allowed elements, then the lowest
-        # index: the packing's first member, whose allowed part is parts[0]
-        # until `one_each` narrows it.
-        allowed = parts[0]
         # One short of pruning, the packing ran until it covered everything.
         if short == 1 and one_each(uncovered):
             return
+        # The branch member has the fewest allowed elements, at least two
+        # here, then the lowest index: the busiest member.
+        k = 3
+        while not uncovered & below[k]:
+            k += 1
+        fewest = uncovered & below[k]
+        allowed = masks[(fewest & -fewest).bit_length() - 1] & ~banned
         # Its elements by falling degree among the uncovered members, ties
         # going to the lowest index.
         order = []
